@@ -44,11 +44,16 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aw, av = a[..., 0], a[..., 1:]
-    bw, bv = b[..., 0], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1)
-    v = (aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv))
-    return np.concatenate([w[..., None], v], axis=-1)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    # w = aw bw - av.bv, v = aw bv + bw av + av x bv, written out per component
+    # in the order np.sum / np.cross evaluate them, so results are bit-identical
+    return np.stack([
+        aw * bw - (ax * bx + ay * by + az * bz),
+        aw * bx + bw * ax + (ay * bz - az * by),
+        aw * by + bw * ay + (az * bx - ax * bz),
+        aw * bz + bw * az + (ax * by - ay * bx),
+    ], axis=-1)
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -61,9 +66,17 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the rotation R(q) to 3-vectors v."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    w, u = q[..., 0:1], q[..., 1:]
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
+    w, ux, uy, uz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    # v + w t + u x t with t = 2 u x v, cross products written out per component
+    tx = 2.0 * (uy * vz - uz * vy)
+    ty = 2.0 * (uz * vx - ux * vz)
+    tz = 2.0 * (ux * vy - uy * vx)
+    return np.stack([
+        vx + w * tx + (uy * tz - uz * ty),
+        vy + w * ty + (uz * tx - ux * tz),
+        vz + w * tz + (ux * ty - uy * tx),
+    ], axis=-1)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -321,22 +334,30 @@ def project(pose: Pose, k: CameraIntrinsics, point: np.ndarray) -> np.ndarray | 
     return uv
 
 
-def clip_segment_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Clip a camera-frame segment to depth > EPS_DEPTH; None if fully behind."""
+def clip_segments_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip camera-frame segments (..., 3) to depth > EPS_DEPTH.
+
+    Returns the clipped endpoints and whether any part of each segment lies in
+    front.  An endpoint behind the camera moves onto the near plane, strictly
+    in front; segments entirely behind keep their endpoints.
+    """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    za, zb = pa[2], pb[2]
-    if za <= EPS_DEPTH and zb <= EPS_DEPTH:
-        return None
-    if za > EPS_DEPTH and zb > EPS_DEPTH:
-        return pa, pb
-    # one endpoint behind: move it onto the near plane, strictly in front
-    t = (EPS_DEPTH - za) / (zb - za)
-    crossing = pa + t * (pb - pa)
-    crossing[2] = EPS_DEPTH * (1.0 + 1e-6)
-    if za <= EPS_DEPTH:
-        return crossing, pb
-    return pa, crossing
+    za, zb = pa[..., 2], pb[..., 2]
+    behind_a, behind_b = za <= EPS_DEPTH, zb <= EPS_DEPTH
+    crosses = behind_a ^ behind_b
+    t = (EPS_DEPTH - za) / np.where(crosses, zb - za, 1.0)
+    crossing = pa + t[..., None] * (pb - pa)
+    crossing[..., 2] = EPS_DEPTH * (1.0 + 1e-6)
+    a = np.where((crosses & behind_a)[..., None], crossing, pa)
+    b = np.where((crosses & behind_b)[..., None], crossing, pb)
+    return a, b, ~(behind_a & behind_b)
+
+
+def clip_segment_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Clip a camera-frame segment to depth > EPS_DEPTH; None if fully behind."""
+    a, b, keep = clip_segments_to_front(np.reshape(pa, (1, 3)), np.reshape(pb, (1, 3)))
+    return (a[0], b[0]) if keep[0] else None
 
 
 def look_at_pose(eye: np.ndarray, target: np.ndarray) -> Pose:

@@ -13,6 +13,28 @@ smallest perpendicular offset, negative side first.
 Point matches land on pixel centres; when sub-pixel refinement is enabled
 (the default), a log-quadratic fit around the winning pixel recovers the
 continuous peak, which is exact for the analytically rendered Gaussians.
+
+`match_frame_arrays` matches a frame in a few array passes, with no loop over
+points, lines or line pairs:
+
+- projection: one `world_to_camera` and one `pinhole` over the 6 skeleton
+  points, the subdivided points and the clipped line ends, in that row order;
+- point search: each window is sliced from its channel as a box of fixed
+  size that covers the disk, giving an (n_points, rows, cols) stack on which
+  the disk mask, the maximum and the tie-break are evaluated at once; the
+  winners are then refined together;
+- parallel-line guard: one (lines, lines) near-parallel mask and one
+  (lines, samples) point-to-segment distance matrix;
+- line search: all (sample, offset) positions, shape (m, k_line, 2),
+  interpolated at once from the flattened line-channel stack.
+
+`match_point`, `match_line_sample` and `refine_peak_subpixel` run the same
+kernels on a single row.  Tie-breaks and outputs are unchanged from the
+per-feature loop these passes replaced, to the last bit; the loop is kept as
+the test reference in tests/reference_matching.py.  Two-term dot products go
+through `np.vecdot` or `np.matmul`, which round like the 1-D `np.linalg.norm`
+and the (m, 2) @ (2,) product of that loop; `np.linalg.norm(axis=-1)` and
+`np.einsum` differ in the last bit.
 """
 
 from __future__ import annotations
@@ -26,7 +48,8 @@ from .geometry import (
     EPS_DEPTH,
     CameraIntrinsics,
     Pose,
-    clip_segment_to_front,
+    clip_segments_to_front,
+    in_view,
     pinhole,
     world_to_camera,
 )
@@ -92,36 +115,72 @@ class Correspondence:
         object.__setattr__(self, "point3d", np.asarray(self.point3d, dtype=float).reshape(3))
 
 
+def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
+    """np.clip without its per-call dispatch, which outweighs the arithmetic
+    on arrays this small."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _search_points(
+    channels: np.ndarray, class_ids: np.ndarray, predicted: np.ndarray, cfg: MatchConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point search for rows of `predicted` (n, 2) in channels[class_ids].
+
+    Each window is sliced as a fixed-size box that covers it and lies on the
+    raster.  Returns (winning pixel centres (n, 2), found (n,)).
+    """
+    n = predicted.shape[0]
+    _, h, w = channels.shape
+    u, v = predicted[:, 0], predicted[:, 1]
+    r = cfg.r_point
+    bh, bw = min(int(2.0 * r) + 2, h), min(int(2.0 * r) + 2, w)
+    # window [ceil(c - r), floor(c + r)] per axis, clipped to the raster
+    x0, x1 = np.maximum(np.ceil(u - r), 0.0), np.minimum(np.floor(u + r), w - 1.0)
+    y0, y1 = np.maximum(np.ceil(v - r), 0.0), np.minimum(np.floor(v + r), h - 1.0)
+    xs = np.minimum(x0, w - bw).astype(np.int64)[:, None] + np.arange(bw)
+    ys = np.minimum(y0, h - bh).astype(np.int64)[:, None] + np.arange(bh)
+    # squared offsets, infinite outside the window so the disk test drops them
+    dx2 = np.where((xs >= x0[:, None]) & (xs <= x1[:, None]), (xs - u[:, None]) ** 2, np.inf)
+    dy2 = np.where((ys >= y0[:, None]) & (ys <= y1[:, None]), (ys - v[:, None]) ** 2, np.inf)
+    d2 = dy2[:, :, None] + dx2[:, None, :]
+    # (channel, box row, box column, row, column) view; bh <= h and bw <= w keep it on the raster
+    c, sy, sx = channels.strides
+    boxes = np.lib.stride_tricks.as_strided(
+        channels, (channels.shape[0], h - bh + 1, w - bw + 1, bh, bw), (c, sy, sx, sy, sx), writeable=False
+    )
+    window = boxes[class_ids, ys[:, 0], xs[:, 0]]
+    inside = d2 <= r * r
+    best = window.max(axis=(1, 2), where=inside, initial=-np.inf)
+    # ties: smallest squared distance, then row-major order (argmin keeps the first)
+    key = np.where(inside & (window == best[:, None, None]), d2, np.inf)
+    row, col = np.divmod(np.argmin(key.reshape(n, bh * bw), axis=1), bw)
+    rows = np.arange(n)
+    return np.stack([xs[rows, col], ys[rows, row]], axis=-1).astype(float), best > cfg.lambda_point
+
+
 def match_point(channel: np.ndarray, predicted: np.ndarray, cfg: MatchConfig) -> np.ndarray | None:
     """Pixel with the largest value within r_point of the prediction.
 
     Returns the winning pixel centre as a float 2-vector, or None when no
     value in the window exceeds lambda_point.
     """
-    h, w = channel.shape
-    u, v = float(predicted[0]), float(predicted[1])
-    if not (np.isfinite(u) and np.isfinite(v)):
+    uv = np.asarray(predicted, dtype=float).reshape(1, 2)
+    if not np.all(np.isfinite(uv)):
         raise ValueError("predicted location must be finite")
-    r = cfg.r_point
-    x0, x1 = max(int(np.ceil(u - r)), 0), min(int(np.floor(u + r)), w - 1)
-    y0, y1 = max(int(np.ceil(v - r)), 0), min(int(np.floor(v + r)), h - 1)
-    if x0 > x1 or y0 > y1:
-        return None
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
-    d2 = (ys[:, None] - v) ** 2 + (xs[None, :] - u) ** 2
-    window = channel[y0 : y1 + 1, x0 : x1 + 1]
-    inside = d2 <= r * r
-    if not inside.any():
-        return None
-    values = np.where(inside, window, -np.inf)
-    best = values.max()
-    if not best > cfg.lambda_point:
-        return None
-    iy, ix = np.nonzero(values == best)
-    order = np.lexsort((ix, iy, d2[iy, ix]))
-    j = order[0]
-    return np.array([float(xs[ix[j]]), float(ys[iy[j]])])
+    pixel, found = _search_points(channel[None], np.zeros(1, np.int64), uv, cfg)
+    return pixel[0] if found[0] else None
+
+
+def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normals, unit directions and non-degeneracy of segments a -> b (n, 2)."""
+    d = b - a
+    # vecdot sums like the 1-D np.linalg.norm, to the bit; norm(axis=-1) does not
+    n = np.sqrt(np.vecdot(d, d))
+    ok = ~(n < 1e-9)
+    d = d / np.where(ok, n, 1.0)[:, None]
+    p = np.stack([-d[:, 1], d[:, 0]], axis=-1)
+    flip = (p[:, 0] < 0.0) | ((p[:, 0] == 0.0) & (p[:, 1] < 0.0))
+    return np.where(flip[:, None], -p, p), d, ok
 
 
 def perpendicular_direction(endpoint_a: np.ndarray, endpoint_b: np.ndarray) -> np.ndarray:
@@ -130,53 +189,54 @@ def perpendicular_direction(endpoint_a: np.ndarray, endpoint_b: np.ndarray) -> n
     The sign is canonicalized so the first nonzero component is positive;
     the search spans both sides symmetrically, so only determinism matters.
     """
-    a = np.asarray(endpoint_a, dtype=float).reshape(2)
-    b = np.asarray(endpoint_b, dtype=float).reshape(2)
-    d = b - a
-    n = np.linalg.norm(d)
-    if n < 1e-9:
+    a = np.asarray(endpoint_a, dtype=float).reshape(1, 2)
+    b = np.asarray(endpoint_b, dtype=float).reshape(1, 2)
+    p, _, ok = _perpendiculars(a, b)
+    if not ok[0]:
         raise ValueError("projected line endpoints coincide")
-    d = d / n
-    p = np.array([-d[1], d[0]])
-    if p[0] < 0.0 or (p[0] == 0.0 and p[1] < 0.0):
-        p = -p
-    return p
+    return p[0]
 
 
-def _bilinear_batch(channel: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolated values and validity for sample positions of shape (..., 2)."""
-    h, w = channel.shape
+def _bilinear(channels: np.ndarray, class_ids: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolated values and validity at positions xy (..., 2) in channels[class_ids].
+
+    class_ids broadcasts against xy[..., 0]; corners are gathered from the
+    flattened channel stack.
+    """
+    _, h, w = channels.shape
     x, y = xy[..., 0], xy[..., 1]
     valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
-    xs = np.clip(x, 0.0, w - 1.0)
-    ys = np.clip(y, 0.0, h - 1.0)
-    x0 = np.minimum(xs.astype(np.int64), w - 2) if w > 1 else np.zeros_like(xs, np.int64)
-    y0 = np.minimum(ys.astype(np.int64), h - 2) if h > 1 else np.zeros_like(ys, np.int64)
+    xs = _clip(x, 0.0, w - 1.0)
+    ys = _clip(y, 0.0, h - 1.0)
+    x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(ys.astype(np.int64), max(h - 2, 0))
     fx = xs - x0
     fy = ys - y0
-    c = channel
+    flat = channels.reshape(-1)
+    corner = class_ids * (h * w) + y0 * w + x0
     vals = (
-        c[y0, x0] * (1.0 - fx) * (1.0 - fy)
-        + c[y0, x0 + 1] * fx * (1.0 - fy)
-        + c[y0 + 1, x0] * (1.0 - fx) * fy
-        + c[y0 + 1, x0 + 1] * fx * fy
+        flat[corner] * (1.0 - fx) * (1.0 - fy)
+        + flat[corner + 1] * fx * (1.0 - fy)
+        + flat[corner + w] * (1.0 - fx) * fy
+        + flat[corner + w + 1] * fx * fy
     )
-    return vals.astype(float), valid
+    return vals, valid
 
 
-def _match_line_rows(
-    channel: np.ndarray,
+def _search_lines(
+    channels: np.ndarray,
+    class_ids: np.ndarray,
     predicted: np.ndarray,
     perp: np.ndarray,
     cfg: MatchConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Perpendicular search for several samples of one line at once.
+    """Perpendicular search for rows of `predicted` (m, 2) along unit `perp` (m, 2).
 
-    predicted: (m, 2); perp: unit (2,).  Returns (matched (m, 2), found (m,)).
+    Returns (matched (m, 2), found (m,)).
     """
     offsets = cfg.line_offsets()
-    positions = predicted[:, None, :] + offsets[None, :, None] * perp[None, None, :]
-    values, valid = _bilinear_batch(channel, positions)
+    positions = predicted[:, None, :] + offsets[None, :, None] * perp[:, None, :]
+    values, valid = _bilinear(channels, class_ids[:, None], positions)
     values = np.where(valid, values, -np.inf)
     best = values.max(axis=1)
     found = best > cfg.lambda_line
@@ -185,7 +245,7 @@ def _match_line_rows(
     penalty = np.abs(offsets) + 0.25 * spacing * (offsets > 0)
     cand = np.where(values == best[:, None], penalty[None, :], np.inf)
     j = np.argmin(cand, axis=1)
-    matched = predicted + offsets[j][:, None] * perp[None, :]
+    matched = predicted + offsets[j][:, None] * perp
     return matched, found
 
 
@@ -196,13 +256,35 @@ def match_line_sample(
     cfg: MatchConfig,
 ) -> np.ndarray | None:
     """Best sample along the perpendicular; None when all are below threshold."""
-    perp = np.asarray(perp, dtype=float).reshape(2)
+    perp = np.asarray(perp, dtype=float).reshape(1, 2)
     if abs(np.linalg.norm(perp) - 1.0) > 1e-6:
         raise ValueError("perpendicular direction must be unit length")
-    matched, found = _match_line_rows(
-        channel, np.asarray(predicted, dtype=float).reshape(1, 2), perp, cfg
+    matched, found = _search_lines(
+        channel[None], np.zeros(1, np.int64), np.asarray(predicted, dtype=float).reshape(1, 2), perp, cfg
     )
     return matched[0] if found[0] else None
+
+
+def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """Sub-pixel peaks around rows of `pixels` (n, 2) in channels[class_ids]."""
+    _, h, w = channels.shape
+    nearest = np.round(pixels).astype(np.int64)
+    ix, iy = nearest.T
+    centre = nearest.astype(float)
+    step = np.arange(-1, 2)
+    patch = channels[
+        class_ids[:, None, None],
+        _clip(iy[:, None] + step, 0, h - 1)[:, :, None],
+        _clip(ix[:, None] + step, 0, w - 1)[:, None, :],
+    ].astype(float)
+    usable = (ix >= 1) & (iy >= 1) & (ix <= w - 2) & (iy <= h - 2) & (patch.min(axis=(1, 2)) > 0.0)
+    lp = np.log(np.where(usable[:, None, None], patch, 1.0))
+    # log values through the peak: (n, [x, y], [minus, centre, plus])
+    tri = np.stack([lp[:, 1, :], lp[:, :, 1]], axis=1)
+    den = tri[..., 0] - 2.0 * tri[..., 1] + tri[..., 2]
+    concave = usable[:, None] & (den < 0.0)
+    shift = _clip(0.5 * (tri[..., 0] - tri[..., 2]) / np.where(concave, den, -1.0), -0.5, 0.5)
+    return np.where(concave, centre + shift, centre)
 
 
 def refine_peak_subpixel(channel: np.ndarray, pixel: np.ndarray) -> np.ndarray:
@@ -212,65 +294,21 @@ def refine_peak_subpixel(channel: np.ndarray, pixel: np.ndarray) -> np.ndarray:
     borders, near zero values, or when the fit is not concave.  The offset
     never exceeds half a pixel.
     """
-    h, w = channel.shape
-    ix, iy = int(round(float(pixel[0]))), int(round(float(pixel[1])))
-    if ix < 1 or iy < 1 or ix > w - 2 or iy > h - 2:
-        return np.array([float(ix), float(iy)])
-    patch = channel[iy - 1 : iy + 2, ix - 1 : ix + 2].astype(float)
-    if patch.min() <= 0.0:
-        return np.array([float(ix), float(iy)])
-    lp = np.log(patch)
-    out = np.array([float(ix), float(iy)])
-    den_x = lp[1, 0] - 2.0 * lp[1, 1] + lp[1, 2]
-    if den_x < 0.0:
-        out[0] += float(np.clip(0.5 * (lp[1, 0] - lp[1, 2]) / den_x, -0.5, 0.5))
-    den_y = lp[0, 1] - 2.0 * lp[1, 1] + lp[2, 1]
-    if den_y < 0.0:
-        out[1] += float(np.clip(0.5 * (lp[0, 1] - lp[2, 1]) / den_y, -0.5, 0.5))
-    return out
+    pixel = np.asarray(pixel, dtype=float).reshape(1, 2)
+    if not np.all(np.isfinite(pixel)):
+        raise ValueError("pixel must be finite")
+    return _refine_peaks(channel[None], np.zeros(1, np.int64), pixel)[0]
 
 
-def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from every point (s, 2) to every segment a -> b (l, 2), shape (l, s)."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-18:
-        return np.linalg.norm(points - a, axis=-1)
-    t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-    return np.linalg.norm(points - (a + t[:, None] * ab[None, :]), axis=-1)
-
-
-def _ambiguous_samples(
-    uv: np.ndarray,
-    line_id: int,
-    line_class,
-    skeleton: TurbineSkeleton,
-    projected_lines: dict,
-    sin_guard: float,
-    reach: float,
-) -> np.ndarray:
-    """Samples whose search would run along a near-parallel same-class line."""
-    flagged = np.zeros(uv.shape[0], dtype=bool)
-    a_own, b_own = projected_lines[line_id]
-    d_own = b_own - a_own
-    n_own = np.linalg.norm(d_own)
-    if n_own < 1e-9:
-        return flagged
-    d_own = d_own / n_own
-    for other_id, other in enumerate(skeleton.lines):
-        if other_id == line_id or other.line_class != line_class:
-            continue
-        if other_id not in projected_lines:
-            continue
-        a_o, b_o = projected_lines[other_id]
-        d_o = b_o - a_o
-        n_o = np.linalg.norm(d_o)
-        if n_o < 1e-9:
-            continue
-        d_o = d_o / n_o
-        if abs(d_own[0] * d_o[1] - d_own[1] * d_o[0]) >= sin_guard:
-            continue  # transversal: the perpendicular search separates them
-        flagged |= _point_segment_distance(uv, a_o, b_o) <= reach
-    return flagged
+    denom = np.vecdot(ab, ab)
+    # one (s, 2) @ (2,) product per segment, the same BLAS call a single segment makes
+    along = np.matmul(points[None, :, :] - a[:, None, :], ab[:, :, None])[..., 0]
+    short = denom < 1e-18  # a point-like segment: distance to a
+    t = np.where(short[:, None], 0.0, _clip(along / np.where(short, 1.0, denom)[:, None], 0.0, 1.0))
+    return np.linalg.norm(points[None, :, :] - (a[:, None, :] + t[:, :, None] * ab[:, None, :]), axis=-1)
 
 
 @dataclass
@@ -311,85 +349,69 @@ def match_frame_arrays(
     frame: HeatmapFrame,
     cfg: MatchConfig,
 ) -> FrameMatches:
-    """Establish all point and line correspondences for one frame."""
-    rows_p3d, rows_pred, rows_match, rows_kind, rows_cls, rows_line = [], [], [], [], [], []
+    """Establish all point and line correspondences for one frame.
 
-    cam_points = world_to_camera(pose_estimate, skeleton.points)
-    for idx, cls in enumerate(POINT_CLASSES):
-        pc = cam_points[idx]
-        if pc[2] <= EPS_DEPTH:
-            continue
-        uv = pinhole(k, pc)
-        if not (-0.5 <= uv[0] < k.width - 0.5 and -0.5 <= uv[1] < k.height - 0.5):
-            continue
-        channel = frame.point_channels[int(cls)]
-        matched = match_point(channel, uv, cfg)
-        if matched is None:
-            continue
-        if cfg.refine_points:
-            refined = refine_peak_subpixel(channel, matched)
-            if np.linalg.norm(refined - uv) <= cfg.r_point:
-                matched = refined
-        rows_p3d.append(skeleton.points[idx])
-        rows_pred.append(uv)
-        rows_match.append(matched)
-        rows_kind.append(int(CorrespondenceKind.POINT))
-        rows_cls.append(int(cls))
-        rows_line.append(-1)
+    Rows list point matches in skeleton order, then line-sample matches
+    grouped by skeleton line, each group in subdivided order.
+    """
+    n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
+    lines = np.array([(line.start, line.end, int(line.line_class)) for line in skeleton.lines], dtype=np.int64)
+    line_cls = lines[:, 2]
 
-    cam_sub = world_to_camera(pose_estimate, subdivided.points)
-    projected_lines = {}
-    for line_id, line in enumerate(skeleton.lines):
-        clipped = clip_segment_to_front(cam_points[line.start], cam_points[line.end])
-        if clipped is None:
-            continue
-        projected_lines[line_id] = (pinhole(k, clipped[0]), pinhole(k, clipped[1]))
+    # projection: skeleton points, subdivided points, then clipped line ends
+    cam = world_to_camera(pose_estimate, np.concatenate([skeleton.points, subdivided.points]))
+    ends_a, ends_b, projected = clip_segments_to_front(cam[lines[:, 0]], cam[lines[:, 1]])
+    cam = np.concatenate([cam, ends_a, ends_b])
+    front = cam[:, 2] > EPS_DEPTH
+    uv = np.full((cam.shape[0], 2), np.nan)
+    uv[front] = pinhole(k, cam[front])
+    seen = in_view(k, uv)  # false behind the camera, where uv is nan
+    uv_sub = uv[n_pts : n_pts + n_sub]
+    a2, b2 = uv[n_pts + n_sub :].reshape(2, -1, 2)
 
+    # point search over every visible skeleton point
+    p_idx = np.flatnonzero(seen[:n_pts])
+    p_cls = np.asarray(POINT_CLASSES, dtype=np.int64)[p_idx]
+    p_match, found = _search_points(frame.point_channels, p_cls, uv[p_idx], cfg)
+    p_idx, p_cls, p_match = p_idx[found], p_cls[found], p_match[found]
+    p_pred = uv[p_idx]
+    if cfg.refine_points:
+        refined = _refine_peaks(frame.point_channels, p_cls, p_match)
+        shift = refined - p_pred
+        # vecdot sums like the 1-D np.linalg.norm, to the bit
+        p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)
+
+    # parallel-line guard: drop samples whose search would run along another
+    # same-class line projecting nearly parallel within search range
+    perp, direction, usable = _perpendiculars(a2, b2)
+    usable &= projected
     sin_guard = np.sin(np.radians(cfg.parallel_guard_deg))
-    for line_id, line in enumerate(skeleton.lines):
-        if line_id not in projected_lines:
-            continue
-        a2, b2 = projected_lines[line_id]
-        try:
-            perp = perpendicular_direction(a2, b2)
-        except ValueError:
-            continue  # degenerate projection: skip this line's samples
-        sel = np.nonzero(subdivided.line_ids == line_id)[0]
-        pc = cam_sub[sel]
-        front = pc[:, 2] > EPS_DEPTH
-        uv = np.full((sel.size, 2), np.nan)
-        uv[front] = pinhole(k, pc[front])
-        visible = front & (
-            (uv[:, 0] >= -0.5) & (uv[:, 0] < k.width - 0.5)
-            & (uv[:, 1] >= -0.5) & (uv[:, 1] < k.height - 0.5)
-        )
-        visible &= ~_ambiguous_samples(
-            uv, line_id, line.line_class, skeleton, projected_lines, sin_guard, cfg.a_line
-        )
-        if not visible.any():
-            continue
-        channel = frame.line_channels[int(line.line_class)]
-        matched, found = _match_line_rows(channel, uv[visible], perp, cfg)
-        vis_idx = sel[visible]
-        for local, global_idx in enumerate(vis_idx):
-            if not found[local]:
-                continue
-            rows_p3d.append(subdivided.points[global_idx])
-            rows_pred.append(uv[visible][local])
-            rows_match.append(matched[local])
-            rows_kind.append(int(CorrespondenceKind.LINE))
-            rows_cls.append(int(line.line_class))
-            rows_line.append(line_id)
+    cross = direction[:, None, 0] * direction[None, :, 1] - direction[:, None, 1] * direction[None, :, 0]
+    near_parallel = (
+        (line_cls[:, None] == line_cls[None, :])
+        & ~np.eye(lines.shape[0], dtype=bool)
+        & usable[:, None]
+        & usable[None, :]
+        & ~(np.abs(cross) >= sin_guard)
+    )
+    lid = subdivided.line_ids
+    guarded = np.any(near_parallel[lid].T & (_segment_distances(uv_sub, a2, b2) <= cfg.a_line), axis=0)
 
-    if not rows_p3d:
-        return FrameMatches.empty()
+    # line search over every visible, unguarded sample
+    samples = np.flatnonzero(seen[n_pts : n_pts + n_sub] & usable[lid] & ~guarded)
+    samples = samples[np.argsort(lid[samples], kind="stable")]
+    s_cls = line_cls[lid[samples]]
+    l_match, found = _search_lines(frame.line_channels, s_cls, uv_sub[samples], perp[lid[samples]], cfg)
+    samples, s_cls, l_match = samples[found], s_cls[found], l_match[found]
+
+    n_p, n_l = p_idx.size, samples.size
     return FrameMatches(
-        np.asarray(rows_p3d, dtype=float),
-        np.asarray(rows_pred, dtype=float),
-        np.asarray(rows_match, dtype=float),
-        np.asarray(rows_kind, dtype=np.int64),
-        np.asarray(rows_cls, dtype=np.int64),
-        np.asarray(rows_line, dtype=np.int64),
+        np.concatenate([skeleton.points[p_idx], subdivided.points[samples]]),
+        np.concatenate([p_pred, uv_sub[samples]]),
+        np.concatenate([p_match, l_match]),
+        np.repeat(np.array([CorrespondenceKind.POINT, CorrespondenceKind.LINE], dtype=np.int64), [n_p, n_l]),
+        np.concatenate([p_cls, s_cls]),
+        np.concatenate([np.full(n_p, -1, dtype=np.int64), lid[samples]]),
     )
 
 

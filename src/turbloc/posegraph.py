@@ -120,9 +120,6 @@ class OptimizeReport:
     costs: list = field(default_factory=list)  # initial cost, then per accepted iteration
     n_correspondences: int = 0
 
-    def converged(self) -> bool:
-        return self.termination in ("step_tolerance", "cost_tolerance", "max_iterations")
-
     def as_dict(self) -> dict:
         return {
             "iterations": self.iterations,

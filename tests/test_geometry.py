@@ -15,6 +15,7 @@ from turbloc.geometry import (
     quat_angle,
     quat_multiply,
     quat_normalize,
+    quat_rotate,
     quaternion_boxplus,
     relative_pose,
 )
@@ -77,6 +78,41 @@ class TestQuaternions:
             delta = 0.5 * rng.standard_normal(3)
             q2 = quaternion_boxplus(q, delta)
             assert abs(geodesic_angle(q, q2) - np.linalg.norm(delta)) < 1e-9
+
+
+def cross_quat_multiply(a, b):
+    # the np.cross / np.sum form the component formulas replaced
+    aw, av = a[..., 0], a[..., 1:]
+    bw, bv = b[..., 0], b[..., 1:]
+    w = aw * bw - np.sum(av * bv, axis=-1)
+    v = aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv)
+    return np.concatenate([w[..., None], v], axis=-1)
+
+
+def cross_quat_rotate(q, v):
+    w, u = q[..., 0:1], q[..., 1:]
+    t = 2.0 * np.cross(u, v)
+    return v + w * t + np.cross(u, t)
+
+
+class TestQuaternionFormulasBitwise:
+    """The explicit component formulas equal the np.cross forms to the bit."""
+
+    @pytest.mark.parametrize("shapes", [((4,), (4,)), ((500, 4), (500, 4)), ((4,), (500, 4)), ((7, 1, 4), (1, 9, 4))])
+    def test_multiply(self, shapes):
+        rng = np.random.default_rng(31)
+        a, b = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+        got = quat_multiply(a, b)
+        want = cross_quat_multiply(a, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shapes", [((4,), (3,)), ((500, 4), (500, 3)), ((4,), (500, 3)), ((500, 4), (3,))])
+    def test_rotate(self, shapes):
+        rng = np.random.default_rng(37)
+        q, v = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+        got = quat_rotate(q, v)
+        want = cross_quat_rotate(q, v)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestCompose:

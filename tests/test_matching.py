@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_line_sample, brute_force_point
-from turbloc.geometry import CameraIntrinsics, Pose, look_at_pose, project, world_to_camera, pinhole
+import reference_matching
+from reference_matching import reference_match_frame_arrays
+from turbloc.geometry import (
+    EPS_DEPTH,
+    CameraIntrinsics,
+    Pose,
+    compose,
+    look_at_pose,
+    pinhole,
+    project,
+    quat_from_rotvec,
+    world_to_camera,
+)
 from turbloc.heatmap import HeatmapFrame, render
 from turbloc.matching import (
+    _segment_distances,
     Correspondence,
     CorrespondenceKind,
     MatchConfig,
@@ -17,6 +30,7 @@ from turbloc.matching import (
     perpendicular_direction,
     refine_peak_subpixel,
 )
+from turbloc.simulation import NoiseSpec, degrade_measurements, generate_orbit_trajectory, inject_noise
 from turbloc.turbine import LineClass, TurbineParams, build_skeleton, subdivide
 
 DEG = math.pi / 180.0
@@ -269,6 +283,123 @@ class TestMatchFrame:
             if c.kind == CorrespondenceKind.POINT:
                 assert c.matched[0] == np.floor(c.matched[0])
                 assert c.matched[1] == np.floor(c.matched[1])
+
+
+MATCH_FIELDS = ("points3d", "predicted", "matched", "kinds", "class_ids", "line_ids")
+REFERENCE_CONFIGS = [MatchConfig(), MatchConfig(refine_points=False), MatchConfig(parallel_guard_deg=0.0)]
+
+
+def perturbed(pose, rng, sigma_t, sigma_r):
+    return compose(pose, Pose(rng.normal(0.0, sigma_t, 3), quat_from_rotvec(rng.normal(0.0, sigma_r, 3))))
+
+
+class TestMatchesReference:
+    """match_frame_arrays reproduces the per-feature loop bit for bit."""
+
+    def check(self, skeleton, pose, k, frame, cfg):
+        subdivided = subdivide(skeleton, cfg.s_tower, cfg.s_hub, cfg.s_blade)
+        got = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        want = reference_match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        for name in MATCH_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        return want
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_orbit_clean_and_degraded(self, scene, cfg):
+        skeleton, _, k, _, _ = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 8)
+        clean = [render(skeleton, pose, k) for pose in truth.poses]
+        degraded = degrade_measurements(clean, 0.1, 5.0, seed=7)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        rng = np.random.default_rng(5)
+        n_points = n_lines = 0
+        for i, pose in enumerate(truth.poses):
+            poses = [noisy.poses[i]] + [perturbed(pose, rng, s, 2.0 * s * DEG) for s in (0.1, 0.5, 1.5)]
+            for frame in (clean[i], degraded[i]):
+                for estimate in poses:
+                    want = self.check(skeleton, estimate, k, frame, cfg)
+                    n_points += want.n_points
+                    n_lines += want.n_lines
+        assert n_points > 0 and n_lines > 0
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_points_behind_camera(self, scene, cfg):
+        # looking down at the tower base from below the tower top: the top, the
+        # hub and parts of the blades are behind, so the tower line is clipped
+        skeleton, _, k, _, _ = scene
+        pose = look_at_pose(np.array([3.0, 0.0, 8.0]), np.zeros(3))
+        depth = world_to_camera(pose, skeleton.points)[:, 2]
+        assert depth[0] > EPS_DEPTH and depth[1] <= EPS_DEPTH
+        frame = render(skeleton, pose, k)
+        rng = np.random.default_rng(11)
+        lines = 0
+        for estimate in [pose] + [perturbed(pose, rng, 0.2, 1.0 * DEG) for _ in range(6)]:
+            lines += self.check(skeleton, estimate, k, frame, cfg).n_lines
+        assert lines > 0
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_points_near_image_border(self, scene, cfg):
+        # principal points near the corners put the turbine against the border
+        skeleton, _, _, pose, _ = scene
+        rng = np.random.default_rng(13)
+        near_border = 0
+        for cx, cy in ((2.0, 127.5), (253.5, 4.0), (40.0, 250.0)):
+            k = CameraIntrinsics(200.0, 200.0, cx, cy, 256, 256)
+            frame = render(skeleton, pose, k)
+            for estimate in [pose] + [perturbed(pose, rng, 0.3, 1.0 * DEG) for _ in range(4)]:
+                want = self.check(skeleton, estimate, k, frame, cfg)
+                pred = want.predicted[want.kinds == int(CorrespondenceKind.POINT)]
+                near_border += np.sum(np.min(np.hstack([pred, 255.0 - pred]), axis=1) < cfg.r_point)
+        assert near_border > 0
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_camera_smaller_than_point_window(self, scene, cfg):
+        skeleton, _, _, pose, _ = scene
+        k = CameraIntrinsics(50.0, 50.0, 19.5, 14.5, 40, 30)
+        assert max(k.width, k.height) < 2 * cfg.r_point + 1
+        frame = render(skeleton, pose, k, sigma=2.0)
+        rng = np.random.default_rng(17)
+        found = 0
+        for estimate in [pose] + [perturbed(pose, rng, 0.5, 2.0 * DEG) for _ in range(6)]:
+            found += len(self.check(skeleton, estimate, k, frame, cfg))
+        assert found > 0
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_all_zero_frame(self, scene, cfg):
+        skeleton, _, k, pose, _ = scene
+        assert len(self.check(skeleton, pose, k, HeatmapFrame.zeros(k.width, k.height), cfg)) == 0
+
+
+class TestKernelsMatchReference:
+    """Round-off traps of the array kernels, checked on raw values rather than
+    through thresholds that hide a last-bit difference."""
+
+    def test_perpendiculars(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            a, b = rng.normal(100.0, 80.0, 2), rng.normal(100.0, 80.0, 2)
+            want = reference_matching.perpendicular_direction(a, b)
+            assert np.array_equal(perpendicular_direction(a, b), want)
+
+    def test_segment_distances(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            points = rng.normal(100.0, 80.0, (37, 2))
+            a, b = rng.normal(100.0, 80.0, (5, 2)), rng.normal(100.0, 80.0, (5, 2))
+            b[0] = a[0]  # a point-like segment
+            got = _segment_distances(points, a, b)
+            for o in range(5):
+                want = reference_matching._point_segment_distance(points, a[o], b[o])
+                assert np.array_equal(got[o], want)
+
+    def test_refine_peak_subpixel(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            channel = gaussian_channel(24, 20, *rng.uniform(-2.0, 22.0, 2), sigma=rng.uniform(1.0, 6.0))
+            pixel = rng.integers(-1, 25, 2).astype(float)
+            want = reference_matching.refine_peak_subpixel(channel, pixel)
+            assert np.array_equal(refine_peak_subpixel(channel, pixel), want)
 
 
 class TestMatchConfigValidation:
