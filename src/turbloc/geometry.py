@@ -190,47 +190,12 @@ class Pose:
     def identity() -> "Pose":
         return Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
 
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.q)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map camera-frame points into the world frame."""
-        return quat_rotate(self.q, points) + self.t
-
     def inverse(self) -> "Pose":
         q_inv = quat_conjugate(self.q)
         return Pose(-quat_rotate(q_inv, self.t), q_inv)
 
-    def to_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix()
-        m[:3, 3] = self.t
-        return m
-
     def __repr__(self):
         return f"Pose(t={np.array2string(self.t, precision=4)}, q={np.array2string(self.q, precision=4)})"
-
-
-@dataclass(frozen=True, eq=False)
-class RelativePose:
-    """Offset between consecutive poses: the previous pose in the current frame."""
-
-    t_rel: np.ndarray
-    q_rel: np.ndarray
-
-    def __post_init__(self):
-        t = _frozen_vector(self.t_rel, 3)
-        q = quat_normalize(np.asarray(self.q_rel, dtype=float).reshape(4))
-        q.flags.writeable = False
-        object.__setattr__(self, "t_rel", t)
-        object.__setattr__(self, "q_rel", q)
-
-    @staticmethod
-    def identity() -> "RelativePose":
-        return RelativePose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def as_pose(self) -> Pose:
-        return Pose(self.t_rel, self.q_rel)
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -238,46 +203,18 @@ def compose(a: Pose, b: Pose) -> Pose:
     return Pose(a.t + quat_rotate(a.q, b.t), quat_multiply(a.q, b.q))
 
 
-def relative_pose(current: Pose, previous: Pose) -> RelativePose:
+def relative_pose(current: Pose, previous: Pose) -> Pose:
     """Offset of the previous pose expressed in the current pose's frame.
 
     Equivalent to the homogeneous product inverse(current) * previous:
-    translation R_c^T (t_p - t_c), rotation q_c^-1 * q_p.
+    translation R_c^T (t_p - t_c), rotation q_c^-1 * q_p.  Composing the
+    current pose with it gives the previous pose back.
     """
     q_inv = quat_conjugate(current.q)
-    return RelativePose(
+    return Pose(
         quat_rotate(q_inv, previous.t - current.t),
         quat_multiply(q_inv, previous.q),
     )
-
-
-def apply_relative(current: Pose, rel: RelativePose) -> Pose:
-    """Reconstruct the previous pose from the current one and their offset."""
-    return compose(current, rel.as_pose())
-
-
-def pose_residual(
-    estimated: RelativePose,
-    measured: RelativePose,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Weighted 6-vector residual between two relative poses.
-
-    Translation part is the plain difference; rotation part is twice the
-    vector part of q_est * q_meas^-1, with the product flipped to the
-    positive-scalar hemisphere so small differences give small residuals.
-    """
-    dt = estimated.t_rel - measured.t_rel
-    qe = quat_multiply(estimated.q_rel, quat_conjugate(measured.q_rel))
-    if qe[0] < 0.0:
-        qe = -qe
-    r = np.concatenate([dt, 2.0 * qe[1:]])
-    if weights is not None:
-        w = np.asarray(weights, dtype=float).reshape(6)
-        if np.any(w < 0.0):
-            raise ValueError("residual weights must be non-negative")
-        r = w * r
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ so peaks and ridges sit exactly at the sub-pixel projection.  Overlapping
 features in one channel combine by per-pixel maximum, and every channel is
 renormalized to peak 1 afterwards.
 
-The same renderer produces training-label-style output (sigma=5), the
-simulated network measurements (sigma=5) and the pose priors (sigma=20).
+The same renderer produces training-label-style output and the simulated
+network measurements (both sigma=5).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ N_POINT_CHANNELS = 4
 N_CHANNELS = N_LINE_CHANNELS + N_POINT_CHANNELS
 
 MEASUREMENT_SIGMA = 5.0
-PRIOR_SIGMA = 20.0
 
 TRUNCATION_SIGMAS = 3.0
 
@@ -180,11 +179,6 @@ def render(
             if m > 0.0:
                 stack[c] /= m
     return HeatmapFrame(lines.astype(np.float32), points.astype(np.float32))
-
-
-def render_priors(skeleton: TurbineSkeleton, noisy_pose: Pose, k: CameraIntrinsics) -> HeatmapFrame:
-    """Heavily smoothed rendering from the GPS/IMU pose estimate."""
-    return render(skeleton, noisy_pose, k, sigma=PRIOR_SIGMA)
 
 
 # ---------------------------------------------------------------------------

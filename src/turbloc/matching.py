@@ -100,21 +100,6 @@ class MatchConfig:
         return spacing * (np.arange(self.k_line) - half)
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    predicted: np.ndarray  # (2,) px, projection under the estimate
-    matched: np.ndarray  # (2,) px, image location found by search
-    kind: CorrespondenceKind
-    class_id: int  # channel index within the kind's stack
-    point3d: np.ndarray  # (3,) world point that was projected
-    line_id: int = -1  # parent skeleton line, -1 for point features
-
-    def __post_init__(self):
-        object.__setattr__(self, "predicted", np.asarray(self.predicted, dtype=float).reshape(2))
-        object.__setattr__(self, "matched", np.asarray(self.matched, dtype=float).reshape(2))
-        object.__setattr__(self, "point3d", np.asarray(self.point3d, dtype=float).reshape(3))
-
-
 def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
     """np.clip without its per-call dispatch, which outweighs the arithmetic
     on arrays this small."""
@@ -413,26 +398,3 @@ def match_frame_arrays(
         np.concatenate([p_cls, s_cls]),
         np.concatenate([np.full(n_p, -1, dtype=np.int64), lid[samples]]),
     )
-
-
-def match_frame(
-    skeleton: TurbineSkeleton,
-    subdivided: SubdividedModel,
-    pose_estimate: Pose,
-    k: CameraIntrinsics,
-    frame: HeatmapFrame,
-    cfg: MatchConfig,
-) -> list[Correspondence]:
-    """Correspondence list form of match_frame_arrays."""
-    arrays = match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, cfg)
-    return [
-        Correspondence(
-            predicted=arrays.predicted[i],
-            matched=arrays.matched[i],
-            kind=CorrespondenceKind(int(arrays.kinds[i])),
-            class_id=int(arrays.class_ids[i]),
-            point3d=arrays.points3d[i],
-            line_id=int(arrays.line_ids[i]),
-        )
-        for i in range(len(arrays))
-    ]

@@ -17,12 +17,8 @@ with respect to each keyframe's local 6-DoF parameterization (translation
 plus quaternion boxplus), solves the block-tridiagonal system in banded
 form, and accepts the step only if the cost on the fixed correspondences
 does not increase (Levenberg-style diagonal damping, never below
-`damping_floor`).
-
-Keyframes whose estimate moved less than the re-match tolerances since
-their correspondences were last established reuse them; at that scale the
-search results cannot change meaningfully, and skipping the search keeps
-incremental full-graph optimization cheap.
+`damping_floor`).  No correspondence outlives its iteration, so `optimize`
+depends only on the keyframes' estimates, measurements and frames.
 
 The graph is single-writer: callers must serialize add_keyframe/optimize.
 """
@@ -38,15 +34,12 @@ from .geometry import (
     EPS_DEPTH,
     CameraIntrinsics,
     Pose,
-    RelativePose,
     compose,
-    geodesic_angle,
     quat_conjugate,
-    quat_from_rotvec,
     quat_multiply,
-    quat_normalize,
     quat_rotate,
     quat_to_matrix,
+    quaternion_boxplus,
     relative_pose,
     skew,
 )
@@ -76,27 +69,25 @@ class GraphWeights:
 class SolverConfig:
     max_iterations: int = 30
     cost_tolerance: float = 1e-6  # relative cost-change threshold
-    step_tolerance: float = 1e-8  # update-norm threshold
+    # update-norm threshold (m and rad); above the ~0.3 um pose scatter that
+    # float32 heatmaps leave at a noise-free optimum
+    step_tolerance: float = 1e-6
     damping_floor: float = 1e-6  # minimal diagonal damping
-    # correspondence reuse: skip re-matching a keyframe whose estimate moved
-    # less than this since its matches were last established (0 = always)
-    rematch_tol_t: float = 1e-4
-    rematch_tol_r: float = 1e-5
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.cost_tolerance <= 0.0 or self.step_tolerance <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.damping_floor < 0.0 or self.rematch_tol_t < 0.0 or self.rematch_tol_r < 0.0:
-            raise ValueError("damping and re-match tolerances must be non-negative")
+        if self.damping_floor < 0.0:
+            raise ValueError("damping_floor must be non-negative")
 
 
 @dataclass
 class Keyframe:
     id: int
     measured_pose: Pose  # GPS/IMU absolute estimate, only used via the relative offset
-    relative_measurement: RelativePose | None  # None iff id == 0
+    relative_measurement: Pose | None  # previous pose in this one's frame; None iff id == 0
     frame: HeatmapFrame
     estimate: Pose
 
@@ -234,7 +225,7 @@ def image_residual(
 def relative_residual(
     current: Pose,
     previous: Pose,
-    measurement: RelativePose,
+    measurement: Pose,
     sqrt_bt: float,
     sqrt_br: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,7 +233,7 @@ def relative_residual(
     t = np.stack([previous.t, current.t])
     q = np.stack([previous.q, current.q])
     r, j_cur, j_prev = _relative_forward(
-        t, q, measurement.t_rel[None, :], measurement.q_rel[None, :], sqrt_bt, sqrt_br, True
+        t, q, measurement.t[None, :], measurement.q[None, :], sqrt_bt, sqrt_br, True
     )
     return r[0], j_cur[0], j_prev[0]
 
@@ -286,7 +277,6 @@ class PoseGraph:
         self.weights = weights or GraphWeights()
         self.match_cfg = match_cfg or MatchConfig()
         self.keyframes: list[Keyframe] = []
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, FrameMatches]] = {}
 
     def __len__(self):
         return len(self.keyframes)
@@ -299,7 +289,7 @@ class PoseGraph:
         else:
             prev = self.keyframes[-1]
             rel = relative_pose(measured_pose, prev.measured_pose)
-            estimate = compose(prev.estimate, rel.as_pose().inverse())
+            estimate = compose(prev.estimate, rel.inverse())
             kf = Keyframe(kf_id, measured_pose, rel, frame, estimate)
         self.keyframes.append(kf)
         return kf_id
@@ -307,23 +297,7 @@ class PoseGraph:
     def estimates(self) -> list[Pose]:
         return [kf.estimate for kf in self.keyframes]
 
-    # -- correspondence management -------------------------------------------
-
-    def _matches_for(self, i: int, t: np.ndarray, q: np.ndarray, tol_t: float, tol_r: float) -> FrameMatches:
-        kf = self.keyframes[i]
-        cached = self._cache.get(kf.id)
-        if cached is not None:
-            t0, q0, m = cached
-            if (
-                np.linalg.norm(t - t0) <= tol_t
-                and geodesic_angle(q, q0) <= tol_r
-            ):
-                return m
-        m = match_frame_arrays(
-            self.skeleton, self.subdivided, Pose(t, q), self.camera, kf.frame, self.match_cfg
-        )
-        self._cache[kf.id] = (t.copy(), q.copy(), m)
-        return m
+    # -- correspondences -------------------------------------------------------
 
     def _stack(self, matches: list[FrameMatches]) -> _Stacked:
         idx, pts, mat, wts, isp = [], [], [], [], []
@@ -354,7 +328,7 @@ class PoseGraph:
         rels = [kf.relative_measurement for kf in self.keyframes[1:]]
         if not rels:
             return np.zeros((0, 3)), np.zeros((0, 4))
-        return np.stack([r.t_rel for r in rels]), np.stack([r.q_rel for r in rels])
+        return np.stack([r.t for r in rels]), np.stack([r.q for r in rels])
 
     # -- cost -----------------------------------------------------------------
 
@@ -421,11 +395,11 @@ class PoseGraph:
         g = np.zeros((n, 6))
         cost = 0.0
         if stacked.count:
-            r, ok, jac = _image_forward(
+            # no depth check: every row was matched in view at these same
+            # estimates, so it lies in front of the camera
+            r, _, jac = _image_forward(
                 t, q, stacked.kf_idx, stacked.points3d, stacked.matched, stacked.weights, self.camera, True
             )
-            if not ok.all():
-                return None  # caller re-matches: a cached point fell behind the camera
             cost += float(np.sum(r * r))
             jj = np.einsum("mka,mkb->mab", jac, jac)
             jr = np.einsum("mka,mk->ma", jac, r)
@@ -464,46 +438,36 @@ class PoseGraph:
         cfg = solver_cfg or SolverConfig()
         if not self.keyframes:
             raise ValueError("empty graph")
-        n = len(self.keyframes)
         t = np.array([kf.estimate.t for kf in self.keyframes])
         q = np.array([kf.estimate.q for kf in self.keyframes])
         meas_t, meas_q = self._measurement_arrays()
-        lam = max(cfg.damping_floor, 0.0)
-        costs: list[float] = []
-        initial_cost = None
+        lam = cfg.damping_floor
+        costs: list[float] = []  # initial cost, then one per accepted step
         termination = "max_iterations"
         iterations = 0
         n_corr = 0
 
         for _ in range(cfg.max_iterations):
             matches = [
-                self._matches_for(i, t[i], q[i], cfg.rematch_tol_t, cfg.rematch_tol_r)
-                for i in range(n)
+                match_frame_arrays(
+                    self.skeleton, self.subdivided, Pose(t[i], q[i]), self.camera, kf.frame, self.match_cfg
+                )
+                for i, kf in enumerate(self.keyframes)
             ]
             stacked = self._stack(matches)
             n_corr = stacked.count
             if n_corr == 0:
                 # only relative constraints remain: the global gauge is free
-                cost = self._cost_of(t, q, stacked, meas_t, meas_q)
-                if initial_cost is None:
-                    initial_cost = cost
-                    costs.append(cost)
+                if not costs:
+                    costs.append(self._cost_of(t, q, stacked, meas_t, meas_q))
                 termination = "rank_deficient"
                 break
-            built = self._normal_equations(t, q, stacked, meas_t, meas_q)
-            if built is None:
-                for i in range(n):  # stale cache: force a clean re-match
-                    self._cache.pop(self.keyframes[i].id, None)
-                continue
-            h_diag, h_off, g, cost0 = built
-            if initial_cost is None:
-                initial_cost = cost0
+            h_diag, h_off, g, cost0 = self._normal_equations(t, q, stacked, meas_t, meas_q)
+            if not costs:
                 costs.append(cost0)
 
             accepted = False
             solved = False
-            delta = None
-            cost1 = cost0
             for _trial in range(14):
                 try:
                     delta = self._solve_banded(h_diag, h_off, g, lam)
@@ -515,7 +479,7 @@ class PoseGraph:
                     continue
                 solved = True
                 t_new = t + delta[:, :3]
-                q_new = quat_normalize(quat_multiply(q, quat_from_rotvec(delta[:, 3:])))
+                q_new = quaternion_boxplus(q, delta[:, 3:])
                 cost1 = self._cost_of(t_new, q_new, stacked, meas_t, meas_q)
                 if np.isfinite(cost1) and cost1 <= cost0:
                     accepted = True
@@ -536,16 +500,13 @@ class PoseGraph:
                 termination = "cost_tolerance"
                 break
 
-        if initial_cost is None:
-            initial_cost = float("nan")
         if iterations > 0:  # zero accepted steps leaves the estimates untouched
             for i, kf in enumerate(self.keyframes):
                 kf.estimate = Pose(t[i], q[i])
-        final_cost = costs[-1] if costs else float("nan")
         return OptimizeReport(
             iterations=iterations,
-            initial_cost=float(initial_cost),
-            final_cost=float(final_cost),
+            initial_cost=float(costs[0]),
+            final_cost=float(costs[-1]),
             termination=termination,
             costs=[float(c) for c in costs],
             n_correspondences=int(n_corr),

@@ -130,7 +130,7 @@ def inject_noise(truth: Trajectory, spec: NoiseSpec) -> Trajectory:
     noisy = [truth.poses[0]]
     for i in range(1, len(truth)):
         rng = np.random.default_rng(streams[i - 1])
-        step = relative_pose(truth.poses[i - 1], truth.poses[i]).as_pose()
+        step = relative_pose(truth.poses[i - 1], truth.poses[i])
         noisy.append(compose(noisy[-1], compose(step, _step_perturbation(rng, spec.sigma_t, spec.sigma_r))))
     return Trajectory(truth.timestamps, tuple(noisy))
 

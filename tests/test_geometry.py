@@ -6,11 +6,8 @@ from scipy.spatial.transform import Rotation
 from turbloc.geometry import (
     CameraIntrinsics,
     Pose,
-    RelativePose,
-    apply_relative,
     compose,
     geodesic_angle,
-    pose_residual,
     project,
     quat_angle,
     quat_multiply,
@@ -19,6 +16,7 @@ from turbloc.geometry import (
     quaternion_boxplus,
     relative_pose,
 )
+from turbloc.posegraph import GraphWeights, relative_residual
 
 
 def random_pose(rng, scale=10.0):
@@ -142,15 +140,15 @@ class TestRelativePose:
     def test_identical_poses(self):
         p = random_pose(np.random.default_rng(5))
         rel = relative_pose(p, p)
-        assert np.allclose(rel.t_rel, 0.0, atol=1e-12)
-        assert quat_angle(rel.q_rel) < 1e-12
+        assert np.allclose(rel.t, 0.0, atol=1e-12)
+        assert quat_angle(rel.q) < 1e-12
 
     def test_identity_orientation(self):
         current = Pose.identity()
         previous = Pose(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0, 0, 0]))
         rel = relative_pose(current, previous)
-        assert np.allclose(rel.t_rel, [1.0, 2.0, 3.0])
-        assert quat_angle(rel.q_rel) < 1e-12
+        assert np.allclose(rel.t, [1.0, 2.0, 3.0])
+        assert quat_angle(rel.q) < 1e-12
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(9)
@@ -158,13 +156,13 @@ class TestRelativePose:
             cur, prev = random_pose(rng), random_pose(rng)
             rel = relative_pose(cur, prev)
             expected = np.linalg.inv(homogeneous(cur)) @ homogeneous(prev)
-            assert np.allclose(homogeneous(rel.as_pose()), expected, atol=1e-9)
+            assert np.allclose(homogeneous(rel), expected, atol=1e-9)
 
-    def test_apply_relative_reconstructs(self):
+    def test_compose_reconstructs_previous(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             a, b = random_pose(rng), random_pose(rng)
-            assert pose_close(apply_relative(a, relative_pose(a, b)), b)
+            assert pose_close(compose(a, relative_pose(a, b)), b)
 
     def test_telescoping_chains(self):
         # composing successive offsets reproduces the end-to-end offset
@@ -172,29 +170,35 @@ class TestRelativePose:
         for _ in range(1000):
             chain = [random_pose(rng) for _ in range(4)]
             rels = [relative_pose(chain[i], chain[i - 1]) for i in range(1, 4)]
-            acc = rels[-1].as_pose()
+            acc = rels[-1]
             for rel in reversed(rels[:-1]):
-                acc = compose(acc, rel.as_pose())
-            end_to_end = relative_pose(chain[-1], chain[0]).as_pose()
+                acc = compose(acc, rel)
+            end_to_end = relative_pose(chain[-1], chain[0])
             assert pose_close(acc, end_to_end)
 
 
 class TestPoseResidual:
+    """The relative-pose residual of the pose graph: the estimated offset
+    relative_pose(current, previous) against the measured one."""
+
+    IDENTITY = Pose.identity()
+
     def test_zero_for_equal(self):
-        rel = relative_pose(*(random_pose(np.random.default_rng(1)) for _ in range(2)))
-        assert np.allclose(pose_residual(rel, rel), 0.0, atol=1e-12)
+        rng = np.random.default_rng(1)
+        cur, prev = random_pose(rng), random_pose(rng)
+        r, _, _ = relative_residual(cur, prev, relative_pose(cur, prev), 1.0, 1.0)
+        assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_translation_only(self):
-        est = RelativePose([0.1, 0.0, 0.0], [1.0, 0, 0, 0])
-        meas = RelativePose.identity()
-        assert np.allclose(pose_residual(est, meas), [0.1, 0, 0, 0, 0, 0], atol=1e-15)
+        prev = Pose([0.1, 0.0, 0.0], [1.0, 0, 0, 0])
+        r, _, _ = relative_residual(self.IDENTITY, prev, self.IDENTITY, 1.0, 1.0)
+        assert np.allclose(r, [0.1, 0, 0, 0, 0, 0], atol=1e-15)
 
     def test_small_rotation_about_z(self):
         # quaternion-product oracle: 2*vec approximates axis-angle for small angles
         half = 0.005
-        est = RelativePose([0, 0, 0], [np.cos(half), 0, 0, np.sin(half)])
-        meas = RelativePose.identity()
-        r = pose_residual(est, meas)
+        prev = Pose([0, 0, 0], [np.cos(half), 0, 0, np.sin(half)])
+        r, _, _ = relative_residual(self.IDENTITY, prev, self.IDENTITY, 1.0, 1.0)
         assert np.allclose(r[:3], 0.0, atol=1e-15)
         assert np.allclose(r[3:], [0.0, 0.0, 2.0 * np.sin(half)], atol=1e-12)
         assert abs(r[5] - 0.00999996) < 1e-7
@@ -202,22 +206,29 @@ class TestPoseResidual:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_double_cover(self, seed):
-        # q and -q represent the same rotation; residual must vanish either way
+        # moving both poses by one rigid transform keeps their offset, but the
+        # sign each quaternion is canonicalized to can change, moving
+        # q_c^-1 q_p to the other hemisphere; q and -q are one rotation, so
+        # the residual must not change
         rng = np.random.default_rng(seed)
-        rel = relative_pose(random_pose(rng), random_pose(rng))
-        flipped = RelativePose(rel.t_rel, -rel.q_rel)
-        assert np.allclose(pose_residual(flipped, rel), 0.0, atol=1e-9)
+        cur, prev, moved = random_pose(rng), random_pose(rng), random_pose(rng)
+        error = Pose(0.1 * rng.standard_normal(3), quaternion_boxplus(self.IDENTITY.q, 0.1 * rng.standard_normal(3)))
+        meas = compose(relative_pose(cur, prev), error)
+        r, _, _ = relative_residual(cur, prev, meas, 1.0, 1.0)
+        r_moved, _, _ = relative_residual(compose(moved, cur), compose(moved, prev), meas, 1.0, 1.0)
+        assert np.allclose(r_moved, r, atol=1e-9)
 
     def test_weights_applied(self):
-        est = RelativePose([0.2, 0.0, 0.0], [1.0, 0, 0, 0])
-        meas = RelativePose.identity()
-        r = pose_residual(est, meas, weights=np.array([10.0, 1, 1, 1, 1, 1]))
+        prev = Pose([0.2, 0.0, 0.0], quaternion_boxplus(self.IDENTITY.q, [0.0, 0.0, 0.01]))
+        r, _, _ = relative_residual(self.IDENTITY, prev, self.IDENTITY, 10.0, 3.0)
         assert np.isclose(r[0], 2.0)
+        assert np.isclose(r[5], 3.0 * 2.0 * np.sin(0.005))
 
     def test_rejects_negative_weights(self):
-        rel = RelativePose.identity()
-        with pytest.raises(ValueError):
-            pose_residual(rel, rel, weights=np.array([-1.0, 1, 1, 1, 1, 1]))
+        # the residual's weights are square roots of the graph weights
+        for kwargs in (dict(beta_t=-1.0), dict(beta_rot=-1.0)):
+            with pytest.raises(ValueError):
+                GraphWeights(**kwargs)
 
 
 class TestProjection:

@@ -11,10 +11,8 @@ from turbloc.heatmap import (
     FramePayloadError,
     HeatmapFrame,
     MEASUREMENT_SIGMA,
-    PRIOR_SIGMA,
     read_frame,
     render,
-    render_priors,
     write_debug_images,
     write_frame,
 )
@@ -137,17 +135,15 @@ class TestRender:
         with pytest.raises(ValueError):
             render(skeleton, face_on_pose(skeleton), k, sigma=0.0)
 
-    def test_priors_use_wide_sigma(self, skeleton):
+    def test_wide_sigma_spreads_mass(self, skeleton):
         k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
         pose = face_on_pose(skeleton)
-        assert PRIOR_SIGMA == 20.0
         assert MEASUREMENT_SIGMA == 5.0
-        prior = render_priors(skeleton, pose, k)
-        explicit = render(skeleton, pose, k, sigma=20.0)
-        assert np.array_equal(prior.point_channels, explicit.point_channels)
+        wide = render(skeleton, pose, k, sigma=20.0)
+        narrow = render(skeleton, pose, k)
         # wider smoothing spreads mass: more nonzero pixels than the sigma=5 frame
-        narrow = render(skeleton, pose, k, sigma=5.0)
-        assert (prior.line_channels[0] > 0).sum() > (narrow.line_channels[0] > 0).sum()
+        for stack in ("line_channels", "point_channels"):
+            assert (getattr(wide, stack)[0] > 0).sum() > (getattr(narrow, stack)[0] > 0).sum()
 
     def test_partially_behind_camera_segment_clipped(self, skeleton):
         # camera between base and top heights, looking horizontally with the

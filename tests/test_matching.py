@@ -20,10 +20,8 @@ from turbloc.geometry import (
 from turbloc.heatmap import HeatmapFrame, render
 from turbloc.matching import (
     _segment_distances,
-    Correspondence,
     CorrespondenceKind,
     MatchConfig,
-    match_frame,
     match_frame_arrays,
     match_line_sample,
     match_point,
@@ -206,28 +204,29 @@ class TestMatchFrame:
     def test_self_consistency_full_count(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
-        corrs = match_frame(skeleton, subdivided, pose, k, frame, cfg)
-        points = [c for c in corrs if c.kind == CorrespondenceKind.POINT]
-        lines = [c for c in corrs if c.kind == CorrespondenceKind.LINE]
-        assert len(points) == 6
-        assert len(lines) == cfg.s_tower + cfg.s_hub + 3 * cfg.s_blade
-        for c in corrs:
-            assert np.linalg.norm(c.predicted - c.matched) <= 1.0
+        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert m.n_points == 6
+        assert m.n_lines == cfg.s_tower + cfg.s_hub + 3 * cfg.s_blade
+        assert len(m) == m.n_points + m.n_lines
+        assert np.all(np.linalg.norm(m.predicted - m.matched, axis=1) <= 1.0)
 
     def test_all_zero_frame_empty(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
         frame = HeatmapFrame.zeros(k.width, k.height)
-        assert match_frame(skeleton, subdivided, pose, k, frame, cfg) == []
+        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert len(m) == 0
+        for name in MATCH_FIELDS:
+            assert getattr(m, name).shape[0] == 0
 
     def test_blade_symmetry_single_channel(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
-        corrs = match_frame(skeleton, subdivided, pose, k, frame, cfg)
-        tips = [c for c in corrs if c.kind == CorrespondenceKind.POINT and c.class_id == 3]
-        assert len(tips) == 3
-        blade_lines = [c for c in corrs if c.kind == CorrespondenceKind.LINE and c.class_id == int(LineClass.BLADE)]
-        assert len(blade_lines) == 3 * cfg.s_blade
-        assert {c.line_id for c in blade_lines} == {2, 3, 4}
+        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        tips = (m.kinds == CorrespondenceKind.POINT) & (m.class_ids == 3)
+        assert tips.sum() == 3
+        blade_lines = (m.kinds == CorrespondenceKind.LINE) & (m.class_ids == int(LineClass.BLADE))
+        assert blade_lines.sum() == 3 * cfg.s_blade
+        assert set(m.line_ids[blade_lines].tolist()) == {2, 3, 4}
 
     def test_displacement_field_oracle(self, scene):
         # frame rendered from a 0.2 m shifted pose; matched displacements must
@@ -237,18 +236,18 @@ class TestMatchFrame:
         assert np.linalg.norm(offset) < 0.2001
         true_pose = Pose(pose.t + offset, pose.q)
         frame = render(skeleton, true_pose, k)
-        corrs = match_frame(skeleton, subdivided, pose, k, frame, cfg)
-        assert corrs
+        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert len(m)
         centre_uv = project(pose, k, skeleton.point("blade_centre"))
         checked = 0
-        for c in corrs:
-            expected = project(true_pose, k, c.point3d) - project(pose, k, c.point3d)
-            got = c.matched - c.predicted
-            if c.kind == CorrespondenceKind.POINT:
+        for point3d, predicted, matched, kind, line_id in zip(m.points3d, m.predicted, m.matched, m.kinds, m.line_ids):
+            expected = project(true_pose, k, point3d) - project(pose, k, point3d)
+            got = matched - predicted
+            if kind == CorrespondenceKind.POINT:
                 assert np.linalg.norm(got - expected) <= 1.0
                 checked += 1
             else:
-                if c.line_id >= 2 and np.linalg.norm(c.predicted - centre_uv) < 15.0:
+                if line_id >= 2 and np.linalg.norm(predicted - centre_uv) < 15.0:
                     continue  # blade ridges overlap near the centre; ambiguous by design
                 # line search only observes the perpendicular component
                 perp = got / (np.linalg.norm(got) + 1e-12)
@@ -268,21 +267,20 @@ class TestMatchFrame:
     def test_refinement_bounds_respected(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
-        for c in match_frame(skeleton, subdivided, pose, k, frame, cfg):
-            if c.kind == CorrespondenceKind.POINT:
-                assert np.linalg.norm(c.predicted - c.matched) <= cfg.r_point
-            else:
-                assert np.linalg.norm(c.predicted - c.matched) <= cfg.a_line / 2 + 1e-9
+        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        dist = np.linalg.norm(m.predicted - m.matched, axis=1)
+        is_point = m.kinds == CorrespondenceKind.POINT
+        assert np.all(dist[is_point] <= cfg.r_point)
+        assert np.all(dist[~is_point] <= cfg.a_line / 2 + 1e-9)
 
     def test_pixel_centre_matches_without_refinement(self, scene):
         skeleton, subdivided, k, pose, _ = scene
         cfg = MatchConfig(refine_points=False)
         frame = render(skeleton, pose, k)
-        corrs = match_frame(skeleton, subdivided, pose, k, frame, cfg)
-        for c in corrs:
-            if c.kind == CorrespondenceKind.POINT:
-                assert c.matched[0] == np.floor(c.matched[0])
-                assert c.matched[1] == np.floor(c.matched[1])
+        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        point_matches = m.matched[m.kinds == CorrespondenceKind.POINT]
+        assert point_matches.shape[0] == 6
+        assert np.array_equal(point_matches, np.floor(point_matches))
 
 
 MATCH_FIELDS = ("points3d", "predicted", "matched", "kinds", "class_ids", "line_ids")

@@ -6,7 +6,6 @@ import pytest
 from turbloc.geometry import (
     CameraIntrinsics,
     Pose,
-    RelativePose,
     compose,
     geodesic_angle,
     look_at_pose,
@@ -16,7 +15,8 @@ from turbloc.geometry import (
     relative_pose,
 )
 from turbloc.heatmap import HeatmapFrame, render
-from turbloc.matching import MatchConfig
+from turbloc import posegraph
+from turbloc.matching import MatchConfig, match_frame_arrays
 from turbloc.posegraph import (
     GraphWeights,
     OptimizeReport,
@@ -90,8 +90,8 @@ class TestAddKeyframe:
         graph.add_keyframe(pose, frame)
         graph.add_keyframe(pose, frame)
         rel = graph.keyframes[1].relative_measurement
-        assert np.allclose(rel.t_rel, 0.0, atol=1e-12)
-        assert geodesic_angle(rel.q_rel, np.array([1.0, 0, 0, 0])) < 1e-12
+        assert np.allclose(rel.t, 0.0, atol=1e-12)
+        assert geodesic_angle(rel.q, np.array([1.0, 0, 0, 0])) < 1e-12
 
     def test_chain_measurements_compose(self, scene):
         # composition oracle over a 5-keyframe chain
@@ -104,10 +104,10 @@ class TestAddKeyframe:
             q = quat_normalize(rng.standard_normal(4))
             poses.append(Pose(10 * rng.standard_normal(3), q))
             graph.add_keyframe(poses[-1], frame)
-        acc = graph.keyframes[-1].relative_measurement.as_pose()
+        acc = graph.keyframes[-1].relative_measurement
         for kf in reversed(graph.keyframes[1:-1]):
-            acc = compose(acc, kf.relative_measurement.as_pose())
-        expected = relative_pose(poses[-1], poses[0]).as_pose()
+            acc = compose(acc, kf.relative_measurement)
+        expected = relative_pose(poses[-1], poses[0])
         assert np.linalg.norm(acc.t - expected.t) < 1e-9
         assert geodesic_angle(acc.q, expected.q) < 1e-9
 
@@ -123,7 +123,7 @@ class TestAddKeyframe:
         graph.keyframes[0].estimate = moved
         graph.add_keyframe(b, frame)
         rel = graph.keyframes[1].relative_measurement
-        expected = compose(moved, rel.as_pose().inverse())
+        expected = compose(moved, rel.inverse())
         got = graph.keyframes[1].estimate
         assert np.linalg.norm(got.t - expected.t) < 1e-12
         assert geodesic_angle(got.q, expected.q) < 1e-12
@@ -261,12 +261,12 @@ class TestOptimize:
         est0 = graph.keyframes[0].estimate
         est1 = graph.keyframes[1].estimate
         rel = graph.keyframes[1].relative_measurement
-        expected = compose(est0, rel.as_pose().inverse())
+        expected = compose(est0, rel.inverse())
         assert np.linalg.norm(est1.t - expected.t) < 1e-6
         assert geodesic_angle(est1.q, expected.q) < 1e-6
         assert np.linalg.norm(est1.t - truths[1].t) < 1e-4
 
-    def test_monotone_costs_on_fixed_correspondences(self, scene):
+    def test_monotone_costs_on_fixed_correspondences(self, scene, monkeypatch):
         graph, _ = truth_graph(
             scene,
             [0.2, 0.6],
@@ -275,8 +275,18 @@ class TestOptimize:
                 1: np.array([-0.1, 0.2, -0.05, -0.02, 0.01, 0.01]),
             },
         )
-        cfg = SolverConfig(rematch_tol_t=1e9, rematch_tol_r=1e9)  # matches fixed after first pass
-        report = graph.optimize(cfg)
+        # matches fixed after the first pass: each frame keeps its first matches
+        first = {}
+
+        def frozen(skeleton, subdivided, pose, k, frame, cfg):
+            key = id(frame)
+            if key not in first:
+                first[key] = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+            return first[key]
+
+        monkeypatch.setattr(posegraph, "match_frame_arrays", frozen)
+        report = graph.optimize(SolverConfig())
+        assert len(first) == 2
         assert report.iterations >= 1
         assert all(b <= a * (1 + 1e-12) for a, b in zip(report.costs, report.costs[1:]))
 
@@ -303,6 +313,35 @@ class TestOptimize:
         for kf, (t0, q0) in zip(graph.keyframes, first):
             assert np.linalg.norm(kf.estimate.t - t0) < 1e-6
             assert geodesic_angle(kf.estimate.q, q0) < 1e-6
+
+    def test_stateless_reoptimization(self, scene):
+        # an optimized graph and a fresh one seeded at its estimates give the
+        # same report and the same estimates, to the bit; the steps here are
+        # small, so matches kept from an earlier estimate would be reused
+        graph, _ = truth_graph(scene, [0.25, 0.55, 0.85], perturb={1: 2e-5 * np.ones(6)})
+        graph.optimize(SolverConfig(max_iterations=3))
+        fresh, _ = truth_graph(scene, [0.25, 0.55, 0.85])
+        for kf, seeded in zip(graph.keyframes, fresh.keyframes):
+            seeded.estimate = kf.estimate
+        assert graph.optimize(SolverConfig()) == fresh.optimize(SolverConfig())
+        for a, b in zip(graph.keyframes, fresh.keyframes):
+            assert np.array_equal(a.estimate.t, b.estimate.t)
+            assert np.array_equal(a.estimate.q, b.estimate.q)
+
+    def test_every_pass_rematches_every_keyframe(self, scene, monkeypatch):
+        graph, _ = truth_graph(scene, [0.2, 0.5, 0.8], perturb={1: 2e-5 * np.ones(6)})
+        calls = []
+
+        def counted(*args):
+            calls.append(args[4])
+            return match_frame_arrays(*args)
+
+        monkeypatch.setattr(posegraph, "match_frame_arrays", counted)
+        cfg = SolverConfig(max_iterations=4, cost_tolerance=1e-300, step_tolerance=1e-300)
+        report = graph.optimize(cfg)
+        assert report.termination == "max_iterations"
+        frames = [kf.frame for kf in graph.keyframes]
+        assert calls == frames * cfg.max_iterations
 
     def test_empty_graph_raises(self, scene):
         skeleton, subdivided, k, cfg = scene

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from turbloc.geometry import CameraIntrinsics, Pose, geodesic_angle, project, quat_rotate, relative_pose
+from turbloc.geometry import CameraIntrinsics, Pose, compose, geodesic_angle, project, quat_rotate, relative_pose
 from turbloc.heatmap import render
 from turbloc.matching import MatchConfig, match_frame_arrays
 from turbloc.posegraph import GraphWeights, SolverConfig
@@ -48,17 +48,12 @@ def camera():
 
 
 def extract_step_perturbations(noisy, truth):
-    """Recover the injected per-step perturbation transforms."""
+    """Recover the injected per-step perturbation transforms P = D^-1 D_noisy."""
     perturbations = []
     for i in range(1, len(truth)):
-        true_step = relative_pose(truth.poses[i - 1], truth.poses[i]).as_pose()
-        noisy_step = relative_pose(noisy.poses[i - 1], noisy.poses[i]).as_pose()
-        perturbations.append(true_step.inverse(), )
-        perturbations[-1] = None
-        # P = D^-1 * D_noisy
-        from turbloc.geometry import compose
-
-        perturbations[-1] = compose(true_step.inverse(), noisy_step)
+        true_step = relative_pose(truth.poses[i - 1], truth.poses[i])
+        noisy_step = relative_pose(noisy.poses[i - 1], noisy.poses[i])
+        perturbations.append(compose(true_step.inverse(), noisy_step))
     return perturbations
 
 
