@@ -28,13 +28,12 @@ points, lines or line pairs:
 - line search: all (sample, offset) positions, shape (m, k_line, 2),
   interpolated at once from the flattened line-channel stack.
 
-`match_point`, `match_line_sample` and `refine_peak_subpixel` run the same
-kernels on a single row.  Tie-breaks and outputs are unchanged from the
-per-feature loop these passes replaced, to the last bit; the loop is kept as
-the test reference in tests/reference_matching.py.  Two-term dot products go
-through `np.vecdot` or `np.matmul`, which round like the 1-D `np.linalg.norm`
-and the (m, 2) @ (2,) product of that loop; `np.linalg.norm(axis=-1)` and
-`np.einsum` differ in the last bit.
+Tie-breaks and outputs are unchanged from the per-feature loop these passes
+replaced, to the last bit; the loop is kept as the test reference in
+tests/reference_matching.py.  Two-term dot products go through `np.vecdot` or
+`np.matmul`, which round like the 1-D `np.linalg.norm` and the (m, 2) @ (2,)
+product of that loop; `np.linalg.norm(axis=-1)` and `np.einsum` differ in the
+last bit.
 """
 
 from __future__ import annotations
@@ -81,6 +80,9 @@ class MatchConfig:
     parallel_guard_deg: float = 50.0
 
     def __post_init__(self):
+        sizes = (self.r_point, self.a_line, self.k_line, self.s_tower, self.s_hub, self.s_blade)
+        if not np.all(np.isfinite(sizes)):
+            raise ValueError("window sizes and counts must be finite")
         if self.r_point <= 0.0 or self.a_line <= 0.0:
             raise ValueError("search window sizes must be positive")
         if self.k_line < 3 or self.k_line % 2 == 0:
@@ -109,9 +111,12 @@ def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
 def _search_points(
     channels: np.ndarray, class_ids: np.ndarray, predicted: np.ndarray, cfg: MatchConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Point search for rows of `predicted` (n, 2) in channels[class_ids].
+    """Point search for finite rows of `predicted` (n, 2) in channels[class_ids].
 
-    Each window is sliced as a fixed-size box that covers it and lies on the
+    Each row's winner is the pixel with the largest value within r_point of
+    the prediction; found is false when no value in that window exceeds
+    lambda_point, including a window that lies wholly off the raster.  Each
+    window is sliced as a fixed-size box that covers it and lies on the
     raster.  Returns (winning pixel centres (n, 2), found (n,)).
     """
     n = predicted.shape[0]
@@ -143,21 +148,14 @@ def _search_points(
     return np.stack([xs[rows, col], ys[rows, row]], axis=-1).astype(float), best > cfg.lambda_point
 
 
-def match_point(channel: np.ndarray, predicted: np.ndarray, cfg: MatchConfig) -> np.ndarray | None:
-    """Pixel with the largest value within r_point of the prediction.
-
-    Returns the winning pixel centre as a float 2-vector, or None when no
-    value in the window exceeds lambda_point.
-    """
-    uv = np.asarray(predicted, dtype=float).reshape(1, 2)
-    if not np.all(np.isfinite(uv)):
-        raise ValueError("predicted location must be finite")
-    pixel, found = _search_points(channel[None], np.zeros(1, np.int64), uv, cfg)
-    return pixel[0] if found[0] else None
-
-
 def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit normals, unit directions and non-degeneracy of segments a -> b (n, 2)."""
+    """Unit normals, unit directions and non-degeneracy of segments a -> b (n, 2).
+
+    Each normal's sign is canonicalized so its first nonzero component is
+    positive; the search spans both sides symmetrically, so only determinism
+    matters.  Segments shorter than 1e-9 are flagged false, and their normal
+    and direction are not unit vectors.
+    """
     d = b - a
     # vecdot sums like the 1-D np.linalg.norm, to the bit; norm(axis=-1) does not
     n = np.sqrt(np.vecdot(d, d))
@@ -166,20 +164,6 @@ def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     p = np.stack([-d[:, 1], d[:, 0]], axis=-1)
     flip = (p[:, 0] < 0.0) | ((p[:, 0] == 0.0) & (p[:, 1] < 0.0))
     return np.where(flip[:, None], -p, p), d, ok
-
-
-def perpendicular_direction(endpoint_a: np.ndarray, endpoint_b: np.ndarray) -> np.ndarray:
-    """Unit 2-vector orthogonal to the segment.
-
-    The sign is canonicalized so the first nonzero component is positive;
-    the search spans both sides symmetrically, so only determinism matters.
-    """
-    a = np.asarray(endpoint_a, dtype=float).reshape(1, 2)
-    b = np.asarray(endpoint_b, dtype=float).reshape(1, 2)
-    p, _, ok = _perpendiculars(a, b)
-    if not ok[0]:
-        raise ValueError("projected line endpoints coincide")
-    return p[0]
 
 
 def _bilinear(channels: np.ndarray, class_ids: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +201,9 @@ def _search_lines(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Perpendicular search for rows of `predicted` (m, 2) along unit `perp` (m, 2).
 
-    Returns (matched (m, 2), found (m,)).
+    Each row's match is the best of the k_line samples spanning a_line
+    across the prediction; found is false when no sample on the raster
+    exceeds lambda_line.  Returns (matched (m, 2), found (m,)).
     """
     offsets = cfg.line_offsets()
     positions = predicted[:, None, :] + offsets[None, :, None] * perp[:, None, :]
@@ -234,24 +220,16 @@ def _search_lines(
     return matched, found
 
 
-def match_line_sample(
-    channel: np.ndarray,
-    predicted: np.ndarray,
-    perp: np.ndarray,
-    cfg: MatchConfig,
-) -> np.ndarray | None:
-    """Best sample along the perpendicular; None when all are below threshold."""
-    perp = np.asarray(perp, dtype=float).reshape(1, 2)
-    if abs(np.linalg.norm(perp) - 1.0) > 1e-6:
-        raise ValueError("perpendicular direction must be unit length")
-    matched, found = _search_lines(
-        channel[None], np.zeros(1, np.int64), np.asarray(predicted, dtype=float).reshape(1, 2), perp, cfg
-    )
-    return matched[0] if found[0] else None
-
-
 def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """Sub-pixel peaks around rows of `pixels` (n, 2) in channels[class_ids]."""
+    """Sub-pixel peaks around finite rows of `pixels` (n, 2) in channels[class_ids].
+
+    A separable log-quadratic fit around each (rounded) pixel gives the
+    continuous peak, which is exact for an isolated Gaussian.  A row falls
+    back to the pixel centre at the image border or when its 3x3
+    neighbourhood holds a value that is not positive, and an axis keeps the
+    centre when its fit is not concave.  The offset never exceeds half a
+    pixel per axis.
+    """
     _, h, w = channels.shape
     nearest = np.round(pixels).astype(np.int64)
     ix, iy = nearest.T
@@ -270,19 +248,6 @@ def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarra
     concave = usable[:, None] & (den < 0.0)
     shift = _clip(0.5 * (tri[..., 0] - tri[..., 2]) / np.where(concave, den, -1.0), -0.5, 0.5)
     return np.where(concave, centre + shift, centre)
-
-
-def refine_peak_subpixel(channel: np.ndarray, pixel: np.ndarray) -> np.ndarray:
-    """Continuous peak from a separable log-quadratic fit around a pixel.
-
-    Exact for an isolated Gaussian; falls back to the pixel centre at image
-    borders, near zero values, or when the fit is not concave.  The offset
-    never exceeds half a pixel.
-    """
-    pixel = np.asarray(pixel, dtype=float).reshape(1, 2)
-    if not np.all(np.isfinite(pixel)):
-        raise ValueError("pixel must be finite")
-    return _refine_peaks(channel[None], np.zeros(1, np.int64), pixel)[0]
 
 
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,13 +271,6 @@ class FrameMatches:
     kinds: np.ndarray  # (m,) CorrespondenceKind values
     class_ids: np.ndarray  # (m,)
     line_ids: np.ndarray  # (m,)
-
-    @staticmethod
-    def empty() -> "FrameMatches":
-        return FrameMatches(
-            np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((0, 2)),
-            np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64),
-        )
 
     def __len__(self):
         return self.points3d.shape[0]

@@ -44,7 +44,7 @@ from .geometry import (
     skew,
 )
 from .heatmap import HeatmapFrame
-from .matching import CorrespondenceKind, FrameMatches, MatchConfig, match_frame_arrays
+from .matching import CorrespondenceKind, MatchConfig, match_frame_arrays
 from .turbine import SubdividedModel, TurbineSkeleton
 
 
@@ -57,8 +57,8 @@ class GraphWeights:
 
     def __post_init__(self):
         vals = (self.beta_t, self.beta_rot, self.beta_p, self.beta_line)
-        if any(v < 0.0 for v in vals):
-            raise ValueError("weights must be non-negative")
+        if not all(np.isfinite(v) and v >= 0.0 for v in vals):
+            raise ValueError("weights must be finite and non-negative")
         if self.beta_p == 0.0 and self.beta_line == 0.0:
             raise ValueError("at least one image weight must be positive")
         if self.beta_t == 0.0 and self.beta_rot == 0.0:
@@ -75,6 +75,9 @@ class SolverConfig:
     damping_floor: float = 1e-6  # minimal diagonal damping
 
     def __post_init__(self):
+        settings = (self.max_iterations, self.cost_tolerance, self.step_tolerance, self.damping_floor)
+        if not np.all(np.isfinite(settings)):
+            raise ValueError("solver settings must be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.cost_tolerance <= 0.0 or self.step_tolerance <= 0.0:
@@ -90,16 +93,6 @@ class Keyframe:
     relative_measurement: Pose | None  # previous pose in this one's frame; None iff id == 0
     frame: HeatmapFrame
     estimate: Pose
-
-
-@dataclass
-class CostBreakdown:
-    total: float
-    relative_cost: float
-    point_cost: float
-    line_cost: float
-    n_point_correspondences: int
-    n_line_correspondences: int
 
 
 @dataclass
@@ -253,7 +246,6 @@ class _Stacked:
     points3d: np.ndarray
     matched: np.ndarray
     weights: np.ndarray
-    is_point: np.ndarray
 
     @property
     def count(self) -> int:
@@ -299,30 +291,26 @@ class PoseGraph:
 
     # -- correspondences -------------------------------------------------------
 
-    def _stack(self, matches: list[FrameMatches]) -> _Stacked:
-        idx, pts, mat, wts, isp = [], [], [], [], []
+    def _match(self, t: np.ndarray, q: np.ndarray) -> _Stacked:
+        """Match every keyframe at the estimates (t, q) and stack the rows."""
+        idx, pts, mat, wts = [], [], [], []
         sp = np.sqrt(self.weights.beta_p)
         sl = np.sqrt(self.weights.beta_line)
-        for i, m in enumerate(matches):
+        for i, kf in enumerate(self.keyframes):
+            # one call per keyframe through the module global, which tests and
+            # tracing wrap
+            m = match_frame_arrays(
+                self.skeleton, self.subdivided, Pose(t[i], q[i]), self.camera, kf.frame, self.match_cfg
+            )
             if len(m) == 0:
                 continue
             idx.append(np.full(len(m), i, np.int64))
             pts.append(m.points3d)
             mat.append(m.matched)
-            point_mask = m.kinds == int(CorrespondenceKind.POINT)
-            wts.append(np.where(point_mask, sp, sl))
-            isp.append(point_mask)
+            wts.append(np.where(m.kinds == int(CorrespondenceKind.POINT), sp, sl))
         if not idx:
-            return _Stacked(
-                np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0), np.zeros(0, bool)
-            )
-        return _Stacked(
-            np.concatenate(idx),
-            np.vstack(pts),
-            np.vstack(mat),
-            np.concatenate(wts),
-            np.concatenate(isp),
-        )
+            return _Stacked(np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
+        return _Stacked(np.concatenate(idx), np.vstack(pts), np.vstack(mat), np.concatenate(wts))
 
     def _measurement_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         rels = [kf.relative_measurement for kf in self.keyframes[1:]]
@@ -348,43 +336,15 @@ class PoseGraph:
             cost += float(np.sum(r * r))
         return cost
 
-    def total_cost(self) -> CostBreakdown:
-        """Re-match all frames at the current estimates and evaluate the objective."""
+    def total_cost(self) -> float:
+        """Re-match all frames at the current estimates and evaluate the
+        objective; this is the initial cost `optimize` would report."""
         if not self.keyframes:
             raise ValueError("empty graph")
         t = np.array([kf.estimate.t for kf in self.keyframes])
         q = np.array([kf.estimate.q for kf in self.keyframes])
-        matches = [
-            match_frame_arrays(
-                self.skeleton, self.subdivided, kf.estimate, self.camera, kf.frame, self.match_cfg
-            )
-            for kf in self.keyframes
-        ]
-        stacked = self._stack(matches)
-        point_cost = line_cost = 0.0
-        if stacked.count:
-            r, ok, _ = _image_forward(
-                t, q, stacked.kf_idx, stacked.points3d, stacked.matched, stacked.weights, self.camera, False
-            )
-            sq = np.sum(r * r, axis=1)
-            sq = np.where(ok, sq, np.inf)
-            point_cost = float(np.sum(sq[stacked.is_point]))
-            line_cost = float(np.sum(sq[~stacked.is_point]))
-        relative_cost = 0.0
         meas_t, meas_q = self._measurement_arrays()
-        if meas_t.shape[0]:
-            r, _, _ = _relative_forward(
-                t, q, meas_t, meas_q, np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot), False
-            )
-            relative_cost = float(np.sum(r * r))
-        return CostBreakdown(
-            total=relative_cost + point_cost + line_cost,
-            relative_cost=relative_cost,
-            point_cost=point_cost,
-            line_cost=line_cost,
-            n_point_correspondences=int(np.sum(stacked.is_point)),
-            n_line_correspondences=int(np.sum(~stacked.is_point)) if stacked.count else 0,
-        )
+        return self._cost_of(t, q, self._match(t, q), meas_t, meas_q)
 
     # -- Gauss-Newton ----------------------------------------------------------
 
@@ -448,13 +408,7 @@ class PoseGraph:
         n_corr = 0
 
         for _ in range(cfg.max_iterations):
-            matches = [
-                match_frame_arrays(
-                    self.skeleton, self.subdivided, Pose(t[i], q[i]), self.camera, kf.frame, self.match_cfg
-                )
-                for i, kf in enumerate(self.keyframes)
-            ]
-            stacked = self._stack(matches)
+            stacked = self._match(t, q)
             n_corr = stacked.count
             if n_corr == 0:
                 # only relative constraints remain: the global gauge is free

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import multiprocessing
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -76,8 +75,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma_t < 0.0 or self.sigma_r < 0.0:
-            raise ValueError("noise magnitudes must be non-negative")
+        if not all(np.isfinite(v) and v >= 0.0 for v in (self.sigma_t, self.sigma_r)):
+            raise ValueError("noise magnitudes must be finite and non-negative")
 
 
 @dataclass
@@ -256,43 +255,11 @@ class SweepReport:
             )
         return buf.getvalue()
 
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv())
-
 
 def cell_seed(root_seed: int, cell_index: int) -> int:
     """Per-cell noise seed; stable when cells are appended to the grid."""
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(cell_index,))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _run_cell(ctx: dict, cell_index: int, sigma_t: float, sigma_r: float) -> SweepCell:
-    truth = ctx["truth"]
-    spec = NoiseSpec(sigma_t, sigma_r, cell_seed(ctx["seed"], cell_index))
-    noisy = inject_noise(truth, spec)
-    pre = evaluate(noisy, truth)
-    nan_report = ErrorReport(
-        np.full(len(truth), np.nan), np.full(len(truth), np.nan), float("nan"), float("nan")
-    )
-    try:
-        graph, reports = build_and_optimize(
-            noisy, ctx["frames"], ctx["skeleton"], ctx["camera"],
-            ctx["weights"], ctx["match_cfg"], ctx["solver_cfg"],
-        )
-    except Exception as exc:  # per-cell flag, never abort the sweep
-        return SweepCell(sigma_t, sigma_r, pre, nan_report, 0, f"error:{type(exc).__name__}")
-    post = evaluate(Trajectory(truth.timestamps, tuple(graph.estimates())), truth)
-    iterations = sum(r.iterations for r in reports)
-    flags = sorted({r.termination for r in reports} - set(NORMAL_TERMINATIONS))
-    status = "ok" if not flags else ";".join(flags)
-    return SweepCell(sigma_t, sigma_r, pre, post, iterations, status)
-
-
-_POOL_CTX: dict | None = None
-
-
-def _pool_cell(args) -> SweepCell:
-    return _run_cell(_POOL_CTX, *args)
 
 
 def run_sweep(
@@ -306,43 +273,37 @@ def run_sweep(
     solver_cfg: SolverConfig | None = None,
     seed: int = 0,
     measurement_sigma: float = MEASUREMENT_SIGMA,
-    jobs: int = 1,
 ) -> SweepReport:
     """Noise-grid experiment: inject, build incrementally, optimize, evaluate.
 
-    Cells are independent; measurements are rendered once at ground truth
-    and shared.  Results are deterministic regardless of `jobs`.
+    Cells are independent and deterministic; measurements are rendered once
+    at ground truth and shared.
     """
     sigma_t_grid = [float(s) for s in sigma_t_grid]
     sigma_r_grid = [float(s) for s in sigma_r_grid]
     if not sigma_t_grid or not sigma_r_grid:
         raise ValueError("noise grid must be non-empty")
-    ctx = {
-        "truth": truth,
-        "frames": simulate_measurements(truth, skeleton, k, measurement_sigma),
-        "skeleton": skeleton,
-        "camera": k,
-        "weights": weights or GraphWeights(),
-        "match_cfg": match_cfg or MatchConfig(),
-        "solver_cfg": solver_cfg or SolverConfig(),
-        "seed": seed,
-    }
-    cells = [
-        (i, st, sr) for i, (st, sr) in enumerate(product(sigma_t_grid, sigma_r_grid))
-    ]
-    jobs = max(1, int(jobs))
-    use_pool = jobs > 1 and "fork" in multiprocessing.get_all_start_methods()
-    if use_pool:
-        global _POOL_CTX
-        _POOL_CTX = ctx
+    frames = simulate_measurements(truth, skeleton, k, measurement_sigma)
+    weights = weights or GraphWeights()
+    match_cfg = match_cfg or MatchConfig()
+    solver_cfg = solver_cfg or SolverConfig()
+    cells = []
+    for i, (sigma_t, sigma_r) in enumerate(product(sigma_t_grid, sigma_r_grid)):
+        noisy = inject_noise(truth, NoiseSpec(sigma_t, sigma_r, cell_seed(seed, i)))
+        pre = evaluate(noisy, truth)
         try:
-            with multiprocessing.get_context("fork").Pool(min(jobs, len(cells))) as pool:
-                results = pool.map(_pool_cell, cells)
-        finally:
-            _POOL_CTX = None
-    else:
-        results = [_run_cell(ctx, *cell) for cell in cells]
-    return SweepReport(list(results))
+            graph, reports = build_and_optimize(noisy, frames, skeleton, k, weights, match_cfg, solver_cfg)
+        except Exception as exc:  # per-cell flag, never abort the sweep
+            nan_report = ErrorReport(
+                np.full(len(truth), np.nan), np.full(len(truth), np.nan), float("nan"), float("nan")
+            )
+            cells.append(SweepCell(sigma_t, sigma_r, pre, nan_report, 0, f"error:{type(exc).__name__}"))
+            continue
+        post = evaluate(Trajectory(truth.timestamps, tuple(graph.estimates())), truth)
+        iterations = sum(r.iterations for r in reports)
+        flags = sorted({r.termination for r in reports} - set(NORMAL_TERMINATIONS))
+        cells.append(SweepCell(sigma_t, sigma_r, pre, post, iterations, "ok" if not flags else ";".join(flags)))
+    return SweepReport(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +333,13 @@ def load_trajectory(path) -> Trajectory:
                 )
             try:
                 values = [float(p) for p in parts]
-            except ValueError as exc:
+                pose = Pose(np.array(values[1:4]), np.array(values[4:8]))
+            except ValueError as exc:  # unparsable, non-finite or zero-quaternion fields
                 raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(values[0]):
+                raise TrajectoryFormatError(f"{path}:{lineno}: non-finite timestamp")
             timestamps.append(values[0])
-            poses.append(Pose(np.array(values[1:4]), np.array(values[4:8])))
+            poses.append(pose)
     if len(poses) < 2:
         raise TrajectoryFormatError(f"{path}: a trajectory needs at least 2 records")
     try:

@@ -107,7 +107,7 @@ class SubdividedModel:
 
     points: np.ndarray  # (m, 3)
     line_classes: np.ndarray  # (m,) LineClass values
-    line_ids: np.ndarray  # (m,) index into skeleton.lines, diagnostics only
+    line_ids: np.ndarray  # (m,) index into skeleton.lines; the matcher's guard and row order use it
 
     def __len__(self):
         return self.points.shape[0]

@@ -141,6 +141,13 @@ def _ambiguous_samples(uv, line_id, line_class, skeleton, projected_lines, sin_g
     return flagged
 
 
+def empty_matches():
+    return FrameMatches(
+        np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((0, 2)),
+        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64),
+    )
+
+
 def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, cfg):
     rows_p3d, rows_pred, rows_match, rows_kind, rows_cls, rows_line = [], [], [], [], [], []
 
@@ -212,7 +219,7 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
             rows_line.append(line_id)
 
     if not rows_p3d:
-        return FrameMatches.empty()
+        return empty_matches()
     return FrameMatches(
         np.asarray(rows_p3d, dtype=float),
         np.asarray(rows_pred, dtype=float),

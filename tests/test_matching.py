@@ -19,14 +19,14 @@ from turbloc.geometry import (
 )
 from turbloc.heatmap import HeatmapFrame, render
 from turbloc.matching import (
+    _perpendiculars,
+    _refine_peaks,
+    _search_lines,
+    _search_points,
     _segment_distances,
     CorrespondenceKind,
     MatchConfig,
     match_frame_arrays,
-    match_line_sample,
-    match_point,
-    perpendicular_direction,
-    refine_peak_subpixel,
 )
 from turbloc.simulation import NoiseSpec, degrade_measurements, generate_orbit_trajectory, inject_noise
 from turbloc.turbine import LineClass, TurbineParams, build_skeleton, subdivide
@@ -61,76 +61,88 @@ def scene():
     return skeleton, subdivided, k, pose, cfg
 
 
+# class ids that point every row of a kernel call at the first channel
+FIRST = np.zeros(1, np.int64)
+
+
 class TestMatchPoint:
+    """`_search_points`: the largest value within r_point of each prediction."""
+
     def test_peak_at_prediction(self):
         channel = gaussian_channel(100, 100, 50, 60)
-        matched = match_point(channel, np.array([50.0, 60.0]), MatchConfig(r_point=10.0))
-        assert np.allclose(matched, [50.0, 60.0])
+        pixel, found = _search_points(channel[None], FIRST, np.array([[50.0, 60.0]]), MatchConfig(r_point=10.0))
+        assert found[0]
+        assert np.allclose(pixel[0], [50.0, 60.0])
 
     def test_threshold_reject(self):
         channel = np.full((50, 50), 0.2, dtype=np.float32)
-        assert match_point(channel, np.array([25.0, 25.0]), MatchConfig(r_point=8.0)) is None
+        _, found = _search_points(channel[None], FIRST, np.array([[25.0, 25.0]]), MatchConfig(r_point=8.0))
+        assert not found[0]
 
     def test_offset_peak_equals_brute_force(self):
         cfg = MatchConfig(r_point=20.0)
         channel = gaussian_channel(100, 100, 58.0, 52.0)
         predicted = np.array([50.0, 50.0])  # peak offset 0.4 * r_point
-        matched = match_point(channel, predicted, cfg)
+        pixel, found = _search_points(channel[None], FIRST, predicted[None], cfg)
         oracle = brute_force_point(channel, predicted, cfg.r_point, cfg.lambda_point)
-        assert np.array_equal(matched, oracle)
-        assert np.allclose(matched, [58.0, 52.0])
+        assert found[0]
+        assert np.array_equal(pixel[0], oracle)
+        assert np.allclose(pixel[0], [58.0, 52.0])
 
     @pytest.mark.parametrize("quantized", [True, False])
     def test_brute_force_equivalence_random(self, quantized):
+        # one call per raster shape, each over 40 channels; 12 rows is smaller
+        # than the 16 px box a 7 px window needs
         rng = np.random.default_rng(42 if quantized else 43)
         cfg = MatchConfig(r_point=7.0)
-        for _ in range(40):
-            h, w = int(rng.integers(12, 30)), int(rng.integers(12, 30))
+        for h, w in ((12, 29), (23, 14), (30, 30)):
             if quantized:
-                channel = (rng.integers(0, 5, (h, w)) / 4.0).astype(np.float32)
+                channels = (rng.integers(0, 5, (40, h, w)) / 4.0).astype(np.float32)
             else:
-                channel = rng.random((h, w)).astype(np.float32)
-            predicted = rng.uniform(-3, [w + 2, h + 2], 2)
-            got = match_point(channel, predicted, cfg)
-            want = brute_force_point(channel, predicted, cfg.r_point, cfg.lambda_point)
-            if want is None:
-                assert got is None
-            else:
-                assert np.array_equal(got, want)
+                channels = rng.random((40, h, w)).astype(np.float32)
+            predicted = rng.uniform(-3, [w + 2, h + 2], (40, 2))
+            pixel, found = _search_points(channels, np.arange(40), predicted, cfg)
+            for i in range(40):
+                want = brute_force_point(channels[i], predicted[i], cfg.r_point, cfg.lambda_point)
+                assert found[i] == (want is not None)
+                if want is not None:
+                    assert np.array_equal(pixel[i], want)
 
     def test_window_fully_outside(self):
         channel = np.ones((20, 20), dtype=np.float32)
-        assert match_point(channel, np.array([100.0, 100.0]), MatchConfig(r_point=5.0)) is None
-
-    def test_rejects_non_finite(self):
-        channel = np.ones((20, 20), dtype=np.float32)
-        with pytest.raises(ValueError):
-            match_point(channel, np.array([np.nan, 3.0]), MatchConfig())
+        _, found = _search_points(channel[None], FIRST, np.array([[100.0, 100.0]]), MatchConfig(r_point=5.0))
+        assert not found[0]
 
 
 class TestPerpendicularDirection:
+    """`_perpendiculars`: unit normals with a canonical sign."""
+
     def test_horizontal(self):
-        assert np.allclose(perpendicular_direction([0, 0], [10, 0]), [0.0, 1.0])
+        p, _, ok = _perpendiculars(np.array([[0.0, 0.0]]), np.array([[10.0, 0.0]]))
+        assert ok[0]
+        assert np.allclose(p[0], [0.0, 1.0])
 
     def test_vertical_canonicalized(self):
-        assert np.allclose(perpendicular_direction([0, 0], [0, 10]), [1.0, 0.0])
+        p, _, ok = _perpendiculars(np.array([[0.0, 0.0]]), np.array([[0.0, 10.0]]))
+        assert ok[0]
+        assert np.allclose(p[0], [1.0, 0.0])
 
     def test_random_orthonormal(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            a, b = rng.normal(0, 50, 2), rng.normal(0, 50, 2)
-            if np.linalg.norm(b - a) < 1e-6:
-                continue
-            p = perpendicular_direction(a, b)
-            assert abs(np.dot(p, b - a)) < 1e-12 * np.linalg.norm(b - a)
-            assert abs(np.linalg.norm(p) - 1.0) < 1e-12
-
-    def test_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            perpendicular_direction([5.0, 5.0], [5.0, 5.0])
+        ab = rng.normal(0, 50, (100, 2, 2))
+        a, b = ab[:, 0], ab[:, 1]
+        b[:3] = a[:3] + [[0.0, 0.0], [1e-10, 0.0], [0.0, 2e-9]]  # below, below and above 1e-9
+        p, d, ok = _perpendiculars(a, b)
+        length = np.linalg.norm(b - a, axis=1)
+        assert np.array_equal(ok, length >= 1e-9)
+        assert np.all(np.abs(np.sum(p * (b - a), axis=1))[ok] < 1e-12 * length[ok])
+        assert np.all(np.abs(np.linalg.norm(p[ok], axis=1) - 1.0) < 1e-12)
+        assert np.all(np.abs(np.linalg.norm(d[ok], axis=1) - 1.0) < 1e-12)
 
 
 class TestMatchLineSample:
+    """`_search_lines`: the best of k_line samples across each prediction."""
+
     def make_vertical_ridge(self, w=80, h=80, x_line=40.0, sigma=5.0):
         xs = np.arange(w, dtype=float)
         profile = np.exp(-((xs - x_line) ** 2) / (2 * sigma**2))
@@ -138,66 +150,71 @@ class TestMatchLineSample:
 
     def test_centered_feature(self):
         channel = self.make_vertical_ridge()
-        matched = match_line_sample(channel, np.array([40.0, 40.0]), np.array([1.0, 0.0]), MatchConfig())
-        assert np.allclose(matched, [40.0, 40.0])
+        predicted, perp = np.array([[40.0, 40.0]]), np.array([[1.0, 0.0]])
+        matched, found = _search_lines(channel[None], FIRST, predicted, perp, MatchConfig())
+        assert found[0]
+        assert np.allclose(matched[0], [40.0, 40.0])
 
     def test_threshold_reject(self):
         channel = np.full((60, 60), 0.1, dtype=np.float32)
-        assert match_line_sample(channel, np.array([30.0, 30.0]), np.array([1.0, 0.0]), MatchConfig()) is None
+        _, found = _search_lines(channel[None], FIRST, np.array([[30.0, 30.0]]), np.array([[1.0, 0.0]]), MatchConfig())
+        assert not found[0]
 
     def test_offset_ridge_matches_brute_force(self):
         cfg = MatchConfig(a_line=40.0, k_line=41)
         channel = self.make_vertical_ridge(x_line=43.0)  # 3 px offset
         predicted = np.array([40.0, 40.0])
         perp = np.array([1.0, 0.0])
-        matched = match_line_sample(channel, predicted, perp, cfg)
+        matched, found = _search_lines(channel[None], FIRST, predicted[None], perp[None], cfg)
         oracle = brute_force_line_sample(channel, predicted, perp, cfg.a_line, cfg.k_line, cfg.lambda_line)
-        assert np.array_equal(matched, oracle)
-        assert np.allclose(matched, [43.0, 40.0])
+        assert found[0]
+        assert np.array_equal(matched[0], oracle)
+        assert np.allclose(matched[0], [43.0, 40.0])
 
     def test_constant_channel_ties_resolve_to_centre(self):
         channel = np.full((60, 60), 0.8, dtype=np.float32)
-        matched = match_line_sample(channel, np.array([30.0, 25.0]), np.array([0.0, 1.0]), MatchConfig())
-        assert np.array_equal(matched, [30.0, 25.0])
+        predicted, perp = np.array([[30.0, 25.0]]), np.array([[0.0, 1.0]])
+        matched, found = _search_lines(channel[None], FIRST, predicted, perp, MatchConfig())
+        assert found[0]
+        assert np.array_equal(matched[0], [30.0, 25.0])
 
     def test_brute_force_equivalence_random(self):
+        # one call per raster shape, each over 60 channels
         rng = np.random.default_rng(7)
         cfg = MatchConfig(a_line=12.0, k_line=13)
-        for _ in range(60):
-            h, w = int(rng.integers(15, 40)), int(rng.integers(15, 40))
-            channel = (rng.integers(0, 5, (h, w)) / 4.0).astype(np.float32)
-            predicted = rng.uniform(0, [w - 1, h - 1], 2)
-            angle = rng.uniform(0, 2 * np.pi)
-            perp = np.array([np.cos(angle), np.sin(angle)])
-            got = match_line_sample(channel, predicted, perp, cfg)
-            want = brute_force_line_sample(channel, predicted, perp, cfg.a_line, cfg.k_line, cfg.lambda_line)
-            if want is None:
-                assert got is None
-            else:
-                assert np.array_equal(got, want)
-
-    def test_requires_unit_perp(self):
-        channel = np.ones((20, 20), dtype=np.float32)
-        with pytest.raises(ValueError):
-            match_line_sample(channel, np.array([10.0, 10.0]), np.array([2.0, 0.0]), MatchConfig())
+        for h, w in ((15, 39), (36, 18), (27, 27)):
+            channels = (rng.integers(0, 5, (60, h, w)) / 4.0).astype(np.float32)
+            predicted = rng.uniform(0, [w - 1, h - 1], (60, 2))
+            angle = rng.uniform(0, 2 * np.pi, 60)
+            perp = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+            matched, found = _search_lines(channels, np.arange(60), predicted, perp, cfg)
+            for i in range(60):
+                want = brute_force_line_sample(
+                    channels[i], predicted[i], perp[i], cfg.a_line, cfg.k_line, cfg.lambda_line
+                )
+                assert found[i] == (want is not None)
+                if want is not None:
+                    assert np.array_equal(matched[i], want)
 
 
 class TestRefinePeak:
+    """`_refine_peaks`: log-quadratic sub-pixel fit with pixel-centre fallbacks."""
+
     def test_exact_on_gaussian(self):
         channel = gaussian_channel(64, 64, 30.4, 22.7, sigma=4.0)
         peak = np.unravel_index(np.argmax(channel), channel.shape)
-        refined = refine_peak_subpixel(channel, np.array([peak[1], peak[0]], dtype=float))
-        assert np.allclose(refined, [30.4, 22.7], atol=1e-5)
+        refined = _refine_peaks(channel[None], FIRST, np.array([[peak[1], peak[0]]], dtype=float))
+        assert np.allclose(refined[0], [30.4, 22.7], atol=1e-5)
 
     def test_border_fallback(self):
         channel = gaussian_channel(32, 32, 0.0, 15.0)
-        refined = refine_peak_subpixel(channel, np.array([0.0, 15.0]))
-        assert np.array_equal(refined, [0.0, 15.0])
+        refined = _refine_peaks(channel[None], FIRST, np.array([[0.0, 15.0]]))
+        assert np.array_equal(refined[0], [0.0, 15.0])
 
     def test_zero_neighbourhood_fallback(self):
         channel = np.zeros((16, 16), dtype=np.float32)
         channel[8, 8] = 1.0
-        assert np.array_equal(refine_peak_subpixel(channel, np.array([8.0, 8.0])), [8.0, 8.0])
+        assert np.array_equal(_refine_peaks(channel[None], FIRST, np.array([[8.0, 8.0]]))[0], [8.0, 8.0])
 
 
 class TestMatchFrame:
@@ -375,10 +392,11 @@ class TestKernelsMatchReference:
 
     def test_perpendiculars(self):
         rng = np.random.default_rng(19)
-        for _ in range(2000):
-            a, b = rng.normal(100.0, 80.0, 2), rng.normal(100.0, 80.0, 2)
-            want = reference_matching.perpendicular_direction(a, b)
-            assert np.array_equal(perpendicular_direction(a, b), want)
+        ab = rng.normal(100.0, 80.0, (2000, 2, 2))
+        p, _, ok = _perpendiculars(ab[:, 0], ab[:, 1])
+        assert ok.all()
+        for i, (a, b) in enumerate(ab):
+            assert np.array_equal(p[i], reference_matching.perpendicular_direction(a, b))
 
     def test_segment_distances(self):
         rng = np.random.default_rng(23)
@@ -393,11 +411,15 @@ class TestKernelsMatchReference:
 
     def test_refine_peak_subpixel(self):
         rng = np.random.default_rng(29)
+        channels, pixels = [], []
         for _ in range(300):
-            channel = gaussian_channel(24, 20, *rng.uniform(-2.0, 22.0, 2), sigma=rng.uniform(1.0, 6.0))
-            pixel = rng.integers(-1, 25, 2).astype(float)
-            want = reference_matching.refine_peak_subpixel(channel, pixel)
-            assert np.array_equal(refine_peak_subpixel(channel, pixel), want)
+            channels.append(gaussian_channel(24, 20, *rng.uniform(-2.0, 22.0, 2), sigma=rng.uniform(1.0, 6.0)))
+            pixels.append(rng.integers(-1, 25, 2).astype(float))
+        channels, pixels = np.stack(channels), np.stack(pixels)
+        got = _refine_peaks(channels, np.arange(300), pixels)
+        assert np.all(np.abs(got - pixels) <= 0.5)
+        for i in range(300):
+            assert np.array_equal(got[i], reference_matching.refine_peak_subpixel(channels[i], pixels[i]))
 
 
 class TestMatchConfigValidation:
@@ -411,6 +433,10 @@ class TestMatchConfigValidation:
             dict(lambda_point=0.0),
             dict(lambda_line=1.0),
             dict(s_hub=1),
+            dict(r_point=math.nan),
+            dict(a_line=math.inf),
+            dict(k_line=math.nan),
+            dict(s_tower=math.nan),
         ],
     )
     def test_rejects(self, kwargs):

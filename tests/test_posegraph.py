@@ -57,10 +57,10 @@ def orbit_pose(skeleton, azimuth_rad, radius=30.0):
     return look_at_pose(eye, centre)
 
 
-def truth_graph(scene, azimuths, perturb=None, blank=()):
+def truth_graph(scene, azimuths, perturb=None, blank=(), weights=None):
     """Graph whose measurements and frames all come from ground truth."""
     skeleton, subdivided, k, cfg = scene
-    graph = PoseGraph(skeleton, subdivided, k, GraphWeights(), cfg)
+    graph = PoseGraph(skeleton, subdivided, k, weights or GraphWeights(), cfg)
     truths = [orbit_pose(skeleton, a) for a in azimuths]
     for i, pose in enumerate(truths):
         frame = HeatmapFrame.zeros(k.width, k.height) if i in blank else render(skeleton, pose, k)
@@ -187,41 +187,52 @@ class TestJacobians:
 
 class TestTotalCost:
     def test_self_consistent_single_keyframe(self, scene):
+        skeleton, subdivided, k, cfg = scene
         graph, _ = truth_graph(scene, [0.4])
-        breakdown = graph.total_cost()
-        assert breakdown.n_point_correspondences == 6
-        assert breakdown.n_line_correspondences > 0
+        kf = graph.keyframes[0]
+        m = match_frame_arrays(skeleton, subdivided, kf.estimate, k, kf.frame, cfg)
+        assert m.n_points == 6
+        assert m.n_lines > 0
         # refined point matches and snapped line samples: residuals are tiny
-        assert breakdown.total < 1e-6
-        assert breakdown.relative_cost == 0.0
+        assert graph.total_cost() < 1e-6
 
     def test_noise_free_graph_near_zero(self, scene):
         graph, _ = truth_graph(scene, [0.2, 0.4, 0.6])
-        assert graph.total_cost().total < 1e-6
+        assert graph.total_cost() < 1e-6
 
     def test_translated_estimate_increases_cost(self, scene):
         graph, truths = truth_graph(scene, [0.2, 0.4, 0.6])
         base = graph.total_cost()
         offset = np.array([0.1, 0.0, 0.0])
         graph.keyframes[1].estimate = Pose(truths[1].t + offset, truths[1].q)
-        moved = graph.total_cost()
-        assert moved.total > base.total
+        assert graph.total_cost() > base
 
     def test_point_term_matches_reprojection_displacement(self, scene):
+        # with beta_line 0 and a single keyframe the objective is the point term
         skeleton, subdivided, k, cfg = scene
-        graph, truths = truth_graph(scene, [0.4])
+        weights = GraphWeights(beta_line=0.0)
+        graph, truths = truth_graph(scene, [0.4], weights=weights)
         offset = np.array([0.05, 0.02, -0.04])
         shifted = Pose(truths[0].t + offset, truths[0].q)
         graph.keyframes[0].estimate = shifted
-        breakdown = graph.total_cost()
         # analytic oracle: weighted squared reprojection displacements of the
         # six points (matched locations stay at the true projections)
         expected = 0.0
         for idx in range(6):
             uv_true = project(truths[0], k, skeleton.points[idx])
             uv_shift = project(shifted, k, skeleton.points[idx])
-            expected += GraphWeights().beta_p * float(np.sum((uv_shift - uv_true) ** 2))
-        assert abs(breakdown.point_cost - expected) / expected < 0.05
+            expected += weights.beta_p * float(np.sum((uv_shift - uv_true) ** 2))
+        assert abs(graph.total_cost() - expected) / expected < 0.05
+
+    def test_equals_optimizer_initial_cost(self, scene):
+        graph, _ = truth_graph(
+            scene,
+            [0.2, 0.5, 0.8, 1.1],
+            perturb={i: 0.02 * np.array([3.0, -2.0, 1.0, 0.5, -0.3, 0.2]) * (i + 1) for i in range(4)},
+        )
+        cost = graph.total_cost()
+        assert isinstance(cost, float)
+        assert cost == graph.optimize(SolverConfig()).initial_cost
 
 
 class TestOptimize:
@@ -366,6 +377,9 @@ class TestConfigValidation:
             dict(beta_t=-1.0),
             dict(beta_p=0.0, beta_line=0.0),
             dict(beta_t=0.0, beta_rot=0.0),
+            dict(beta_t=math.nan),
+            dict(beta_p=math.nan),
+            dict(beta_rot=math.inf),
         ],
     )
     def test_weights_rejects(self, kwargs):
@@ -379,6 +393,10 @@ class TestConfigValidation:
             dict(cost_tolerance=0.0),
             dict(step_tolerance=-1e-9),
             dict(damping_floor=-1.0),
+            dict(cost_tolerance=math.nan),
+            dict(damping_floor=math.nan),
+            dict(step_tolerance=math.inf),
+            dict(max_iterations=math.nan),
         ],
     )
     def test_solver_rejects(self, kwargs):

@@ -331,6 +331,19 @@ class TestTrajectoryIO:
         with pytest.raises(TrajectoryFormatError):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("record", ["1,1,nan,3,1,0,0,0", "nan,1,2,3,1,0,0,0", "1,1,2,3,1,0,inf,0"])
+    def test_non_finite_field(self, tmp_path, record):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1,2,3,1,0,0,0\n{record}\n")
+        with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:2: "):
+            load_trajectory(path)
+
+    def test_zero_quaternion(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,1,2,3,0,0,0,0\n1,1,2,3,1,0,0,0\n")
+        with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:1: "):
+            load_trajectory(path)
+
     def test_too_short(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,2,3,1,0,0,0\n")
@@ -356,3 +369,5 @@ class TestTrajectoryType:
             NoiseSpec(-0.1, 0.0, seed=0)
         with pytest.raises(ValueError):
             NoiseSpec(0.0, -0.1, seed=0)
+        with pytest.raises(ValueError):
+            NoiseSpec(math.nan, 0.0, seed=0)
