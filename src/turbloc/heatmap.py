@@ -15,8 +15,9 @@ network measurements (both sigma=5).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,22 +55,50 @@ class FramePayloadError(FrameFormatError):
     """Pixel payload shorter than the header promises."""
 
 
+class PixelList(NamedTuple):
+    """Pixels of a (channels, H, W) stack whose value exceeds a threshold or
+    is NaN, in row-major order of the stack."""
+
+    index: np.ndarray  # (m,) ascending flat indices into the stack
+    values: np.ndarray  # (m,) float32
+    rows: np.ndarray  # (m,) float pixel row
+    cols: np.ndarray  # (m,) float pixel column
+    shape: tuple  # (channels, H, W)
+
+
+def pixels_above(channels: np.ndarray, threshold: float) -> PixelList:
+    """The PixelList of a (channels, H, W) stack for `threshold`."""
+    _, h, w = channels.shape
+    index = np.flatnonzero(~(channels <= threshold))
+    rows, cols = np.divmod(index % (h * w), w)
+    return PixelList(index, channels.reshape(-1)[index], rows.astype(float), cols.astype(float), channels.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class HeatmapFrame:
-    """One keyframe's image measurements: line and point channel stacks."""
+    """One keyframe's image measurements: line and point channel stacks.
+
+    The channels are read-only float32 views, so what is derived from them
+    and cached on the frame (`point_pixels_above`) cannot go stale through
+    the frame.  A float32 array passed in is not copied: the caller must not
+    write to it afterwards.
+    """
 
     line_channels: np.ndarray  # (3, H, W) float32
     point_channels: np.ndarray  # (4, H, W) float32
+    _point_pixels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        lines = np.asarray(self.line_channels, dtype=np.float32)
-        points = np.asarray(self.point_channels, dtype=np.float32)
+        lines = np.asarray(self.line_channels, dtype=np.float32).view()
+        points = np.asarray(self.point_channels, dtype=np.float32).view()
         if lines.ndim != 3 or lines.shape[0] != N_LINE_CHANNELS:
             raise ValueError("expected 3 line channels")
         if points.ndim != 3 or points.shape[0] != N_POINT_CHANNELS:
             raise ValueError("expected 4 point channels")
         if lines.shape[1:] != points.shape[1:]:
             raise ValueError("line and point channels must share the image size")
+        lines.flags.writeable = False
+        points.flags.writeable = False
         object.__setattr__(self, "line_channels", lines)
         object.__setattr__(self, "point_channels", points)
 
@@ -90,6 +119,14 @@ class HeatmapFrame:
 
     def is_blank(self) -> bool:
         return not (self.line_channels.any() or self.point_channels.any())
+
+    def point_pixels_above(self, threshold: float) -> PixelList:
+        """`pixels_above(point_channels, threshold)`, built on the first call
+        per threshold and kept with the frame."""
+        pixels = self._point_pixels.get(threshold)
+        if pixels is None:
+            pixels = self._point_pixels[threshold] = pixels_above(self.point_channels, threshold)
+        return pixels
 
 
 def _paint_gaussian_point(channel: np.ndarray, u: float, v: float, sigma: float) -> None:

@@ -19,14 +19,27 @@ points, lines or line pairs:
 
 - projection: one `world_to_camera` and one `pinhole` over the 6 skeleton
   points, the subdivided points and the clipped line ends, in that row order;
-- point search: each window is sliced from its channel as a box of fixed
-  size that covers the disk, giving an (n_points, rows, cols) stack on which
-  the disk mask, the maximum and the tie-break are evaluated at once; the
-  winners are then refined together;
-- parallel-line guard: one (lines, lines) near-parallel mask and one
-  (lines, samples) point-to-segment distance matrix;
+- point search: only a pixel above lambda_point can win a window, so each
+  frame keeps a sorted list of its point-channel pixels above the threshold
+  (NaN pixels included, so that NaN in a window still means "not found"),
+  built on the first match and cached on the frame.  The listed pixels of a
+  window's rows are one contiguous run of that list, found by two binary
+  searches; the box, disk, maximum and tie-break tests run on those runs,
+  padded to an (n_points, longest run) array, and the winners are then
+  refined together.  The gain rests on the heatmaps being sparse: on
+  rendered and degraded frames about 0.5% of point-channel pixels exceed
+  the threshold.  A window's work is bounded by the listed pixels of its
+  rows, so a dense frame costs a few times the dense box scan, not more;
+- parallel-line guard: one (lines, lines) near-parallel mask and, when some
+  line has a near-parallel same-class partner, one (lines, samples)
+  point-to-segment distance matrix;
 - line search: all (sample, offset) positions, shape (m, k_line, 2),
-  interpolated at once from the flattened line-channel stack.
+  interpolated at once from the flattened line-channel stack, with the
+  offsets in tie-break order so that the first maximum wins.
+
+What depends only on the skeleton or the MatchConfig (the line table, the
+same-class pair mask, the ordered offsets) is computed once and cached on
+those objects.
 
 Tie-breaks and outputs are unchanged from the per-feature loop these passes
 replaced, to the last bit; the loop is kept as the test reference in
@@ -40,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +66,18 @@ from .geometry import (
     pinhole,
     world_to_camera,
 )
-from .heatmap import HeatmapFrame
+from .heatmap import HeatmapFrame, PixelList
 from .turbine import POINT_CLASSES, SubdividedModel, TurbineSkeleton
+
+
+# positions in a row-major 3x3 neighbourhood of the horizontal, then the
+# vertical line through its centre
+_PEAK_CROSS = np.array([3, 4, 5, 1, 4, 7])
+_PEAK_CROSS.flags.writeable = False
+
+# channel of each skeleton point, indexed like the skeleton's points
+_POINT_CLASS_IDS = np.asarray(POINT_CLASSES, dtype=np.int64)
+_POINT_CLASS_IDS.flags.writeable = False
 
 
 class CorrespondenceKind(IntEnum):
@@ -80,6 +104,9 @@ class MatchConfig:
     parallel_guard_deg: float = 50.0
 
     def __post_init__(self):
+        counts = (self.k_line, self.s_tower, self.s_hub, self.s_blade)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts):
+            raise ValueError("k_line and the subdivision counts must be integers")
         sizes = (self.r_point, self.a_line, self.k_line, self.s_tower, self.s_hub, self.s_blade)
         if not np.all(np.isfinite(sizes)):
             raise ValueError("window sizes and counts must be finite")
@@ -101,6 +128,16 @@ class MatchConfig:
         spacing = self.a_line / (self.k_line - 1)
         return spacing * (np.arange(self.k_line) - half)
 
+    @cached_property
+    def _offsets_by_preference(self) -> np.ndarray:
+        """`line_offsets()` in line-sample tie-break order, read-only: the
+        smallest |offset| first, the negative side before the positive."""
+        offsets = self.line_offsets()
+        spacing = self.a_line / (self.k_line - 1)
+        ordered = offsets[np.argsort(np.abs(offsets) + 0.25 * spacing * (offsets > 0), kind="stable")]
+        ordered.flags.writeable = False
+        return ordered
+
 
 def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
     """np.clip without its per-call dispatch, which outweighs the arithmetic
@@ -109,43 +146,46 @@ def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _search_points(
-    channels: np.ndarray, class_ids: np.ndarray, predicted: np.ndarray, cfg: MatchConfig
+    pixels: PixelList, class_ids: np.ndarray, predicted: np.ndarray, cfg: MatchConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point search for finite rows of `predicted` (n, 2) in channels[class_ids].
 
+    `pixels` lists the channels' pixels above lambda_point (NaN included).
     Each row's winner is the pixel with the largest value within r_point of
     the prediction; found is false when no value in that window exceeds
-    lambda_point, including a window that lies wholly off the raster.  Each
-    window is sliced as a fixed-size box that covers it and lies on the
-    raster.  Returns (winning pixel centres (n, 2), found (n,)).
+    lambda_point or one is NaN, including a window that lies wholly off the
+    raster.  Only listed pixels can win, and the listed pixels of a window's
+    rows form one run of the list, from (y0, x0) to (y1, x1).  Returns
+    (winning pixel centres (n, 2), found (n,)).
     """
     n = predicted.shape[0]
-    _, h, w = channels.shape
-    u, v = predicted[:, 0], predicted[:, 1]
+    _, h, w = pixels.shape
     r = cfg.r_point
-    bh, bw = min(int(2.0 * r) + 2, h), min(int(2.0 * r) + 2, w)
-    # window [ceil(c - r), floor(c + r)] per axis, clipped to the raster
-    x0, x1 = np.maximum(np.ceil(u - r), 0.0), np.minimum(np.floor(u + r), w - 1.0)
-    y0, y1 = np.maximum(np.ceil(v - r), 0.0), np.minimum(np.floor(v + r), h - 1.0)
-    xs = np.minimum(x0, w - bw).astype(np.int64)[:, None] + np.arange(bw)
-    ys = np.minimum(y0, h - bh).astype(np.int64)[:, None] + np.arange(bh)
-    # squared offsets, infinite outside the window so the disk test drops them
-    dx2 = np.where((xs >= x0[:, None]) & (xs <= x1[:, None]), (xs - u[:, None]) ** 2, np.inf)
-    dy2 = np.where((ys >= y0[:, None]) & (ys <= y1[:, None]), (ys - v[:, None]) ** 2, np.inf)
-    d2 = dy2[:, :, None] + dx2[:, None, :]
-    # (channel, box row, box column, row, column) view; bh <= h and bw <= w keep it on the raster
-    c, sy, sx = channels.strides
-    boxes = np.lib.stride_tricks.as_strided(
-        channels, (channels.shape[0], h - bh + 1, w - bw + 1, bh, bw), (c, sy, sx, sy, sx), writeable=False
-    )
-    window = boxes[class_ids, ys[:, 0], xs[:, 0]]
-    inside = d2 <= r * r
-    best = window.max(axis=(1, 2), where=inside, initial=-np.inf)
+    # window [ceil(c - r), floor(c + r)] per axis as (x0, y0, x1, y1), clipped
+    # to the raster; an empty window keeps lo > hi, at most one pixel beyond it
+    box = np.concatenate([np.ceil(predicted - r), np.floor(predicted + r)], axis=1)
+    box = _clip(box, (0.0, 0.0, -1.0, -1.0), (w, h, w - 1.0, h - 1.0))
+    # flat indices of (y0, x0) and (y1, x1); exact, the terms are small integers
+    ends = (box.reshape(n, 2, 2) @ (1.0, w) + (class_ids * (h * w))[:, None]).astype(np.int64)
+    start = np.searchsorted(pixels.index, ends[:, 0])
+    length = np.searchsorted(pixels.index, ends[:, 1], side="right") - start
+    if np.max(length, initial=0) <= 0:  # no listed pixel in any window's rows
+        return np.zeros((n, 2)), np.zeros(n, dtype=bool)
+    # one padded row of run positions per window
+    span = np.arange(length.max())
+    at = start[:, None] + span
+    values = pixels.values.take(at, mode="clip")
+    xs = pixels.cols.take(at, mode="clip")
+    ys = pixels.rows.take(at, mode="clip")
+    d2 = (ys - predicted[:, 1, None]) ** 2 + (xs - predicted[:, 0, None]) ** 2
+    # the run's rows lie in [y0, y1], but its middle rows span the raster's width
+    inside = (span < length[:, None]) & (xs >= box[:, 0, None]) & (xs <= box[:, 2, None]) & (d2 <= r * r)
+    values = np.where(inside, values, -np.inf)
+    best = values.max(axis=1)
     # ties: smallest squared distance, then row-major order (argmin keeps the first)
-    key = np.where(inside & (window == best[:, None, None]), d2, np.inf)
-    row, col = np.divmod(np.argmin(key.reshape(n, bh * bw), axis=1), bw)
+    j = np.argmin(np.where(values == best[:, None], d2, np.inf), axis=1)
     rows = np.arange(n)
-    return np.stack([xs[rows, col], ys[rows, row]], axis=-1).astype(float), best > cfg.lambda_point
+    return np.array([xs[rows, j], ys[rows, j]]).T, best > cfg.lambda_point
 
 
 def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,35 +201,37 @@ def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     n = np.sqrt(np.vecdot(d, d))
     ok = ~(n < 1e-9)
     d = d / np.where(ok, n, 1.0)[:, None]
-    p = np.stack([-d[:, 1], d[:, 0]], axis=-1)
+    p = d[:, ::-1] * (-1.0, 1.0)
     flip = (p[:, 0] < 0.0) | ((p[:, 0] == 0.0) & (p[:, 1] < 0.0))
     return np.where(flip[:, None], -p, p), d, ok
 
 
-def _bilinear(channels: np.ndarray, class_ids: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolated values and validity at positions xy (..., 2) in channels[class_ids].
+def _bilinear(channels: np.ndarray, class_ids: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Interpolated values at positions xy (..., 2) in channels[class_ids], -inf off the raster.
 
     class_ids broadcasts against xy[..., 0]; corners are gathered from the
     flattened channel stack.
     """
     _, h, w = channels.shape
     x, y = xy[..., 0], xy[..., 1]
-    valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
     xs = _clip(x, 0.0, w - 1.0)
     ys = _clip(y, 0.0, h - 1.0)
     x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
     y0 = np.minimum(ys.astype(np.int64), max(h - 2, 0))
     fx = xs - x0
     fy = ys - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
     flat = channels.reshape(-1)
     corner = class_ids * (h * w) + y0 * w + x0
     vals = (
-        flat[corner] * (1.0 - fx) * (1.0 - fy)
-        + flat[corner + 1] * fx * (1.0 - fy)
-        + flat[corner + w] * (1.0 - fx) * fy
+        flat[corner] * gx * gy
+        + flat[corner + 1] * fx * gy
+        + flat[corner + w] * gx * fy
         + flat[corner + w + 1] * fx * fy
     )
-    return vals, valid
+    # a position is on the raster where clipping left it unchanged (NaN is not)
+    return np.where((xs == x) & (ys == y), vals, -np.inf)
 
 
 def _search_lines(
@@ -202,22 +244,17 @@ def _search_lines(
     """Perpendicular search for rows of `predicted` (m, 2) along unit `perp` (m, 2).
 
     Each row's match is the best of the k_line samples spanning a_line
-    across the prediction; found is false when no sample on the raster
-    exceeds lambda_line.  Returns (matched (m, 2), found (m,)).
+    across the prediction, ties going to the smallest |offset|, negative side
+    first; found is false when no sample on the raster exceeds lambda_line.
+    Returns (matched (m, 2), found (m,)).
     """
-    offsets = cfg.line_offsets()
+    offsets = cfg._offsets_by_preference
     positions = predicted[:, None, :] + offsets[None, :, None] * perp[:, None, :]
-    values, valid = _bilinear(channels, class_ids[:, None], positions)
-    values = np.where(valid, values, -np.inf)
-    best = values.max(axis=1)
-    found = best > cfg.lambda_line
-    spacing = cfg.a_line / (cfg.k_line - 1)
-    # deterministic tie-break: smallest |offset|, negative side first
-    penalty = np.abs(offsets) + 0.25 * spacing * (offsets > 0)
-    cand = np.where(values == best[:, None], penalty[None, :], np.inf)
-    j = np.argmin(cand, axis=1)
-    matched = predicted + offsets[j][:, None] * perp
-    return matched, found
+    values = _bilinear(channels, class_ids[:, None], positions)
+    # the samples run in tie-break order, so argmax's first maximum wins
+    j = np.argmax(values, axis=1)
+    found = values[np.arange(j.size), j] > cfg.lambda_line
+    return predicted + offsets[j][:, None] * perp, found
 
 
 def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarray) -> np.ndarray:
@@ -230,23 +267,21 @@ def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarra
     centre when its fit is not concave.  The offset never exceeds half a
     pixel per axis.
     """
+    n = pixels.shape[0]
     _, h, w = channels.shape
     nearest = np.round(pixels).astype(np.int64)
-    ix, iy = nearest.T
-    centre = nearest.astype(float)
-    step = np.arange(-1, 2)
-    patch = channels[
-        class_ids[:, None, None],
-        _clip(iy[:, None] + step, 0, h - 1)[:, :, None],
-        _clip(ix[:, None] + step, 0, w - 1)[:, None, :],
-    ].astype(float)
-    usable = (ix >= 1) & (iy >= 1) & (ix <= w - 2) & (iy <= h - 2) & (patch.min(axis=(1, 2)) > 0.0)
-    lp = np.log(np.where(usable[:, None, None], patch, 1.0))
-    # log values through the peak: (n, [x, y], [minus, centre, plus])
-    tri = np.stack([lp[:, 1, :], lp[:, :, 1]], axis=1)
-    den = tri[..., 0] - 2.0 * tri[..., 1] + tri[..., 2]
+    # row-major 3x3 neighbourhoods from the flattened stack; the clip keeps a
+    # border row's gather on the stack, and border rows are not used
+    around = (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1)
+    patch = channels.reshape(-1).take((class_ids * (h * w) + nearest @ (1, w))[:, None] + around, mode="clip")
+    usable = np.all((nearest >= 1) & (nearest <= (w - 2, h - 2)), axis=1) & (patch.min(axis=1) > 0.0)
+    # values through the peak: (n, [x, y], [minus, centre, plus])
+    tri = patch[:, _PEAK_CROSS].reshape(n, 2, 3).astype(float)
+    lp = np.log(np.where(usable[:, None, None], tri, 1.0))
+    den = lp[..., 0] - 2.0 * lp[..., 1] + lp[..., 2]
     concave = usable[:, None] & (den < 0.0)
-    shift = _clip(0.5 * (tri[..., 0] - tri[..., 2]) / np.where(concave, den, -1.0), -0.5, 0.5)
+    shift = _clip(0.5 * (lp[..., 0] - lp[..., 2]) / np.where(concave, den, -1.0), -0.5, 0.5)
+    centre = nearest.astype(float)
     return np.where(concave, centre + shift, centre)
 
 
@@ -298,7 +333,7 @@ def match_frame_arrays(
     grouped by skeleton line, each group in subdivided order.
     """
     n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
-    lines = np.array([(line.start, line.end, int(line.line_class)) for line in skeleton.lines], dtype=np.int64)
+    lines = skeleton.line_table
     line_cls = lines[:, 2]
 
     # projection: skeleton points, subdivided points, then clipped line ends
@@ -314,8 +349,9 @@ def match_frame_arrays(
 
     # point search over every visible skeleton point
     p_idx = np.flatnonzero(seen[:n_pts])
-    p_cls = np.asarray(POINT_CLASSES, dtype=np.int64)[p_idx]
-    p_match, found = _search_points(frame.point_channels, p_cls, uv[p_idx], cfg)
+    p_cls = _POINT_CLASS_IDS[p_idx]
+    pixels = frame.point_pixels_above(cfg.lambda_point)
+    p_match, found = _search_points(pixels, p_cls, uv[p_idx], cfg)
     p_idx, p_cls, p_match = p_idx[found], p_cls[found], p_match[found]
     p_pred = uv[p_idx]
     if cfg.refine_points:
@@ -331,17 +367,18 @@ def match_frame_arrays(
     sin_guard = np.sin(np.radians(cfg.parallel_guard_deg))
     cross = direction[:, None, 0] * direction[None, :, 1] - direction[:, None, 1] * direction[None, :, 0]
     near_parallel = (
-        (line_cls[:, None] == line_cls[None, :])
-        & ~np.eye(lines.shape[0], dtype=bool)
+        skeleton.same_class_pairs
         & usable[:, None]
         & usable[None, :]
         & ~(np.abs(cross) >= sin_guard)
     )
     lid = subdivided.line_ids
-    guarded = np.any(near_parallel[lid].T & (_segment_distances(uv_sub, a2, b2) <= cfg.a_line), axis=0)
+    keep = seen[n_pts : n_pts + n_sub] & usable[lid]
+    if near_parallel.any():
+        keep &= ~np.any(near_parallel[lid].T & (_segment_distances(uv_sub, a2, b2) <= cfg.a_line), axis=0)
 
     # line search over every visible, unguarded sample
-    samples = np.flatnonzero(seen[n_pts : n_pts + n_sub] & usable[lid] & ~guarded)
+    samples = np.flatnonzero(keep)
     samples = samples[np.argsort(lid[samples], kind="stable")]
     s_cls = line_cls[lid[samples]]
     l_match, found = _search_lines(frame.line_channels, s_cls, uv_sub[samples], perp[lid[samples]], cfg)

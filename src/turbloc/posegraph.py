@@ -75,6 +75,8 @@ class SolverConfig:
     damping_floor: float = 1e-6  # minimal diagonal damping
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, (int, np.integer)) or isinstance(self.max_iterations, bool):
+            raise ValueError("max_iterations must be an integer")
         settings = (self.max_iterations, self.cost_tolerance, self.step_tolerance, self.damping_floor)
         if not np.all(np.isfinite(settings)):
             raise ValueError("solver settings must be finite")
@@ -232,12 +234,16 @@ def relative_residual(
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Sum rows of `values` (m, d) into n bins given by idx."""
+    """Sum rows of `values` (m, ...) into n bins given by idx, each bin in row order."""
     flat = values.reshape(values.shape[0], -1)
-    out = np.empty((n, flat.shape[1]))
-    for j in range(flat.shape[1]):
-        out[:, j] = np.bincount(idx, weights=flat[:, j], minlength=n)
-    return out.reshape((n,) + values.shape[1:])
+    d = flat.shape[1]
+    bins = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=flat.ravel(), minlength=n * d).reshape((n,) + values.shape[1:])
+
+
+# (row, column) index pairs of a 6x6 block: its lower triangle, and all of it
+_LOWER = np.tril_indices(6)
+_BLOCK = np.divmod(np.arange(36), 6)
 
 
 @dataclass
@@ -380,15 +386,17 @@ class PoseGraph:
     @staticmethod
     def _solve_banded(h_diag, h_off, g, damping):
         n = h_diag.shape[0]
-        bandwidth = min(11, 6 * n - 1)
-        ab = np.zeros((bandwidth + 1, 6 * n))
-        for a in range(6):
-            for b in range(a + 1):
-                ab[a - b, b::6] = h_diag[:, a, b]
-        if n > 1:
-            for p in range(6):
-                for qq in range(6):
-                    ab[6 + p - qq, qq::6][: n - 1] = h_off[:, qq, p]
+        ab = np.zeros((min(11, 6 * n - 1) + 1, 6 * n))
+        # lower band storage ab[r, c] = H[c + r, c]: the lower triangle of
+        # each diagonal block, then the block below it
+        a, b = _LOWER
+        p, q = _BLOCK
+        first = 6 * np.arange(n)[:, None]
+        rows = np.concatenate(
+            [np.broadcast_to(a - b, (n, a.size)), np.broadcast_to(6 + p - q, (n - 1, p.size))], axis=None
+        )
+        cols = np.concatenate([first + b, first[:-1] + q], axis=None)
+        ab[rows, cols] = np.concatenate([h_diag[:, a, b], h_off[:, q, p]], axis=None)
         ab[0, :] += damping
         delta = solveh_banded(ab, -g.ravel(), lower=True)
         return delta.reshape(n, 6)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,21 @@ class TurbineSkeleton:
 
     def point(self, label: str) -> np.ndarray:
         return self.points[POINT_LABELS.index(label)]
+
+    @cached_property
+    def line_table(self) -> np.ndarray:
+        """(5, 3) read-only rows (start, end, line class) of `lines`."""
+        table = np.array([(line.start, line.end, int(line.line_class)) for line in self.lines], dtype=np.int64)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def same_class_pairs(self) -> np.ndarray:
+        """(5, 5) read-only mask of pairs of distinct lines of one class."""
+        cls = self.line_table[:, 2]
+        pairs = (cls[:, None] == cls[None, :]) & ~np.eye(cls.size, dtype=bool)
+        pairs.flags.writeable = False
+        return pairs
 
     def line_endpoints(self, line: SkeletonLine) -> tuple[np.ndarray, np.ndarray]:
         return self.points[line.start], self.points[line.end]

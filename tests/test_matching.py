@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from turbloc.geometry import (
     quat_from_rotvec,
     world_to_camera,
 )
-from turbloc.heatmap import HeatmapFrame, render
+from turbloc.heatmap import HeatmapFrame, pixels_above, render
 from turbloc.matching import (
     _perpendiculars,
     _refine_peaks,
@@ -65,25 +66,30 @@ def scene():
 FIRST = np.zeros(1, np.int64)
 
 
+def search_points(channels, class_ids, predicted, cfg):
+    """`_search_points` on a bare channel stack, through its pixel list."""
+    return _search_points(pixels_above(channels, cfg.lambda_point), class_ids, predicted, cfg)
+
+
 class TestMatchPoint:
     """`_search_points`: the largest value within r_point of each prediction."""
 
     def test_peak_at_prediction(self):
         channel = gaussian_channel(100, 100, 50, 60)
-        pixel, found = _search_points(channel[None], FIRST, np.array([[50.0, 60.0]]), MatchConfig(r_point=10.0))
+        pixel, found = search_points(channel[None], FIRST, np.array([[50.0, 60.0]]), MatchConfig(r_point=10.0))
         assert found[0]
         assert np.allclose(pixel[0], [50.0, 60.0])
 
     def test_threshold_reject(self):
         channel = np.full((50, 50), 0.2, dtype=np.float32)
-        _, found = _search_points(channel[None], FIRST, np.array([[25.0, 25.0]]), MatchConfig(r_point=8.0))
+        _, found = search_points(channel[None], FIRST, np.array([[25.0, 25.0]]), MatchConfig(r_point=8.0))
         assert not found[0]
 
     def test_offset_peak_equals_brute_force(self):
         cfg = MatchConfig(r_point=20.0)
         channel = gaussian_channel(100, 100, 58.0, 52.0)
         predicted = np.array([50.0, 50.0])  # peak offset 0.4 * r_point
-        pixel, found = _search_points(channel[None], FIRST, predicted[None], cfg)
+        pixel, found = search_points(channel[None], FIRST, predicted[None], cfg)
         oracle = brute_force_point(channel, predicted, cfg.r_point, cfg.lambda_point)
         assert found[0]
         assert np.array_equal(pixel[0], oracle)
@@ -101,7 +107,7 @@ class TestMatchPoint:
             else:
                 channels = rng.random((40, h, w)).astype(np.float32)
             predicted = rng.uniform(-3, [w + 2, h + 2], (40, 2))
-            pixel, found = _search_points(channels, np.arange(40), predicted, cfg)
+            pixel, found = search_points(channels, np.arange(40), predicted, cfg)
             for i in range(40):
                 want = brute_force_point(channels[i], predicted[i], cfg.r_point, cfg.lambda_point)
                 assert found[i] == (want is not None)
@@ -110,7 +116,7 @@ class TestMatchPoint:
 
     def test_window_fully_outside(self):
         channel = np.ones((20, 20), dtype=np.float32)
-        _, found = _search_points(channel[None], FIRST, np.array([[100.0, 100.0]]), MatchConfig(r_point=5.0))
+        _, found = search_points(channel[None], FIRST, np.array([[100.0, 100.0]]), MatchConfig(r_point=5.0))
         assert not found[0]
 
 
@@ -308,17 +314,19 @@ def perturbed(pose, rng, sigma_t, sigma_r):
     return compose(pose, Pose(rng.normal(0.0, sigma_t, 3), quat_from_rotvec(rng.normal(0.0, sigma_r, 3))))
 
 
+def check_reference(skeleton, pose, k, frame, cfg):
+    """Assert match_frame_arrays equals the reference on every field; return the reference."""
+    subdivided = subdivide(skeleton, cfg.s_tower, cfg.s_hub, cfg.s_blade)
+    got = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+    want = reference_match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+    for name in MATCH_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return want
+
+
 class TestMatchesReference:
     """match_frame_arrays reproduces the per-feature loop bit for bit."""
-
-    def check(self, skeleton, pose, k, frame, cfg):
-        subdivided = subdivide(skeleton, cfg.s_tower, cfg.s_hub, cfg.s_blade)
-        got = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        want = reference_match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        for name in MATCH_FIELDS:
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        return want
 
     @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
     def test_orbit_clean_and_degraded(self, scene, cfg):
@@ -333,7 +341,7 @@ class TestMatchesReference:
             poses = [noisy.poses[i]] + [perturbed(pose, rng, s, 2.0 * s * DEG) for s in (0.1, 0.5, 1.5)]
             for frame in (clean[i], degraded[i]):
                 for estimate in poses:
-                    want = self.check(skeleton, estimate, k, frame, cfg)
+                    want = check_reference(skeleton, estimate, k, frame, cfg)
                     n_points += want.n_points
                     n_lines += want.n_lines
         assert n_points > 0 and n_lines > 0
@@ -350,7 +358,7 @@ class TestMatchesReference:
         rng = np.random.default_rng(11)
         lines = 0
         for estimate in [pose] + [perturbed(pose, rng, 0.2, 1.0 * DEG) for _ in range(6)]:
-            lines += self.check(skeleton, estimate, k, frame, cfg).n_lines
+            lines += check_reference(skeleton, estimate, k, frame, cfg).n_lines
         assert lines > 0
 
     @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
@@ -363,7 +371,7 @@ class TestMatchesReference:
             k = CameraIntrinsics(200.0, 200.0, cx, cy, 256, 256)
             frame = render(skeleton, pose, k)
             for estimate in [pose] + [perturbed(pose, rng, 0.3, 1.0 * DEG) for _ in range(4)]:
-                want = self.check(skeleton, estimate, k, frame, cfg)
+                want = check_reference(skeleton, estimate, k, frame, cfg)
                 pred = want.predicted[want.kinds == int(CorrespondenceKind.POINT)]
                 near_border += np.sum(np.min(np.hstack([pred, 255.0 - pred]), axis=1) < cfg.r_point)
         assert near_border > 0
@@ -377,13 +385,57 @@ class TestMatchesReference:
         rng = np.random.default_rng(17)
         found = 0
         for estimate in [pose] + [perturbed(pose, rng, 0.5, 2.0 * DEG) for _ in range(6)]:
-            found += len(self.check(skeleton, estimate, k, frame, cfg))
+            found += len(check_reference(skeleton, estimate, k, frame, cfg))
         assert found > 0
 
     @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
     def test_all_zero_frame(self, scene, cfg):
         skeleton, _, k, pose, _ = scene
-        assert len(self.check(skeleton, pose, k, HeatmapFrame.zeros(k.width, k.height), cfg)) == 0
+        assert len(check_reference(skeleton, pose, k, HeatmapFrame.zeros(k.width, k.height), cfg)) == 0
+
+
+class TestPixelListCache:
+    """The frame's cached list of point pixels above lambda_point: NaN pixels,
+    thresholds and frame lifetimes, each against the reference matcher."""
+
+    def test_nan_pixels(self, scene):
+        skeleton, _, k, pose, _ = scene
+        frame = render(skeleton, pose, k)
+        uv = np.rint(pinhole(k, world_to_camera(pose, skeleton.points))).astype(int)
+        points = frame.point_channels.copy()
+        lines = frame.line_channels.copy()
+        points[0, uv[0, 1] + 3, uv[0, 0] - 2] = np.nan  # in the tower base's disk
+        points[1, uv[1, 1] - 29, uv[1, 0] - 29] = np.nan  # in the tower top's box, off its disk
+        lines[0, uv[0, 1] - 40 : uv[0, 1] - 20, uv[0, 0] + 8] = np.nan  # across a few tower samples' searches
+        nan_frame = HeatmapFrame(lines, points)
+        for config in REFERENCE_CONFIGS:
+            m = check_reference(skeleton, pose, k, nan_frame, config)
+            assert set(m.class_ids[m.kinds == int(CorrespondenceKind.POINT)].tolist()) == {1, 2, 3}
+            assert 0 < m.n_lines < 37
+
+    def test_threshold_per_config(self, scene):
+        skeleton, _, k, pose, _ = scene
+        frame = degrade_measurements([render(skeleton, pose, k)], 0.1, 5.0, seed=7)[0]
+        for lam in (0.3, 0.9, 0.3, 0.05):
+            check_reference(skeleton, pose, k, frame, MatchConfig(lambda_point=lam))
+
+    def test_frame_made_after_another_was_dropped(self, scene):
+        # a new frame may reuse a dropped frame's address; it must not reuse its list
+        skeleton, _, k, pose, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 6)
+        for a, b in zip(truth.poses[:-1], truth.poses[1:]):
+            dropped = render(skeleton, a, k)
+            check_reference(skeleton, a, k, dropped, cfg)
+            del dropped
+            gc.collect()
+            check_reference(skeleton, b, k, render(skeleton, b, k), cfg)
+
+    def test_channels_read_only(self, scene):
+        skeleton, _, k, pose, _ = scene
+        frame = render(skeleton, pose, k)
+        for channels in (frame.point_channels, frame.line_channels):
+            with pytest.raises(ValueError):
+                channels[0, 0, 0] = 1.0
 
 
 class TestKernelsMatchReference:
@@ -437,8 +489,20 @@ class TestMatchConfigValidation:
             dict(a_line=math.inf),
             dict(k_line=math.nan),
             dict(s_tower=math.nan),
+            dict(s_tower=10.5),
+            dict(k_line=41.0),
+            dict(s_blade=8.0),
+            dict(s_hub=np.float64(3.0)),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             MatchConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self, scene):
+        skeleton, subdivided, k, pose, _ = scene
+        cfg = MatchConfig(k_line=np.int64(41), s_tower=np.int32(10), s_hub=np.uint8(3), s_blade=np.int16(8))
+        frame = render(skeleton, pose, k)
+        want = match_frame_arrays(skeleton, subdivided, pose, k, frame, MatchConfig())
+        got = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert np.array_equal(got.matched, want.matched)

@@ -25,7 +25,16 @@ from turbloc.posegraph import (
     image_residual,
     relative_residual,
 )
+from turbloc.simulation import (
+    NoiseSpec,
+    build_and_optimize,
+    degrade_measurements,
+    generate_orbit_trajectory,
+    inject_noise,
+    simulate_measurements,
+)
 from turbloc.turbine import TurbineParams, build_skeleton, subdivide
+from reference_matching import reference_match_frame_arrays
 
 DEG = math.pi / 180.0
 
@@ -370,6 +379,33 @@ class TestOptimize:
         assert isinstance(report, OptimizeReport)
 
 
+class TestFlightMatchesReference:
+    """A whole incremental flight with the production matcher equals the same
+    flight with the per-feature reference matcher, to the last bit."""
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_incremental_flight(self, scene, monkeypatch, degraded):
+        skeleton, _, k, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 5)
+        frames = simulate_measurements(truth, skeleton, k)
+        if degraded:
+            frames = degrade_measurements(frames, 0.1, 5.0, seed=7)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        solver = SolverConfig(max_iterations=10)
+
+        def fly():
+            graph, reports = build_and_optimize(noisy, frames, skeleton, k, GraphWeights(), cfg, solver)
+            return graph.estimates(), [r.as_dict() for r in reports]
+
+        estimates, reports = fly()
+        monkeypatch.setattr(posegraph, "match_frame_arrays", reference_match_frame_arrays)
+        want_estimates, want_reports = fly()
+        assert reports == want_reports
+        assert sum(r["iterations"] for r in reports) > 5
+        for got, want in zip(estimates, want_estimates):
+            assert got.t.tobytes() == want.t.tobytes() and got.q.tobytes() == want.q.tobytes()
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -397,8 +433,14 @@ class TestConfigValidation:
             dict(damping_floor=math.nan),
             dict(step_tolerance=math.inf),
             dict(max_iterations=math.nan),
+            dict(max_iterations=2.5),
+            dict(max_iterations=30.0),
+            dict(max_iterations=True),
         ],
     )
     def test_solver_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_solver_accepts_numpy_integers(self):
+        assert SolverConfig(max_iterations=np.int32(5)).max_iterations == 5
