@@ -12,6 +12,11 @@ Conventions used throughout the package:
   run along columns and rows respectively, with the origin at the centre of
   the top-left pixel; a pixel is in view iff ``-0.5 <= u < width - 0.5``
   (same for v).
+- "Behind the camera" means a camera-frame depth of at most ``EPS_DEPTH``,
+  and it is decided in two places only: `pinhole` projects such a point to
+  NaN, which `in_view` rejects, and `clip_segments_to_front` moves a
+  segment's end onto the near plane.  The pose graph's residuals keep their
+  own projection, because their Jacobians need its intermediate terms.
 """
 
 from __future__ import annotations
@@ -245,30 +250,20 @@ def world_to_camera(pose: Pose, points: np.ndarray) -> np.ndarray:
 
 
 def pinhole(k: CameraIntrinsics, points_cam: np.ndarray) -> np.ndarray:
-    """Pinhole projection of camera-frame points (no visibility checks)."""
+    """Pinhole projection of camera-frame points; NaN for a point behind the
+    camera (depth at most EPS_DEPTH).  Off-image points are not checked."""
     p = np.asarray(points_cam, dtype=float)
-    z = p[..., 2]
+    z = np.where(p[..., 2] > EPS_DEPTH, p[..., 2], np.nan)
     u = k.fx * p[..., 0] / z + k.cx
     v = k.fy * p[..., 1] / z + k.cy
     return np.stack([u, v], axis=-1)
 
 
 def in_view(k: CameraIntrinsics, uv: np.ndarray) -> np.ndarray:
-    """Whether pixel coordinates fall on the image raster."""
+    """Whether pixel coordinates fall on the image raster; false for NaN."""
     uv = np.asarray(uv, dtype=float)
     u, v = uv[..., 0], uv[..., 1]
     return (u >= -0.5) & (u < k.width - 0.5) & (v >= -0.5) & (v < k.height - 0.5)
-
-
-def project(pose: Pose, k: CameraIntrinsics, point: np.ndarray) -> np.ndarray | None:
-    """Project a world point; None when behind the camera or off the image."""
-    pc = world_to_camera(pose, np.asarray(point, dtype=float).reshape(3))
-    if pc[2] <= EPS_DEPTH:
-        return None
-    uv = pinhole(k, pc)
-    if not in_view(k, uv):
-        return None
-    return uv
 
 
 def clip_segments_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,12 +284,6 @@ def clip_segments_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, 
     a = np.where((crosses & behind_a)[..., None], crossing, pa)
     b = np.where((crosses & behind_b)[..., None], crossing, pb)
     return a, b, ~(behind_a & behind_b)
-
-
-def clip_segment_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Clip a camera-frame segment to depth > EPS_DEPTH; None if fully behind."""
-    a, b, keep = clip_segments_to_front(np.reshape(pa, (1, 3)), np.reshape(pb, (1, 3)))
-    return (a[0], b[0]) if keep[0] else None
 
 
 def look_at_pose(eye: np.ndarray, target: np.ndarray) -> Pose:

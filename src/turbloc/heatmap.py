@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EPS_DEPTH, CameraIntrinsics, Pose, clip_segment_to_front, pinhole, world_to_camera
+from .geometry import CameraIntrinsics, Pose, clip_segments_to_front, in_view, pinhole, world_to_camera
 from .turbine import POINT_CLASSES, TurbineSkeleton
 
 N_LINE_CHANNELS = 3
@@ -34,9 +33,6 @@ TRUNCATION_SIGMAS = 3.0
 
 MAGIC = b"TMBT"
 FORMAT_VERSION = 1
-
-LINE_CHANNEL_NAMES = ("line_tower", "line_hub", "line_blade")
-POINT_CHANNEL_NAMES = ("point_tower_base", "point_tower_top", "point_blade_centre", "point_blade_tips")
 
 
 class FrameFormatError(ValueError):
@@ -52,7 +48,7 @@ class FrameChannelCountError(FrameFormatError):
 
 
 class FramePayloadError(FrameFormatError):
-    """Pixel payload shorter than the header promises."""
+    """Pixel payload shorter or longer than the header promises."""
 
 
 class PixelList(NamedTuple):
@@ -78,10 +74,9 @@ def pixels_above(channels: np.ndarray, threshold: float) -> PixelList:
 class HeatmapFrame:
     """One keyframe's image measurements: line and point channel stacks.
 
-    The channels are read-only float32 views, so what is derived from them
-    and cached on the frame (`point_pixels_above`) cannot go stale through
-    the frame.  A float32 array passed in is not copied: the caller must not
-    write to it afterwards.
+    The channels are read-only float32 copies of the arrays passed in, so
+    what is derived from them and cached on the frame (`point_pixels_above`)
+    cannot go stale, through the frame or through the caller's arrays.
     """
 
     line_channels: np.ndarray  # (3, H, W) float32
@@ -89,8 +84,8 @@ class HeatmapFrame:
     _point_pixels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        lines = np.asarray(self.line_channels, dtype=np.float32).view()
-        points = np.asarray(self.point_channels, dtype=np.float32).view()
+        lines = np.array(self.line_channels, dtype=np.float32)
+        points = np.array(self.point_channels, dtype=np.float32)
         if lines.ndim != 3 or lines.shape[0] != N_LINE_CHANNELS:
             raise ValueError("expected 3 line channels")
         if points.ndim != 3 or points.shape[0] != N_POINT_CHANNELS:
@@ -192,30 +187,23 @@ def render(
     lines = np.zeros((N_LINE_CHANNELS, k.height, k.width), dtype=float)
     points = np.zeros((N_POINT_CHANNELS, k.height, k.width), dtype=float)
 
-    cam_points = world_to_camera(pose, skeleton.points)
+    cam = world_to_camera(pose, skeleton.points)
+    uv = pinhole(k, cam)
+    for idx in np.flatnonzero(in_view(k, uv)):
+        _paint_gaussian_point(points[int(POINT_CLASSES[idx])], uv[idx, 0], uv[idx, 1], sigma)
 
-    for idx, cls in enumerate(POINT_CLASSES):
-        pc = cam_points[idx]
-        if pc[2] <= EPS_DEPTH:
-            continue
-        uv = pinhole(k, pc)
-        if not (-0.5 <= uv[0] < k.width - 0.5 and -0.5 <= uv[1] < k.height - 0.5):
-            continue
-        _paint_gaussian_point(points[int(cls)], uv[0], uv[1], sigma)
-
-    for line in skeleton.lines:
-        clipped = clip_segment_to_front(cam_points[line.start], cam_points[line.end])
-        if clipped is None:
-            continue
-        a2, b2 = pinhole(k, clipped[0]), pinhole(k, clipped[1])
-        _paint_gaussian_segment(lines[int(line.line_class)], a2, b2, sigma)
+    table = skeleton.line_table
+    ends_a, ends_b, in_front = clip_segments_to_front(cam[table[:, 0]], cam[table[:, 1]])
+    a2, b2 = pinhole(k, ends_a), pinhole(k, ends_b)
+    for i in np.flatnonzero(in_front):
+        _paint_gaussian_segment(lines[table[i, 2]], a2[i], b2[i], sigma)
 
     for stack in (lines, points):
         for c in range(stack.shape[0]):
             m = stack[c].max()
             if m > 0.0:
                 stack[c] /= m
-    return HeatmapFrame(lines.astype(np.float32), points.astype(np.float32))
+    return HeatmapFrame(lines, points)
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +237,7 @@ def read_frame(path) -> HeatmapFrame:
         raise FrameChannelCountError(f"{path}: expected {N_CHANNELS} channels, header says {channels}")
     expected = N_CHANNELS * width * height * 4
     payload = blob[_HEADER.size :]
-    if len(payload) < expected:
-        raise FramePayloadError(f"{path}: payload truncated ({len(payload)} of {expected} bytes)")
-    planes = np.frombuffer(payload[:expected], dtype="<f4").reshape(N_CHANNELS, height, width)
-    return HeatmapFrame(planes[:N_LINE_CHANNELS].copy(), planes[N_LINE_CHANNELS:].copy())
-
-
-def write_debug_images(frame: HeatmapFrame, directory, stem: str = "frame") -> list:
-    """Lossy 8-bit grayscale export (PGM), one file per channel; never read back."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    stacks = [(LINE_CHANNEL_NAMES, frame.line_channels), (POINT_CHANNEL_NAMES, frame.point_channels)]
-    for names, stack in stacks:
-        for name, channel in zip(names, stack):
-            gray = np.clip(channel * 255.0, 0.0, 255.0).astype(np.uint8)
-            path = directory / f"{stem}_{name}.pgm"
-            with open(path, "wb") as fh:
-                fh.write(f"P5\n{frame.width} {frame.height}\n255\n".encode())
-                fh.write(gray.tobytes())
-            written.append(path)
-    return written
+    if len(payload) != expected:
+        raise FramePayloadError(f"{path}: payload is {len(payload)} bytes, the header promises {expected}")
+    planes = np.frombuffer(payload, dtype="<f4").reshape(N_CHANNELS, height, width)
+    return HeatmapFrame(planes[:N_LINE_CHANNELS], planes[N_LINE_CHANNELS:])

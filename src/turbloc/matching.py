@@ -10,15 +10,18 @@ Tie-breaking is deterministic: point ties resolve to the pixel closest to
 the prediction, then row-major order; line-sample ties resolve to the
 smallest perpendicular offset, negative side first.
 
-Point matches land on pixel centres; when sub-pixel refinement is enabled
-(the default), a log-quadratic fit around the winning pixel recovers the
-continuous peak, which is exact for the analytically rendered Gaussians.
+Point searches land on pixel centres; a log-quadratic fit around the
+winning pixel then recovers the continuous peak, which is exact for the
+analytically rendered Gaussians.
 
 `match_frame_arrays` matches a frame in a few array passes, with no loop over
 points, lines or line pairs:
 
 - projection: one `world_to_camera` and one `pinhole` over the 6 skeleton
-  points, the subdivided points and the clipped line ends, in that row order;
+  points, the subdivided points and the clipped line ends, in that row order.
+  Whether a point is behind the camera is decided there: `pinhole` projects
+  it to NaN, which `in_view` rejects, and `clip_segments_to_front` clips the
+  lines;
 - point search: only a pixel above lambda_point can win a window, so each
   frame keeps a sorted list of its point-channel pixels above the threshold
   (NaN pixels included, so that NaN in a window still means "not found"),
@@ -57,15 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (
-    EPS_DEPTH,
-    CameraIntrinsics,
-    Pose,
-    clip_segments_to_front,
-    in_view,
-    pinhole,
-    world_to_camera,
-)
+from .geometry import CameraIntrinsics, Pose, clip_segments_to_front, in_view, pinhole, world_to_camera
 from .heatmap import HeatmapFrame, PixelList
 from .turbine import POINT_CLASSES, SubdividedModel, TurbineSkeleton
 
@@ -97,7 +92,6 @@ class MatchConfig:
     s_tower: int = 10
     s_hub: int = 3
     s_blade: int = 8
-    refine_points: bool = True  # sub-pixel refinement of point matches
     # skip line samples when another same-class model line projects nearly
     # parallel within search range: the perpendicular search cannot tell the
     # ridges apart there (foreshortened views of the rotor)
@@ -222,13 +216,16 @@ def _bilinear(channels: np.ndarray, class_ids: np.ndarray, xy: np.ndarray) -> np
     fy = ys - y0
     gx = 1.0 - fx
     gy = 1.0 - fy
+    # steps to the +1 neighbours, which stay on a 1 px wide or high raster,
+    # where their weight is 0
+    dx, dy = min(w - 1, 1), min(h - 1, 1) * w
     flat = channels.reshape(-1)
     corner = class_ids * (h * w) + y0 * w + x0
     vals = (
         flat[corner] * gx * gy
-        + flat[corner + 1] * fx * gy
-        + flat[corner + w] * gx * fy
-        + flat[corner + w + 1] * fx * fy
+        + flat[corner + dx] * fx * gy
+        + flat[corner + dy] * gx * fy
+        + flat[corner + dy + dx] * fx * fy
     )
     # a position is on the raster where clipping left it unchanged (NaN is not)
     return np.where((xs == x) & (ys == y), vals, -np.inf)
@@ -339,10 +336,7 @@ def match_frame_arrays(
     # projection: skeleton points, subdivided points, then clipped line ends
     cam = world_to_camera(pose_estimate, np.concatenate([skeleton.points, subdivided.points]))
     ends_a, ends_b, projected = clip_segments_to_front(cam[lines[:, 0]], cam[lines[:, 1]])
-    cam = np.concatenate([cam, ends_a, ends_b])
-    front = cam[:, 2] > EPS_DEPTH
-    uv = np.full((cam.shape[0], 2), np.nan)
-    uv[front] = pinhole(k, cam[front])
+    uv = pinhole(k, np.concatenate([cam, ends_a, ends_b]))
     seen = in_view(k, uv)  # false behind the camera, where uv is nan
     uv_sub = uv[n_pts : n_pts + n_sub]
     a2, b2 = uv[n_pts + n_sub :].reshape(2, -1, 2)
@@ -354,11 +348,10 @@ def match_frame_arrays(
     p_match, found = _search_points(pixels, p_cls, uv[p_idx], cfg)
     p_idx, p_cls, p_match = p_idx[found], p_cls[found], p_match[found]
     p_pred = uv[p_idx]
-    if cfg.refine_points:
-        refined = _refine_peaks(frame.point_channels, p_cls, p_match)
-        shift = refined - p_pred
-        # vecdot sums like the 1-D np.linalg.norm, to the bit
-        p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)
+    refined = _refine_peaks(frame.point_channels, p_cls, p_match)
+    shift = refined - p_pred
+    # vecdot sums like the 1-D np.linalg.norm, to the bit
+    p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)
 
     # parallel-line guard: drop samples whose search would run along another
     # same-class line projecting nearly parallel within search range

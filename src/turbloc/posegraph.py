@@ -17,7 +17,7 @@ with respect to each keyframe's local 6-DoF parameterization (translation
 plus quaternion boxplus), solves the block-tridiagonal system in banded
 form, and accepts the step only if the cost on the fixed correspondences
 does not increase (Levenberg-style diagonal damping, never below
-`damping_floor`).  No correspondence outlives its iteration, so `optimize`
+`DAMPING_FLOOR`).  No correspondence outlives its iteration, so `optimize`
 depends only on the keyframes' estimates, measurements and frames.
 
 The graph is single-writer: callers must serialize add_keyframe/optimize.
@@ -47,6 +47,8 @@ from .heatmap import HeatmapFrame
 from .matching import CorrespondenceKind, MatchConfig, match_frame_arrays
 from .turbine import SubdividedModel, TurbineSkeleton
 
+DAMPING_FLOOR = 1e-6  # minimal diagonal damping
+
 
 @dataclass(frozen=True)
 class GraphWeights:
@@ -72,20 +74,17 @@ class SolverConfig:
     # update-norm threshold (m and rad); above the ~0.3 um pose scatter that
     # float32 heatmaps leave at a noise-free optimum
     step_tolerance: float = 1e-6
-    damping_floor: float = 1e-6  # minimal diagonal damping
 
     def __post_init__(self):
         if not isinstance(self.max_iterations, (int, np.integer)) or isinstance(self.max_iterations, bool):
             raise ValueError("max_iterations must be an integer")
-        settings = (self.max_iterations, self.cost_tolerance, self.step_tolerance, self.damping_floor)
+        settings = (self.max_iterations, self.cost_tolerance, self.step_tolerance)
         if not np.all(np.isfinite(settings)):
             raise ValueError("solver settings must be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.cost_tolerance <= 0.0 or self.step_tolerance <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.damping_floor < 0.0:
-            raise ValueError("damping_floor must be non-negative")
 
 
 @dataclass
@@ -118,8 +117,7 @@ class OptimizeReport:
 
 
 # ---------------------------------------------------------------------------
-# residual blocks (batched; single-state wrappers below are used for
-# finite-difference validation)
+# residual blocks
 # ---------------------------------------------------------------------------
 
 def _image_forward(
@@ -198,41 +196,6 @@ def _relative_forward(
     return r, j_cur, j_prev
 
 
-def image_residual(
-    pose: Pose, point3d: np.ndarray, matched: np.ndarray, weight: float, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-correspondence residual and 2x6 Jacobian (for validation)."""
-    r, ok, jac = _image_forward(
-        pose.t[None, :],
-        pose.q[None, :],
-        np.zeros(1, np.int64),
-        np.asarray(point3d, float)[None, :],
-        np.asarray(matched, float)[None, :],
-        np.array([weight], float),
-        k,
-        True,
-    )
-    if not ok[0]:
-        raise ValueError("point is behind the camera")
-    return r[0], jac[0]
-
-
-def relative_residual(
-    current: Pose,
-    previous: Pose,
-    measurement: Pose,
-    sqrt_bt: float,
-    sqrt_br: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-pair residual and 6x6 Jacobians w.r.t. current and previous."""
-    t = np.stack([previous.t, current.t])
-    q = np.stack([previous.q, current.q])
-    r, j_cur, j_prev = _relative_forward(
-        t, q, measurement.t[None, :], measurement.q[None, :], sqrt_bt, sqrt_br, True
-    )
-    return r[0], j_cur[0], j_prev[0]
-
-
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """Sum rows of `values` (m, ...) into n bins given by idx, each bin in row order."""
     flat = values.reshape(values.shape[0], -1)
@@ -281,6 +244,10 @@ class PoseGraph:
 
     def add_keyframe(self, measured_pose: Pose, frame: HeatmapFrame) -> int:
         """Append a keyframe; derive the relative measurement and seed the estimate."""
+        if (frame.width, frame.height) != (self.camera.width, self.camera.height):
+            raise ValueError(
+                f"frame is {frame.width}x{frame.height}, the camera {self.camera.width}x{self.camera.height}"
+            )
         kf_id = len(self.keyframes)
         if kf_id == 0:
             kf = Keyframe(0, measured_pose, None, frame, measured_pose)
@@ -409,7 +376,7 @@ class PoseGraph:
         t = np.array([kf.estimate.t for kf in self.keyframes])
         q = np.array([kf.estimate.q for kf in self.keyframes])
         meas_t, meas_q = self._measurement_arrays()
-        lam = cfg.damping_floor
+        lam = DAMPING_FLOOR
         costs: list[float] = []  # initial cost, then one per accepted step
         termination = "max_iterations"
         iterations = 0
@@ -454,7 +421,7 @@ class PoseGraph:
             t, q = t_new, q_new
             iterations += 1
             costs.append(cost1)
-            lam = max(lam / 3.0, cfg.damping_floor)
+            lam = max(lam / 3.0, DAMPING_FLOOR)
             if float(np.linalg.norm(delta)) < cfg.step_tolerance:
                 termination = "step_tolerance"
                 break

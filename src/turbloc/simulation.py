@@ -33,7 +33,7 @@ from .geometry import (
     quat_from_rotvec,
     relative_pose,
 )
-from .heatmap import MEASUREMENT_SIGMA, HeatmapFrame, render
+from .heatmap import HeatmapFrame, render
 from .matching import MatchConfig
 from .posegraph import GraphWeights, OptimizeReport, PoseGraph, SolverConfig
 from .turbine import TurbineSkeleton, subdivide
@@ -156,19 +156,14 @@ def degrade_measurements(
                 chans = shifted
             if pixel_sigma > 0.0:
                 chans = chans + rng.normal(0.0, pixel_sigma, chans.shape)
-            stacks.append(np.clip(chans, 0.0, 1.0).astype(np.float32))
+            stacks.append(np.clip(chans, 0.0, 1.0))
         out.append(HeatmapFrame(stacks[0], stacks[1]))
     return out
 
 
-def simulate_measurements(
-    truth: Trajectory,
-    skeleton: TurbineSkeleton,
-    k: CameraIntrinsics,
-    sigma: float = MEASUREMENT_SIGMA,
-) -> list[HeatmapFrame]:
+def simulate_measurements(truth: Trajectory, skeleton: TurbineSkeleton, k: CameraIntrinsics) -> list[HeatmapFrame]:
     """Error-free network-output stand-ins: one rendered frame per true pose."""
-    return [render(skeleton, pose, k, sigma=sigma) for pose in truth.poses]
+    return [render(skeleton, pose, k) for pose in truth.poses]
 
 
 def evaluate(optimized: Trajectory, truth: Trajectory) -> ErrorReport:
@@ -272,7 +267,6 @@ def run_sweep(
     match_cfg: MatchConfig | None = None,
     solver_cfg: SolverConfig | None = None,
     seed: int = 0,
-    measurement_sigma: float = MEASUREMENT_SIGMA,
 ) -> SweepReport:
     """Noise-grid experiment: inject, build incrementally, optimize, evaluate.
 
@@ -283,7 +277,7 @@ def run_sweep(
     sigma_r_grid = [float(s) for s in sigma_r_grid]
     if not sigma_t_grid or not sigma_r_grid:
         raise ValueError("noise grid must be non-empty")
-    frames = simulate_measurements(truth, skeleton, k, measurement_sigma)
+    frames = simulate_measurements(truth, skeleton, k)
     weights = weights or GraphWeights()
     match_cfg = match_cfg or MatchConfig()
     solver_cfg = solver_cfg or SolverConfig()

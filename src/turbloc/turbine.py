@@ -113,16 +113,12 @@ class TurbineSkeleton:
         pairs.flags.writeable = False
         return pairs
 
-    def line_endpoints(self, line: SkeletonLine) -> tuple[np.ndarray, np.ndarray]:
-        return self.points[line.start], self.points[line.end]
-
 
 @dataclass(frozen=True)
 class SubdividedModel:
     """Line points sampled at regular intervals, endpoints included."""
 
     points: np.ndarray  # (m, 3)
-    line_classes: np.ndarray  # (m,) LineClass values
     line_ids: np.ndarray  # (m,) index into skeleton.lines; the matcher's guard and row order use it
 
     def __len__(self):
@@ -159,16 +155,11 @@ def subdivide(skeleton: TurbineSkeleton, s_tower: int, s_hub: int, s_blade: int)
     for name, n in (("s_tower", s_tower), ("s_hub", s_hub), ("s_blade", s_blade)):
         if n < 2:
             raise ValueError(f"{name} must be at least 2")
-    points, classes, ids = [], [], []
+    points, ids = [], []
     for line_id, line in enumerate(skeleton.lines):
-        a, b = skeleton.line_endpoints(line)
+        a, b = skeleton.points[line.start], skeleton.points[line.end]
         n = counts[line.line_class]
         frac = np.linspace(0.0, 1.0, n)
         points.append(a[None, :] + frac[:, None] * (b - a)[None, :])
-        classes.append(np.full(n, int(line.line_class), dtype=np.int64))
         ids.append(np.full(n, line_id, dtype=np.int64))
-    return SubdividedModel(
-        np.vstack(points),
-        np.concatenate(classes),
-        np.concatenate(ids),
-    )
+    return SubdividedModel(np.vstack(points), np.concatenate(ids))

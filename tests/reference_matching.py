@@ -9,7 +9,7 @@ the library.
 
 import numpy as np
 
-from turbloc.geometry import EPS_DEPTH, clip_segment_to_front, pinhole, world_to_camera
+from turbloc.geometry import EPS_DEPTH, clip_segments_to_front, pinhole, world_to_camera
 from turbloc.matching import CorrespondenceKind, FrameMatches
 from turbloc.turbine import POINT_CLASSES
 
@@ -163,10 +163,9 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
         matched = match_point(channel, uv, cfg)
         if matched is None:
             continue
-        if cfg.refine_points:
-            refined = refine_peak_subpixel(channel, matched)
-            if np.linalg.norm(refined - uv) <= cfg.r_point:
-                matched = refined
+        refined = refine_peak_subpixel(channel, matched)
+        if np.linalg.norm(refined - uv) <= cfg.r_point:
+            matched = refined
         rows_p3d.append(skeleton.points[idx])
         rows_pred.append(uv)
         rows_match.append(matched)
@@ -177,10 +176,9 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
     cam_sub = world_to_camera(pose_estimate, subdivided.points)
     projected_lines = {}
     for line_id, line in enumerate(skeleton.lines):
-        clipped = clip_segment_to_front(cam_points[line.start], cam_points[line.end])
-        if clipped is None:
-            continue
-        projected_lines[line_id] = (pinhole(k, clipped[0]), pinhole(k, clipped[1]))
+        a, b, in_front = clip_segments_to_front(cam_points[line.start][None], cam_points[line.end][None])
+        if in_front[0]:
+            projected_lines[line_id] = (pinhole(k, a[0]), pinhole(k, b[0]))
 
     sin_guard = np.sin(np.radians(cfg.parallel_guard_deg))
     for line_id, line in enumerate(skeleton.lines):

@@ -4,19 +4,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from turbloc.geometry import (
+    EPS_DEPTH,
     CameraIntrinsics,
     Pose,
     compose,
     geodesic_angle,
-    project,
+    in_view,
+    pinhole,
     quat_angle,
     quat_multiply,
     quat_normalize,
     quat_rotate,
     quaternion_boxplus,
     relative_pose,
+    world_to_camera,
 )
-from turbloc.posegraph import GraphWeights, relative_residual
+from turbloc.posegraph import GraphWeights, _relative_forward
 
 
 def random_pose(rng, scale=10.0):
@@ -179,26 +182,33 @@ class TestRelativePose:
 
 class TestPoseResidual:
     """The relative-pose residual of the pose graph: the estimated offset
-    relative_pose(current, previous) against the measured one."""
+    relative_pose(current, previous) against the measured one.  Each call is
+    one row of `_relative_forward`, over the keyframes (previous, current)."""
 
     IDENTITY = Pose.identity()
 
     def test_zero_for_equal(self):
         rng = np.random.default_rng(1)
         cur, prev = random_pose(rng), random_pose(rng)
-        r, _, _ = relative_residual(cur, prev, relative_pose(cur, prev), 1.0, 1.0)
-        assert np.allclose(r, 0.0, atol=1e-12)
+        meas = relative_pose(cur, prev)
+        r, _, _ = _relative_forward(
+            np.stack([prev.t, cur.t]), np.stack([prev.q, cur.q]), meas.t[None], meas.q[None], 1.0, 1.0, False
+        )
+        assert np.allclose(r[0], 0.0, atol=1e-12)
 
     def test_translation_only(self):
-        prev = Pose([0.1, 0.0, 0.0], [1.0, 0, 0, 0])
-        r, _, _ = relative_residual(self.IDENTITY, prev, self.IDENTITY, 1.0, 1.0)
-        assert np.allclose(r, [0.1, 0, 0, 0, 0, 0], atol=1e-15)
+        # previous at x = 0.1; current and measurement are the identity
+        t = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        q = np.tile(self.IDENTITY.q, (2, 1))
+        r, _, _ = _relative_forward(t, q, np.zeros((1, 3)), q[:1], 1.0, 1.0, False)
+        assert np.allclose(r[0], [0.1, 0, 0, 0, 0, 0], atol=1e-15)
 
     def test_small_rotation_about_z(self):
         # quaternion-product oracle: 2*vec approximates axis-angle for small angles
         half = 0.005
-        prev = Pose([0, 0, 0], [np.cos(half), 0, 0, np.sin(half)])
-        r, _, _ = relative_residual(self.IDENTITY, prev, self.IDENTITY, 1.0, 1.0)
+        q = np.array([Pose([0, 0, 0], [np.cos(half), 0, 0, np.sin(half)]).q, self.IDENTITY.q])
+        r, _, _ = _relative_forward(np.zeros((2, 3)), q, np.zeros((1, 3)), q[1:], 1.0, 1.0, False)
+        r = r[0]
         assert np.allclose(r[:3], 0.0, atol=1e-15)
         assert np.allclose(r[3:], [0.0, 0.0, 2.0 * np.sin(half)], atol=1e-12)
         assert abs(r[5] - 0.00999996) < 1e-7
@@ -214,15 +224,21 @@ class TestPoseResidual:
         cur, prev, moved = random_pose(rng), random_pose(rng), random_pose(rng)
         error = Pose(0.1 * rng.standard_normal(3), quaternion_boxplus(self.IDENTITY.q, 0.1 * rng.standard_normal(3)))
         meas = compose(relative_pose(cur, prev), error)
-        r, _, _ = relative_residual(cur, prev, meas, 1.0, 1.0)
-        r_moved, _, _ = relative_residual(compose(moved, cur), compose(moved, prev), meas, 1.0, 1.0)
-        assert np.allclose(r_moved, r, atol=1e-9)
+        rows = []
+        for a, b in ((prev, cur), (compose(moved, prev), compose(moved, cur))):
+            r, _, _ = _relative_forward(
+                np.stack([a.t, b.t]), np.stack([a.q, b.q]), meas.t[None], meas.q[None], 1.0, 1.0, False
+            )
+            rows.append(r[0])
+        assert np.allclose(rows[1], rows[0], atol=1e-9)
 
     def test_weights_applied(self):
         prev = Pose([0.2, 0.0, 0.0], quaternion_boxplus(self.IDENTITY.q, [0.0, 0.0, 0.01]))
-        r, _, _ = relative_residual(self.IDENTITY, prev, self.IDENTITY, 10.0, 3.0)
-        assert np.isclose(r[0], 2.0)
-        assert np.isclose(r[5], 3.0 * 2.0 * np.sin(0.005))
+        t = np.stack([prev.t, self.IDENTITY.t])
+        q = np.stack([prev.q, self.IDENTITY.q])
+        r, _, _ = _relative_forward(t, q, np.zeros((1, 3)), self.IDENTITY.q[None], 10.0, 3.0, False)
+        assert np.isclose(r[0, 0], 2.0)
+        assert np.isclose(r[0, 5], 3.0 * 2.0 * np.sin(0.005))
 
     def test_rejects_negative_weights(self):
         # the residual's weights are square roots of the graph weights
@@ -234,19 +250,20 @@ class TestPoseResidual:
 class TestProjection:
     def test_optical_axis(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
-        uv = project(Pose.identity(), k, np.array([0.0, 0.0, 1.0]))
+        uv = pinhole(k, world_to_camera(Pose.identity(), np.array([0.0, 0.0, 1.0])))
         assert np.allclose(uv, [50.0, 50.0])
 
     def test_pinhole_equation(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 200, 200)
-        uv = project(Pose.identity(), k, np.array([1.0, 0.0, 2.0]))
+        uv = pinhole(k, world_to_camera(Pose.identity(), np.array([1.0, 0.0, 2.0])))
         assert np.allclose(uv, [100.0, 50.0])
 
     def test_matches_matrix_projection(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
         pose = Pose(np.array([0.0, 0.0, -5.0]), np.array([1.0, 0, 0, 0]))
         point = np.array([0.5, -0.5, 5.0])
-        uv = project(pose, k, point)
+        uv = pinhole(k, world_to_camera(pose, point))
+        assert in_view(k, uv)
         km = np.array([[k.fx, 0, k.cx], [0, k.fy, k.cy], [0, 0, 1.0]])
         m = np.linalg.inv(homogeneous(pose))
         h = km @ (m[:3, :3] @ point + m[:3, 3])
@@ -260,8 +277,8 @@ class TestProjection:
         while hits < 50:
             pose = random_pose(rng, scale=2.0)
             point = 20.0 * rng.standard_normal(3)
-            uv = project(pose, k, point)
-            if uv is None:
+            uv = pinhole(k, world_to_camera(pose, point))
+            if not in_view(k, uv):
                 continue
             m = np.linalg.inv(homogeneous(pose))
             h = km @ (m[:3, :3] @ point + m[:3, 3])
@@ -269,12 +286,29 @@ class TestProjection:
             hits += 1
 
     def test_behind_camera(self):
+        # depth -1, 0 and exactly EPS_DEPTH are behind: NaN, without a
+        # division warning, and never in view; the row in front is untouched
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
-        assert project(Pose.identity(), k, np.array([0.0, 0.0, -1.0])) is None
+        points = np.array([[0.0, 0.0, -1.0], [0.5, 0.0, 0.0], [1e-7, 0.0, EPS_DEPTH], [1.0, 0.0, 2.0]])
+        uv = pinhole(k, points)
+        assert np.all(np.isnan(uv[:3]))
+        assert np.array_equal(uv[3], [100.0, 50.0])
+        assert not in_view(k, uv[:3]).any()
+        assert not in_view(k, np.array([np.nan, 50.0])) and not in_view(k, np.array([50.0, np.nan]))
+        assert np.all(np.isnan(pinhole(k, points[2])))
+
+    def test_just_in_front(self):
+        k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
+        z = np.nextafter(EPS_DEPTH, 1.0)
+        uv = pinhole(k, np.array([1e-7 * z, -2e-7 * z, z]))
+        assert np.all(np.isfinite(uv))
+        assert np.allclose(uv, [50.00001, 49.99998], rtol=0.0, atol=1e-9)
+        assert in_view(k, uv)
 
     def test_outside_bounds(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
-        assert project(Pose.identity(), k, np.array([5.0, 0.0, 1.0])) is None
+        uv = pinhole(k, world_to_camera(Pose.identity(), np.array([5.0, 0.0, 1.0])))
+        assert np.all(np.isfinite(uv)) and not in_view(k, uv)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -284,11 +318,9 @@ class TestProjection:
         pose = random_pose(rng, scale=3.0)
         flipped = Pose(pose.t, -pose.q)
         point = 10.0 * rng.standard_normal(3)
-        a, b = project(pose, k, point), project(flipped, k, point)
-        if a is None:
-            assert b is None
-        else:
-            assert np.allclose(a, b, atol=1e-12)
+        a, b = (pinhole(k, world_to_camera(p, point)) for p in (pose, flipped))
+        assert in_view(k, a) == in_view(k, b)
+        assert np.allclose(a, b, atol=1e-12, equal_nan=True)
 
 
 class TestIntrinsicsValidation:

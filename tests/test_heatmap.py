@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from turbloc.geometry import CameraIntrinsics, Pose, look_at_pose, project, quat_from_rotvec
+from turbloc.geometry import CameraIntrinsics, in_view, look_at_pose, pinhole, world_to_camera
 from turbloc.heatmap import (
     FrameChannelCountError,
     FrameHeaderError,
@@ -13,7 +13,6 @@ from turbloc.heatmap import (
     MEASUREMENT_SIGMA,
     read_frame,
     render,
-    write_debug_images,
     write_frame,
 )
 from turbloc.turbine import LineClass, PointClass, TurbineParams, build_skeleton
@@ -87,8 +86,7 @@ class TestRender:
         sigma = 5.0
         frame = render(skeleton, pose, k, sigma=sigma)
         tower = frame.line_channels[int(LineClass.TOWER)]
-        base = project(pose, k, skeleton.point("tower_base"))
-        top = project(pose, k, skeleton.point("tower_top"))
+        base, top = pinhole(k, world_to_camera(pose, skeleton.points[:2]))
         direction = (top - base) / np.linalg.norm(top - base)
         perp = np.array([-direction[1], direction[0]])
         for f in (0.3, 0.5, 0.7):  # interior of the segment
@@ -123,8 +121,8 @@ class TestRender:
             pose = look_at_pose(eye, centre + rng.normal(0, 0.5, 3))
             frame = render(skeleton, pose, k)
             ch = frame.point_channels[int(PointClass.TOWER_BASE)]
-            uv = project(pose, k, skeleton.point("tower_base"))
-            if uv is None or not ch.any():
+            uv = pinhole(k, world_to_camera(pose, skeleton.point("tower_base")))
+            if not in_view(k, uv) or not ch.any():
                 continue
             peak = np.unravel_index(np.argmax(ch), ch.shape)
             assert peak[1] == int(np.rint(uv[0]))
@@ -193,20 +191,18 @@ class TestFrameIO:
         with pytest.raises(FramePayloadError):
             read_frame(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.tmbt"
+        header = struct.pack("<4sIIII", b"TMBT", 1, 8, 8, 7)
+        path.write_bytes(header + b"\x00" * (7 * 8 * 8 * 4 + 1))
+        with pytest.raises(FramePayloadError):
+            read_frame(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v2.tmbt"
         path.write_bytes(struct.pack("<4sIIII", b"TMBT", 2, 4, 4, 7) + b"\x00" * (7 * 64))
         with pytest.raises(FrameHeaderError):
             read_frame(path)
-
-    def test_debug_images(self, skeleton, tmp_path):
-        k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 128, 128)
-        frame = render(skeleton, face_on_pose(skeleton), k)
-        files = write_debug_images(frame, tmp_path, stem="dbg")
-        assert len(files) == 7
-        blob = files[0].read_bytes()
-        assert blob.startswith(b"P5\n128 128\n255\n")
-        assert len(blob) == len(b"P5\n128 128\n255\n") + 128 * 128
 
 
 class TestFrameType:

@@ -14,12 +14,12 @@ from turbloc.geometry import (
     compose,
     look_at_pose,
     pinhole,
-    project,
     quat_from_rotvec,
     world_to_camera,
 )
 from turbloc.heatmap import HeatmapFrame, pixels_above, render
 from turbloc.matching import (
+    _bilinear,
     _perpendiculars,
     _refine_peaks,
     _search_lines,
@@ -184,6 +184,20 @@ class TestMatchLineSample:
         assert found[0]
         assert np.array_equal(matched[0], [30.0, 25.0])
 
+    def test_one_pixel_wide_and_high_rasters(self):
+        # the +1 neighbour across the raster's single column or row carries
+        # weight 0 and must not be read past the channel's end
+        profile = np.array([0.1, 0.4, 0.9, 0.6, 0.2], dtype=np.float32)
+        along = np.array([0.0, 1.5, 3.25, 3.9, 4.0])
+        for channels, xy in (
+            (profile.reshape(1, 5, 1), np.stack([np.zeros(5), along], axis=1)),
+            (profile.reshape(1, 1, 5), np.stack([along, np.zeros(5)], axis=1)),
+        ):
+            values = _bilinear(channels, FIRST, xy)
+            assert np.allclose(values, np.interp(along, np.arange(5), profile), rtol=0.0, atol=1e-7)
+            off = _bilinear(channels, FIRST, xy[:1] + 0.5)  # beyond the single column or row
+            assert off[0] == -np.inf
+
     def test_brute_force_equivalence_random(self):
         # one call per raster shape, each over 60 channels
         rng = np.random.default_rng(7)
@@ -261,10 +275,11 @@ class TestMatchFrame:
         frame = render(skeleton, true_pose, k)
         m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
         assert len(m)
-        centre_uv = project(pose, k, skeleton.point("blade_centre"))
+        centre_uv = pinhole(k, world_to_camera(pose, skeleton.point("blade_centre")))
+        moved = pinhole(k, world_to_camera(true_pose, m.points3d)) - pinhole(k, world_to_camera(pose, m.points3d))
+        assert np.all(np.isfinite(moved))
         checked = 0
-        for point3d, predicted, matched, kind, line_id in zip(m.points3d, m.predicted, m.matched, m.kinds, m.line_ids):
-            expected = project(true_pose, k, point3d) - project(pose, k, point3d)
+        for predicted, matched, kind, line_id, expected in zip(m.predicted, m.matched, m.kinds, m.line_ids, moved):
             got = matched - predicted
             if kind == CorrespondenceKind.POINT:
                 assert np.linalg.norm(got - expected) <= 1.0
@@ -296,18 +311,13 @@ class TestMatchFrame:
         assert np.all(dist[is_point] <= cfg.r_point)
         assert np.all(dist[~is_point] <= cfg.a_line / 2 + 1e-9)
 
-    def test_pixel_centre_matches_without_refinement(self, scene):
-        skeleton, subdivided, k, pose, _ = scene
-        cfg = MatchConfig(refine_points=False)
-        frame = render(skeleton, pose, k)
-        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        point_matches = m.matched[m.kinds == CorrespondenceKind.POINT]
-        assert point_matches.shape[0] == 6
-        assert np.array_equal(point_matches, np.floor(point_matches))
-
 
 MATCH_FIELDS = ("points3d", "predicted", "matched", "kinds", "class_ids", "line_ids")
-REFERENCE_CONFIGS = [MatchConfig(), MatchConfig(refine_points=False), MatchConfig(parallel_guard_deg=0.0)]
+REFERENCE_CONFIGS = [
+    MatchConfig(),
+    MatchConfig(r_point=24.0, a_line=16.0, k_line=9, s_tower=4, s_hub=2, s_blade=5),
+    MatchConfig(parallel_guard_deg=0.0),
+]
 
 
 def perturbed(pose, rng, sigma_t, sigma_r):
@@ -429,6 +439,22 @@ class TestPixelListCache:
             del dropped
             gc.collect()
             check_reference(skeleton, b, k, render(skeleton, b, k), cfg)
+
+    def test_caller_writes_after_construction(self, scene):
+        # the frame keeps its own copy, so a write to the caller's arrays
+        # changes neither the frame nor its cached list
+        skeleton, _, k, pose, cfg = scene
+        lines = np.zeros((3, k.height, k.width), np.float32)
+        points = np.zeros((4, k.height, k.width), np.float32)
+        frame = HeatmapFrame(lines, points)
+        assert frame.point_pixels_above(cfg.lambda_point).index.size == 0
+        u, v = np.rint(pinhole(k, world_to_camera(pose, skeleton.points[0]))).astype(int)
+        points[0, v, u] = 1.0
+        lines[0, v, u] = 1.0
+        assert frame.is_blank()
+        assert frame.point_pixels_above(cfg.lambda_point).index.size == 0
+        assert len(check_reference(skeleton, pose, k, frame, cfg)) == 0
+        assert len(check_reference(skeleton, pose, k, HeatmapFrame(lines, points), cfg)) > 0
 
     def test_channels_read_only(self, scene):
         skeleton, _, k, pose, _ = scene

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from turbloc.geometry import CameraIntrinsics, Pose, compose, geodesic_angle, project, quat_rotate, relative_pose
+from turbloc.geometry import (
+    CameraIntrinsics,
+    Pose,
+    compose,
+    geodesic_angle,
+    in_view,
+    pinhole,
+    quat_rotate,
+    relative_pose,
+    world_to_camera,
+)
 from turbloc.heatmap import render
 from turbloc.matching import MatchConfig, match_frame_arrays
 from turbloc.posegraph import GraphWeights, SolverConfig
@@ -66,8 +76,7 @@ class TestOrbit:
             angle = 2 * np.pi * i / 4
             expected_eye = centre + 30.0 * np.array([np.cos(angle), np.sin(angle), 0.0])
             assert np.allclose(pose.t, expected_eye, atol=1e-12)
-            uv = project(pose, camera, centre)
-            assert uv is not None
+            assert in_view(camera, pinhole(camera, world_to_camera(pose, centre)))
 
     def test_look_direction_at_blade_centre(self, skeleton):
         traj = generate_orbit_trajectory(skeleton, 25.0, 7)
@@ -89,10 +98,8 @@ class TestOrbit:
     def test_points_in_view(self, skeleton, camera):
         traj = generate_orbit_trajectory(skeleton, 30.0, 36)
         for pose in traj.poses:
-            in_view = sum(
-                project(pose, camera, p) is not None for p in skeleton.points
-            )
-            assert in_view >= 4
+            seen = in_view(camera, pinhole(camera, world_to_camera(pose, skeleton.points)))
+            assert seen.sum() >= 4
 
 
 class TestInjectNoise:

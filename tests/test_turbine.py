@@ -104,7 +104,7 @@ class TestSubdivide:
     def test_uniform_tower_samples(self):
         sk = build_skeleton(make_params())
         sub = subdivide(sk, 3, 2, 2)
-        tower = sub.points[sub.line_classes == int(LineClass.TOWER)]
+        tower = sub.points[sk.line_table[sub.line_ids, 2] == int(LineClass.TOWER)]
         assert np.allclose(tower[:, 2], [0.0, 5.0, 10.0])
 
     def test_counts(self):
@@ -127,7 +127,7 @@ class TestSubdivide:
         sk = build_skeleton(make_params())
         sub = subdivide(sk, 4, 3, 5)
         for line_id, line in enumerate(sk.lines):
-            a, b = sk.line_endpoints(line)
+            a, b = sk.points[line.start], sk.points[line.end]
             samples = sub.points[sub.line_ids == line_id]
             assert np.allclose(samples[0], a)
             assert np.allclose(samples[-1], b)
