@@ -11,7 +11,7 @@ total objective is a sum of squared residuals:
 - per correspondence, the 2-vector reprojection residual weighted by
   sqrt(beta_p) or sqrt(beta_line).
 
-Each outer iteration re-establishes correspondences at the current
+Each outer iteration (pass) re-establishes correspondences at the current
 estimates (ICP-style), builds the normal equations from analytic Jacobians
 with respect to each keyframe's local 6-DoF parameterization (translation
 plus quaternion boxplus), solves the block-tridiagonal system in banded
@@ -19,6 +19,25 @@ form, and accepts the step only if the cost on the fixed correspondences
 does not increase (Levenberg-style diagonal damping, never below
 `DAMPING_FLOOR`).  No correspondence outlives its iteration, so `optimize`
 depends only on the keyframes' estimates, measurements and frames.
+
+`OptimizeReport.termination` says why `optimize` stopped:
+
+- ``step_tolerance``: the accepted step's norm fell below
+  `SolverConfig.step_tolerance`;
+- ``cost_tolerance``: the accepted step changed the cost on its pass's
+  correspondences by at most `SolverConfig.cost_tolerance`, relative;
+- ``stalled``: re-matching stopped making progress.  The cost of the fresh
+  correspondences is not below the previous pass's, and the previous step
+  moved the matched model by less than `STALL_MOTION_PX` (median over the
+  rows with positive weight).  Quantised matches then cycle between
+  correspondence sets and noisy heatmaps random-walk, so further passes
+  change nothing that matters.  The estimates are those of the last step;
+- ``max_iterations``: `SolverConfig.max_iterations` steps were taken
+  without any of the above;
+- ``no_descent``: no damping gave a step that did not raise the cost;
+- ``solve_failure``: no damping gave a solvable, finite system;
+- ``rank_deficient``: no keyframe matched anything, so the global gauge is
+  free and no step is taken.
 
 The graph is single-writer: callers must serialize add_keyframe/optimize.
 """
@@ -48,6 +67,7 @@ from .matching import CorrespondenceKind, MatchConfig, match_frame_arrays
 from .turbine import SubdividedModel, TurbineSkeleton
 
 DAMPING_FLOOR = 1e-6  # minimal diagonal damping
+STALL_MOTION_PX = 0.1  # model motion per pass below which re-matching has stalled
 
 
 @dataclass(frozen=True)
@@ -98,6 +118,12 @@ class Keyframe:
 
 @dataclass
 class OptimizeReport:
+    """What one `optimize` call did.  `termination` says why it stopped:
+    step_tolerance or cost_tolerance (converged), stalled (re-matching made
+    no progress), max_iterations (the cap), or no_descent, solve_failure or
+    rank_deficient (no step could be taken); the module docstring defines
+    each label."""
+
     iterations: int
     initial_cost: float
     final_cost: float
@@ -194,6 +220,15 @@ def _relative_forward(
         "nij,njk->nik", w_e[:, None, None] * eye - skew(v_e), quat_to_matrix(q_hat)
     )
     return r, j_cur, j_prev
+
+
+def _median_motion(r_old: np.ndarray, r_new: np.ndarray, w: np.ndarray) -> float:
+    """Median image motion (px) between weighted residuals (m, 2) of the same
+    rows, over the rows with weight > 0; inf when there are none."""
+    live = w > 0.0
+    if not live.any():
+        return np.inf
+    return float(np.median(np.linalg.norm(r_new[live] - r_old[live], axis=1) / w[live]))
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -293,21 +328,24 @@ class PoseGraph:
 
     # -- cost -----------------------------------------------------------------
 
-    def _cost_of(self, t, q, stacked: _Stacked, meas_t, meas_q) -> float:
+    def _cost_of(self, t, q, stacked: _Stacked, meas_t, meas_q) -> tuple[float, np.ndarray]:
+        """Objective at (t, q) on the rows `stacked`, and their weighted image
+        residuals (m, 2); the cost is inf if a row lies behind its camera."""
         sqrt_bt = np.sqrt(self.weights.beta_t)
         sqrt_br = np.sqrt(self.weights.beta_rot)
         cost = 0.0
+        r_img = np.zeros((0, 2))
         if stacked.count:
-            r, ok, _ = _image_forward(
+            r_img, ok, _ = _image_forward(
                 t, q, stacked.kf_idx, stacked.points3d, stacked.matched, stacked.weights, self.camera, False
             )
             if not ok.all():
-                return np.inf
-            cost += float(np.sum(r * r))
+                return np.inf, r_img
+            cost += float(np.sum(r_img * r_img))
         if meas_t.shape[0]:
             r, _, _ = _relative_forward(t, q, meas_t, meas_q, sqrt_bt, sqrt_br, False)
             cost += float(np.sum(r * r))
-        return cost
+        return cost, r_img
 
     def total_cost(self) -> float:
         """Re-match all frames at the current estimates and evaluate the
@@ -317,7 +355,7 @@ class PoseGraph:
         t = np.array([kf.estimate.t for kf in self.keyframes])
         q = np.array([kf.estimate.q for kf in self.keyframes])
         meas_t, meas_q = self._measurement_arrays()
-        return self._cost_of(t, q, self._match(t, q), meas_t, meas_q)
+        return self._cost_of(t, q, self._match(t, q), meas_t, meas_q)[0]
 
     # -- Gauss-Newton ----------------------------------------------------------
 
@@ -327,15 +365,16 @@ class PoseGraph:
         h_off = np.zeros((max(n - 1, 0), 6, 6))
         g = np.zeros((n, 6))
         cost = 0.0
+        r_img = np.zeros((0, 2))
         if stacked.count:
             # no depth check: every row was matched in view at these same
             # estimates, so it lies in front of the camera
-            r, _, jac = _image_forward(
+            r_img, _, jac = _image_forward(
                 t, q, stacked.kf_idx, stacked.points3d, stacked.matched, stacked.weights, self.camera, True
             )
-            cost += float(np.sum(r * r))
+            cost += float(np.sum(r_img * r_img))
             jj = np.einsum("mka,mkb->mab", jac, jac)
-            jr = np.einsum("mka,mk->ma", jac, r)
+            jr = np.einsum("mka,mk->ma", jac, r_img)
             h_diag += _segment_sum(jj, stacked.kf_idx, n)
             g += _segment_sum(jr, stacked.kf_idx, n)
         if n > 1:
@@ -348,7 +387,7 @@ class PoseGraph:
             h_off += np.einsum("ikp,ikq->ipq", j_prev, j_cur)
             g[1:] += np.einsum("ikp,ik->ip", j_cur, r)
             g[:-1] += np.einsum("ikp,ik->ip", j_prev, r)
-        return h_diag, h_off, g, cost
+        return h_diag, h_off, g, cost, r_img
 
     @staticmethod
     def _solve_banded(h_diag, h_off, g, damping):
@@ -381,6 +420,8 @@ class PoseGraph:
         termination = "max_iterations"
         iterations = 0
         n_corr = 0
+        prev_cost0 = np.inf  # cost of the previous pass's fresh correspondences
+        motion = np.inf  # median image motion (px) of the last accepted step
 
         for _ in range(cfg.max_iterations):
             stacked = self._match(t, q)
@@ -388,12 +429,17 @@ class PoseGraph:
             if n_corr == 0:
                 # only relative constraints remain: the global gauge is free
                 if not costs:
-                    costs.append(self._cost_of(t, q, stacked, meas_t, meas_q))
+                    costs.append(self._cost_of(t, q, stacked, meas_t, meas_q)[0])
                 termination = "rank_deficient"
                 break
-            h_diag, h_off, g, cost0 = self._normal_equations(t, q, stacked, meas_t, meas_q)
+            h_diag, h_off, g, cost0, r0 = self._normal_equations(t, q, stacked, meas_t, meas_q)
             if not costs:
                 costs.append(cost0)
+            # the matcher is stateless, so cost0 is one function of the
+            # estimates and comparable across passes
+            if cost0 >= prev_cost0 and motion < STALL_MOTION_PX:
+                termination = "stalled"
+                break
 
             accepted = False
             solved = False
@@ -409,7 +455,7 @@ class PoseGraph:
                 solved = True
                 t_new = t + delta[:, :3]
                 q_new = quaternion_boxplus(q, delta[:, 3:])
-                cost1 = self._cost_of(t_new, q_new, stacked, meas_t, meas_q)
+                cost1, r1 = self._cost_of(t_new, q_new, stacked, meas_t, meas_q)
                 if np.isfinite(cost1) and cost1 <= cost0:
                     accepted = True
                     break
@@ -421,6 +467,8 @@ class PoseGraph:
             t, q = t_new, q_new
             iterations += 1
             costs.append(cost1)
+            prev_cost0 = cost0
+            motion = _median_motion(r0, r1, stacked.weights)
             lam = max(lam / 3.0, DAMPING_FLOOR)
             if float(np.linalg.norm(delta)) < cfg.step_tolerance:
                 termination = "step_tolerance"

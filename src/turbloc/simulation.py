@@ -38,7 +38,7 @@ from .matching import MatchConfig
 from .posegraph import GraphWeights, OptimizeReport, PoseGraph, SolverConfig
 from .turbine import TurbineSkeleton, subdivide
 
-NORMAL_TERMINATIONS = ("step_tolerance", "cost_tolerance", "max_iterations")
+NORMAL_TERMINATIONS = ("step_tolerance", "cost_tolerance", "stalled")
 
 
 class TrajectoryFormatError(ValueError):

@@ -36,12 +36,15 @@ def _bilinear_scalar(channel, x, y):
     y0 = min(int(y), h - 2) if h > 1 else 0
     fx = x - x0
     fy = y - y0
+    # the +1 neighbour only where the raster has one; on a 1 px wide or
+    # high channel its weight is 0
+    dx, dy = min(w - 1, 1), min(h - 1, 1)
     c = channel
     return (
         c[y0, x0] * (1.0 - fx) * (1.0 - fy)
-        + c[y0, x0 + 1] * fx * (1.0 - fy)
-        + c[y0 + 1, x0] * (1.0 - fx) * fy
-        + c[y0 + 1, x0 + 1] * fx * fy
+        + c[y0, x0 + dx] * fx * (1.0 - fy)
+        + c[y0 + dy, x0] * (1.0 - fx) * fy
+        + c[y0 + dy, x0 + dx] * fx * fy
     )
 
 

@@ -63,12 +63,15 @@ def _bilinear_batch(channel, xy):
     y0 = np.minimum(ys.astype(np.int64), h - 2) if h > 1 else np.zeros_like(ys, np.int64)
     fx = xs - x0
     fy = ys - y0
+    # the +1 neighbour only where the raster has one; on a 1 px wide or
+    # high channel its weight is 0
+    dx, dy = min(w - 1, 1), min(h - 1, 1)
     c = channel
     vals = (
         c[y0, x0] * (1.0 - fx) * (1.0 - fy)
-        + c[y0, x0 + 1] * fx * (1.0 - fy)
-        + c[y0 + 1, x0] * (1.0 - fx) * fy
-        + c[y0 + 1, x0 + 1] * fx * fy
+        + c[y0, x0 + dx] * fx * (1.0 - fy)
+        + c[y0 + dy, x0] * (1.0 - fx) * fy
+        + c[y0 + dy, x0 + dx] * fx * fy
     )
     return vals.astype(float), valid
 

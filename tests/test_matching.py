@@ -198,6 +198,24 @@ class TestMatchLineSample:
             off = _bilinear(channels, FIRST, xy[:1] + 0.5)  # beyond the single column or row
             assert off[0] == -np.inf
 
+    def test_one_pixel_rasters_match_the_oracles(self):
+        # the brute-force oracle and the reference matcher read (5, 1) and
+        # (1, 5) channels as `_search_lines` does
+        profile = np.array([0.1, 0.4, 0.9, 0.6, 0.2], dtype=np.float32)
+        cfg = MatchConfig(a_line=4.0, k_line=9)
+        along = np.array([0.0, 1.3, 2.5, 3.6, 4.0])
+        for channel, predicted, perp in (
+            (profile.reshape(5, 1), np.stack([np.zeros(5), along], axis=1), np.array([0.0, 1.0])),
+            (profile.reshape(1, 5), np.stack([along, np.zeros(5)], axis=1), np.array([1.0, 0.0])),
+        ):
+            matched, found = _search_lines(channel[None], np.zeros(5, np.int64), predicted, np.tile(perp, (5, 1)), cfg)
+            want, want_found = reference_matching._match_line_rows(channel, predicted, perp, cfg)
+            assert found.all() and np.array_equal(want_found, found)
+            assert np.array_equal(want, matched)
+            for i in range(5):
+                oracle = brute_force_line_sample(channel, predicted[i], perp, cfg.a_line, cfg.k_line, cfg.lambda_line)
+                assert np.array_equal(oracle, matched[i])
+
     def test_brute_force_equivalence_random(self):
         # one call per raster shape, each over 60 channels
         rng = np.random.default_rng(7)

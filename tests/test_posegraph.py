@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from turbloc.geometry import (
 )
 from turbloc.heatmap import HeatmapFrame, render
 from turbloc import posegraph
-from turbloc.matching import MatchConfig, match_frame_arrays
+from turbloc.matching import CorrespondenceKind, FrameMatches, MatchConfig, match_frame_arrays
 from turbloc.posegraph import (
     GraphWeights,
     OptimizeReport,
@@ -66,6 +67,45 @@ def orbit_pose(skeleton, azimuth_rad, radius=30.0):
     centre = skeleton.point("blade_centre")
     eye = centre + radius * np.array([math.cos(azimuth_rad), math.sin(azimuth_rad), 0.0])
     return look_at_pose(eye, centre)
+
+
+def with_outlier(m):
+    """`m` plus a copy of its first point row, matched 1000 px away."""
+    i = np.flatnonzero(m.kinds == int(CorrespondenceKind.POINT))[:1]
+    return FrameMatches(
+        points3d=np.concatenate([m.points3d, m.points3d[i]]),
+        predicted=np.concatenate([m.predicted, m.predicted[i]]),
+        matched=np.concatenate([m.matched, m.matched[i] + 1000.0]),
+        kinds=np.concatenate([m.kinds, m.kinds[i]]),
+        class_ids=np.concatenate([m.class_ids, m.class_ids[i]]),
+        line_ids=np.concatenate([m.line_ids, m.line_ids[i]]),
+    )
+
+
+def outlier_on_second_call(monkeypatch):
+    """Make the second matcher call add an outlier row, so that on a
+    one-keyframe graph pass 2's fresh cost rises above pass 1's.  Returns the
+    matcher calls and each pass's fresh cost, as they happen."""
+    calls, cost0s = [], []
+
+    def matcher(*args):
+        calls.append(args[4])
+        m = match_frame_arrays(*args)
+        return with_outlier(m) if len(calls) == 2 else m
+
+    normal_equations = PoseGraph._normal_equations
+
+    def spy(self, *args):
+        out = normal_equations(self, *args)
+        cost0s.append(out[3])
+        return out
+
+    monkeypatch.setattr(posegraph, "match_frame_arrays", matcher)
+    monkeypatch.setattr(PoseGraph, "_normal_equations", spy)
+    return calls, cost0s
+
+
+DELTA = np.array([0.15, -0.1, 0.1, 0.01, 0.02, -0.01])
 
 
 def truth_graph(scene, azimuths, perturb=None, blank=(), weights=None):
@@ -385,6 +425,55 @@ class TestOptimize:
         assert report.termination == "max_iterations"
         frames = [kf.frame for kf in graph.keyframes]
         assert calls == frames * cfg.max_iterations
+
+    @pytest.mark.parametrize("scale, stalls", [(1e-4, True), (1.0, False)])
+    def test_stall_needs_a_small_step(self, scene, monkeypatch, scale, stalls):
+        # a rising fresh cost stops the call only after a step that moved the
+        # model by < 0.1 px: 1e-4 of DELTA moves it by ~1e-3 px, DELTA by pixels
+        graph, _ = truth_graph(scene, [0.3], perturb={0: scale * DELTA})
+        calls, cost0s = outlier_on_second_call(monkeypatch)
+        report = graph.optimize(SolverConfig())
+        assert cost0s[1] > cost0s[0]
+        if stalls:
+            assert report.termination == "stalled" and report.iterations == 1
+        else:
+            assert report.termination != "stalled" and report.iterations >= 2
+        # a stalled call re-matches once more than it steps
+        assert len(calls) == report.iterations + (report.termination == "stalled")
+
+    def test_zero_weight_rows_left_out_of_the_motion(self, scene, monkeypatch):
+        # with beta_line = 0 the line rows weigh nothing: the point rows alone
+        # measure the motion, and no row is divided by its zero weight
+        graph, _ = truth_graph(scene, [0.3], perturb={0: 1e-4 * DELTA}, weights=GraphWeights(beta_line=0.0))
+        outlier_on_second_call(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = graph.optimize(SolverConfig())
+        assert report.termination == "stalled" and report.iterations == 1
+
+    def test_no_stall_without_a_weighted_row(self, scene):
+        rng = np.random.default_rng(5)
+        r_old, r_new = rng.normal(size=(2, 3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert posegraph._median_motion(r_old, r_new, np.zeros(3)) == np.inf
+            mixed = posegraph._median_motion(r_old, r_new, np.array([0.0, 2.0, 0.5]))
+            # frames whose only rows are lines, weighted 0
+            graph, _ = truth_graph(scene, [0.2, 0.5], perturb={1: DELTA}, weights=GraphWeights(beta_line=0.0))
+            for kf in graph.keyframes:
+                kf.frame = HeatmapFrame(kf.frame.line_channels, np.zeros_like(kf.frame.point_channels))
+            report = graph.optimize(SolverConfig())
+        assert mixed == np.median(np.linalg.norm(r_new[1:] - r_old[1:], axis=1) / [2.0, 0.5])
+        assert report.termination in ("step_tolerance", "cost_tolerance")
+
+    def test_clean_incremental_flight_never_reaches_the_cap(self, scene):
+        skeleton, _, k, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 12)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        frames = simulate_measurements(truth, skeleton, k)
+        _, reports = build_and_optimize(noisy, frames, skeleton, k, GraphWeights(), cfg, SolverConfig())
+        terminations = [r.termination for r in reports]
+        assert "max_iterations" not in terminations and "stalled" in terminations
 
     def test_empty_graph_raises(self, scene):
         skeleton, subdivided, k, cfg = scene

@@ -269,6 +269,14 @@ class TestSweep:
         assert cell.pre.mean_translation_error < 1e-12
         assert cell.post.mean_translation_error < 1e-6
 
+    def test_cap_hit_flagged(self, skeleton, camera):
+        truth = generate_orbit_trajectory(skeleton, 30.0, 6)
+        report = run_sweep(
+            truth, skeleton, camera, [0.05], [3.0 * DEG], seed=1,
+            solver_cfg=SolverConfig(max_iterations=1),
+        )
+        assert report.cells[0].status == "max_iterations"
+
     def test_noise_reduced_small_grid(self, skeleton, camera):
         truth = generate_orbit_trajectory(skeleton, 30.0, 24)
         report = run_sweep(

@@ -68,7 +68,8 @@ def test_traced_flight(tmp_path):
             path = tmp_path / f"kf{i}.tmbt"
             turbloc.heatmap.write_frame(frame, path)
             graph.add_keyframe(pose, turbloc.heatmap.read_frame(path))
-            graph.optimize(SolverConfig(max_iterations=4))
+            # 8 passes: the first call stalls, the later ones reach the cap
+            graph.optimize(SolverConfig(max_iterations=8))
         sim.evaluate(sim.Trajectory(truth.timestamps, tuple(graph.estimates())), truth)
         metrics = tracer.layer_metrics((0, 0), 1)
     finally:
@@ -81,6 +82,7 @@ def test_traced_flight(tmp_path):
     names = [span["name"] for span in tracer.spans]
     optimize = [span["info"] for span in tracer.spans if span["name"] == "posegraph.optimize"]
     assert [info["keyframes"] for info in optimize] == [1, 2, 3]
+    assert {"stalled", "max_iterations"} <= {info["termination"] for info in optimize}
     assert names.count("matching.match_frame_arrays") == sum(info["keyframes"] * passes(info) for info in optimize)
     for name, count in (
         ("posegraph.add_keyframe", 3),
