@@ -34,31 +34,45 @@ EPS_DEPTH = 1e-6
 # quaternion algebra (all functions broadcast over leading axes)
 # ---------------------------------------------------------------------------
 
+def _components(x) -> np.ndarray:
+    """x as a float array with its last axis moved first, so unpacking it
+    yields the components: numpy scalars for a single vector, whose
+    arithmetic is several times cheaper than that of 0-d arrays."""
+    x = np.asarray(x, dtype=float)
+    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
+
+
+def _stack_last(parts) -> np.ndarray:
+    """np.stack(parts, axis=-1) for parts of one shape, without its cost
+    for scalars."""
+    out = np.empty(np.shape(parts[0]) + (len(parts),))
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Unit quaternion with non-negative scalar part."""
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(n)) or np.any(n == 0.0):
+    if not (np.isfinite(n).all() and n.all()):
         raise ValueError("cannot normalize a zero or non-finite quaternion")
     q = q / n
-    sign = np.where(q[..., :1] < 0.0, -1.0, 1.0)
-    return q * sign
+    return np.negative(q, out=q, where=q[..., :1] < 0.0)
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    aw, ax, ay, az = _components(a)
+    bw, bx, by, bz = _components(b)
     # w = aw bw - av.bv, v = aw bv + bw av + av x bv, written out per component
     # in the order np.sum / np.cross evaluate them, so results are bit-identical
-    return np.stack([
+    return _stack_last((
         aw * bw - (ax * bx + ay * by + az * bz),
         aw * bx + bw * ax + (ay * bz - az * by),
         aw * by + bw * ay + (az * bx - ax * bz),
         aw * bz + bw * az + (ax * by - ay * bx),
-    ], axis=-1)
+    ))
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -69,19 +83,17 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the rotation R(q) to 3-vectors v."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w, ux, uy, uz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    w, ux, uy, uz = _components(q)
+    vx, vy, vz = _components(v)
     # v + w t + u x t with t = 2 u x v, cross products written out per component
     tx = 2.0 * (uy * vz - uz * vy)
     ty = 2.0 * (uz * vx - ux * vz)
     tz = 2.0 * (ux * vy - uy * vx)
-    return np.stack([
+    return _stack_last((
         vx + w * tx + (uy * tz - uz * ty),
         vy + w * ty + (uz * tx - ux * tz),
         vz + w * tz + (ux * ty - uy * tx),
-    ], axis=-1)
+    ))
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:

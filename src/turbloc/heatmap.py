@@ -92,6 +92,8 @@ class HeatmapFrame:
             raise ValueError("expected 4 point channels")
         if lines.shape[1:] != points.shape[1:]:
             raise ValueError("line and point channels must share the image size")
+        if lines.size == 0:
+            raise ValueError("channels must have at least one pixel")
         lines.flags.writeable = False
         points.flags.writeable = False
         object.__setattr__(self, "line_channels", lines)
@@ -105,16 +107,6 @@ class HeatmapFrame:
     def width(self) -> int:
         return self.line_channels.shape[2]
 
-    @staticmethod
-    def zeros(width: int, height: int) -> "HeatmapFrame":
-        return HeatmapFrame(
-            np.zeros((N_LINE_CHANNELS, height, width), dtype=np.float32),
-            np.zeros((N_POINT_CHANNELS, height, width), dtype=np.float32),
-        )
-
-    def is_blank(self) -> bool:
-        return not (self.line_channels.any() or self.point_channels.any())
-
     def point_pixels_above(self, threshold: float) -> PixelList:
         """`pixels_above(point_channels, threshold)`, built on the first call
         per threshold and kept with the frame."""
@@ -124,17 +116,30 @@ class HeatmapFrame:
         return pixels
 
 
-def _paint_gaussian_point(channel: np.ndarray, u: float, v: float, sigma: float) -> None:
+def _window(a, b, sigma: float, origin: tuple, shape: tuple) -> tuple[int, int, int, int]:
+    """Pixel box (x0, x1, y0, y1) within the truncation radius of the 2D
+    segment a-b (a point when a equals b), clipped to the `shape` pixels from
+    row, column `origin` on; empty when x0 > x1 or y0 > y1."""
+    r = TRUNCATION_SIGMAS * sigma
+    (oy, ox), (h, w) = origin, shape
+    return (
+        max(int(np.ceil(min(a[0], b[0]) - r)), ox),
+        min(int(np.floor(max(a[0], b[0]) + r)), ox + w - 1),
+        max(int(np.ceil(min(a[1], b[1]) - r)), oy),
+        min(int(np.floor(max(a[1], b[1]) + r)), oy + h - 1),
+    )
+
+
+def _paint_gaussian_point(canvas: np.ndarray, origin: tuple, u: float, v: float, sigma: float) -> None:
     """Max-compose an isotropic Gaussian centred at the sub-pixel (u, v).
 
-    The profile is anchored so the pixel nearest the centre reads exactly
-    1.0: same-class peaks then tie exactly inside overlapping search
-    windows, which the matcher resolves by distance to the prediction.
+    `canvas` holds the image pixels from row, column `origin` on; (u, v) and
+    the pixel grid stay in image coordinates.  The profile is anchored so the
+    pixel nearest the centre reads exactly 1.0: same-class peaks then tie
+    exactly inside overlapping search windows, which the matcher resolves by
+    distance to the prediction.
     """
-    h, w = channel.shape
-    r = TRUNCATION_SIGMAS * sigma
-    x0, x1 = max(int(np.ceil(u - r)), 0), min(int(np.floor(u + r)), w - 1)
-    y0, y1 = max(int(np.ceil(v - r)), 0), min(int(np.floor(v + r)), h - 1)
+    x0, x1, y0, y1 = _window((u, v), (u, v), sigma, origin, canvas.shape)
     if x0 > x1 or y0 > y1:
         return
     xs = np.arange(x0, x1 + 1, dtype=float) - u
@@ -142,37 +147,66 @@ def _paint_gaussian_point(channel: np.ndarray, u: float, v: float, sigma: float)
     d2 = ys[:, None] ** 2 + xs[None, :] ** 2
     d2_min = (np.rint(v) - v) ** 2 + (np.rint(u) - u) ** 2
     vals = np.exp(-(d2 - d2_min) / (2.0 * sigma * sigma))
-    vals[d2 > r * r] = 0.0
-    np.maximum(channel[y0 : y1 + 1, x0 : x1 + 1], vals, out=channel[y0 : y1 + 1, x0 : x1 + 1])
-
-
-def _paint_gaussian_segment(channel: np.ndarray, a: np.ndarray, b: np.ndarray, sigma: float) -> None:
-    """Max-compose a Gaussian ridge along the 2D segment a-b."""
-    h, w = channel.shape
     r = TRUNCATION_SIGMAS * sigma
-    x0 = max(int(np.ceil(min(a[0], b[0]) - r)), 0)
-    x1 = min(int(np.floor(max(a[0], b[0]) + r)), w - 1)
-    y0 = max(int(np.ceil(min(a[1], b[1]) - r)), 0)
-    y1 = min(int(np.floor(max(a[1], b[1]) + r)), h - 1)
+    vals[d2 > r * r] = 0.0
+    oy, ox = origin
+    window = canvas[y0 - oy : y1 - oy + 1, x0 - ox : x1 - ox + 1]
+    np.maximum(window, vals, out=window)
+
+
+def _paint_gaussian_segment(canvas: np.ndarray, origin: tuple, a: np.ndarray, b: np.ndarray, sigma: float) -> None:
+    """Max-compose a Gaussian ridge along the 2D segment a-b; a segment
+    shorter than 1e-9 px is painted as the point a.  `canvas` and `origin`
+    as for `_paint_gaussian_point`."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom < 1e-18:
+        _paint_gaussian_point(canvas, origin, a[0], a[1], sigma)
+        return
+    x0, x1, y0, y1 = _window(a, b, sigma, origin, canvas.shape)
     if x0 > x1 or y0 > y1:
         return
     xs = np.arange(x0, x1 + 1, dtype=float)
     ys = np.arange(y0, y1 + 1, dtype=float)
     px = np.broadcast_to(xs[None, :], (ys.size, xs.size))
     py = np.broadcast_to(ys[:, None], (ys.size, xs.size))
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-18:
-        _paint_gaussian_point(channel, a[0], a[1], sigma)
-        return
     t = ((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom
     np.clip(t, 0.0, 1.0, out=t)
     dx = px - (a[0] + t * ab[0])
     dy = py - (a[1] + t * ab[1])
     d2 = dx * dx + dy * dy
     vals = np.exp(-d2 / (2.0 * sigma * sigma))
+    r = TRUNCATION_SIGMAS * sigma
     vals[d2 > r * r] = 0.0
-    np.maximum(channel[y0 : y1 + 1, x0 : x1 + 1], vals, out=channel[y0 : y1 + 1, x0 : x1 + 1])
+    oy, ox = origin
+    window = canvas[y0 - oy : y1 - oy + 1, x0 - ox : x1 - ox + 1]
+    np.maximum(window, vals, out=window)
+
+
+def _render_stack(channels: list, k: CameraIntrinsics, sigma: float) -> np.ndarray:
+    """(len(channels), H, W) float32 stack; channels[c] lists the (a, b)
+    segments of channel c, a point feature being the segment (uv, uv).
+
+    Each channel is painted in float64 only inside the box that holds its
+    features' windows (clipped to the raster), normalised to peak 1 there,
+    and stored into a zeroed float32 plane.
+    """
+    stack = np.zeros((len(channels), k.height, k.width), dtype=np.float32)
+    for c, features in enumerate(channels):
+        boxes = [_window(a, b, sigma, (0, 0), (k.height, k.width)) for a, b in features]
+        boxes = [box for box in boxes if box[0] <= box[1] and box[2] <= box[3]]
+        if not boxes:
+            continue
+        x0, y0 = min(box[0] for box in boxes), min(box[2] for box in boxes)
+        x1, y1 = max(box[1] for box in boxes), max(box[3] for box in boxes)
+        canvas = np.zeros((y1 - y0 + 1, x1 - x0 + 1))
+        for a, b in features:
+            _paint_gaussian_segment(canvas, (y0, x0), a, b, sigma)
+        m = canvas.max()
+        if m > 0.0:
+            canvas /= m
+        stack[c, y0 : y1 + 1, x0 : x1 + 1] = canvas
+    return stack
 
 
 def render(
@@ -181,29 +215,26 @@ def render(
     k: CameraIntrinsics,
     sigma: float = MEASUREMENT_SIGMA,
 ) -> HeatmapFrame:
-    """Render the skeleton seen from `pose` into a heatmap frame."""
+    """Render the skeleton seen from `pose` into a heatmap frame.
+
+    Each channel is painted and normalised inside the box that holds its
+    features; the rest of the plane is 0.
+    """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    lines = np.zeros((N_LINE_CHANNELS, k.height, k.width), dtype=float)
-    points = np.zeros((N_POINT_CHANNELS, k.height, k.width), dtype=float)
-
     cam = world_to_camera(pose, skeleton.points)
     uv = pinhole(k, cam)
+    points = [[] for _ in range(N_POINT_CHANNELS)]
     for idx in np.flatnonzero(in_view(k, uv)):
-        _paint_gaussian_point(points[int(POINT_CLASSES[idx])], uv[idx, 0], uv[idx, 1], sigma)
+        points[int(POINT_CLASSES[idx])].append((uv[idx], uv[idx]))
 
     table = skeleton.line_table
     ends_a, ends_b, in_front = clip_segments_to_front(cam[table[:, 0]], cam[table[:, 1]])
     a2, b2 = pinhole(k, ends_a), pinhole(k, ends_b)
+    lines = [[] for _ in range(N_LINE_CHANNELS)]
     for i in np.flatnonzero(in_front):
-        _paint_gaussian_segment(lines[table[i, 2]], a2[i], b2[i], sigma)
-
-    for stack in (lines, points):
-        for c in range(stack.shape[0]):
-            m = stack[c].max()
-            if m > 0.0:
-                stack[c] /= m
-    return HeatmapFrame(lines, points)
+        lines[table[i, 2]].append((a2[i], b2[i]))
+    return HeatmapFrame(_render_stack(lines, k, sigma), _render_stack(points, k, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +247,11 @@ _HEADER = struct.Struct("<4sIIII")
 
 
 def write_frame(frame: HeatmapFrame, path) -> None:
-    data = _HEADER.pack(MAGIC, FORMAT_VERSION, frame.width, frame.height, N_CHANNELS)
-    payload = np.concatenate([frame.line_channels, frame.point_channels], axis=0)
     with open(path, "wb") as fh:
-        fh.write(data)
-        fh.write(payload.astype("<f4").tobytes())
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, frame.width, frame.height, N_CHANNELS))
+        for stack in (frame.line_channels, frame.point_channels):
+            # a frame's own float32 stacks are written without a copy
+            fh.write(np.ascontiguousarray(stack, dtype="<f4"))
 
 
 def read_frame(path) -> HeatmapFrame:
@@ -233,6 +264,8 @@ def read_frame(path) -> HeatmapFrame:
         raise FrameHeaderError(f"{path}: bad magic bytes {magic!r}")
     if version != FORMAT_VERSION:
         raise FrameHeaderError(f"{path}: unsupported format version {version}")
+    if width == 0 or height == 0:
+        raise FrameHeaderError(f"{path}: header declares an empty {width}x{height} image")
     if channels != N_CHANNELS:
         raise FrameChannelCountError(f"{path}: expected {N_CHANNELS} channels, header says {channels}")
     expected = N_CHANNELS * width * height * 4

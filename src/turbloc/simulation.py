@@ -7,11 +7,11 @@ rotation angle ~ N(0, sigma_r^2) about a uniformly random axis), so the
 absolute error starts near zero and accumulates over the flight.  Image
 measurements are rendered at the ground-truth poses and are error free.
 
-Randomness is fully reproducible: every noise step draws from its own
-PCG64 stream spawned from the spec seed (7 normal draws per step, in the
-order translation xyz, angle, axis xyz), and each sweep cell derives its
-own seed from the root seed and the cell index, so extending the grid
-never changes earlier cells.
+Randomness is fully reproducible: every noise step draws its 7 normals
+(translation xyz, angle, axis xyz, in that order) from its own PCG64 stream
+spawned from the spec seed, and each sweep cell derives its own seed from
+the root seed and the cell index, so extending the grid never changes
+earlier cells.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    compose,
     geodesic_angle,
     look_at_pose,
+    quat_conjugate,
     quat_from_rotvec,
-    relative_pose,
+    quat_multiply,
+    quat_normalize,
+    quat_rotate,
 )
 from .heatmap import HeatmapFrame, render
 from .matching import MatchConfig
@@ -112,25 +114,40 @@ def generate_orbit_trajectory(
     return Trajectory(np.arange(n_keyframes, dtype=float) / hz, tuple(poses))
 
 
-def _step_perturbation(rng: np.random.Generator, sigma_t: float, sigma_r: float) -> Pose:
-    dt = sigma_t * rng.standard_normal(3)
-    angle = sigma_r * rng.standard_normal()
-    axis = rng.standard_normal(3)
-    norm = np.linalg.norm(axis)
-    axis = axis / norm if norm > 1e-12 else np.array([1.0, 0.0, 0.0])
-    return Pose(dt, quat_from_rotvec(angle * axis))
-
-
 def inject_noise(truth: Trajectory, spec: NoiseSpec) -> Trajectory:
-    """Random-walk noisy version of a trajectory; deterministic given the seed."""
+    """Random-walk noisy version of a trajectory; deterministic given the seed.
+
+    Step i's relative transform (`relative_pose` of poses i and i+1) is
+    composed with its perturbation, and the noisy poses chain these noisy
+    steps from the first true pose.  The steps are computed as arrays; only
+    the chain is a loop, because each pose depends on the one before.
+    """
     if spec.sigma_t == 0.0 and spec.sigma_r == 0.0:
         return Trajectory(truth.timestamps, truth.poses)
+    t = np.array([p.t for p in truth.poses])
+    q = np.array([p.q for p in truth.poses])
+    q_inv = quat_conjugate(q[:-1])
+    step_t = quat_rotate(q_inv, t[1:] - t[:-1])
+    step_q = quat_normalize(quat_multiply(q_inv, q[1:]))
+
     streams = np.random.SeedSequence(spec.seed).spawn(len(truth) - 1)
+    draws = np.array([np.random.default_rng(s).standard_normal(7) for s in streams])
+    dt = spec.sigma_t * draws[:, :3]
+    angle = spec.sigma_r * draws[:, 3:4]
+    axis = draws[:, 4:]
+    # vecdot rounds like the 1-D np.linalg.norm of one axis
+    norm = np.sqrt(np.vecdot(axis, axis))[:, None]
+    usable = norm > 1e-12
+    axis = np.where(usable, axis / np.where(usable, norm, 1.0), [1.0, 0.0, 0.0])
+    dq = quat_normalize(quat_from_rotvec(angle * axis))
+
+    # compose(step, perturbation), row by row
+    move_t = step_t + quat_rotate(step_q, dt)
+    move_q = quat_normalize(quat_multiply(step_q, dq))
     noisy = [truth.poses[0]]
-    for i in range(1, len(truth)):
-        rng = np.random.default_rng(streams[i - 1])
-        step = relative_pose(truth.poses[i - 1], truth.poses[i])
-        noisy.append(compose(noisy[-1], compose(step, _step_perturbation(rng, spec.sigma_t, spec.sigma_r))))
+    for mt, mq in zip(move_t, move_q):
+        prev = noisy[-1]
+        noisy.append(Pose(prev.t + quat_rotate(prev.q, mt), quat_multiply(prev.q, mq)))
     return Trajectory(truth.timestamps, tuple(noisy))
 
 
@@ -152,7 +169,7 @@ def degrade_measurements(
                 shifted = np.empty_like(chans)
                 for c in range(chans.shape[0]):
                     dx, dy = np.rint(rng.normal(0.0, jitter_px, 2)).astype(int)
-                    shifted[c] = np.roll(np.roll(chans[c], dy, axis=0), dx, axis=1)
+                    shifted[c] = np.roll(chans[c], (dy, dx), axis=(0, 1))
                 chans = shifted
             if pixel_sigma > 0.0:
                 chans = chans + rng.normal(0.0, pixel_sigma, chans.shape)

@@ -6,6 +6,8 @@ shared code with the library implementations.
 
 import numpy as np
 
+from turbloc.heatmap import HeatmapFrame
+
 
 def brute_force_point(channel, predicted, r_point, lambda_point):
     """Exhaustive disc scan: max-value pixel, ties by (distance, y, x)."""
@@ -69,3 +71,13 @@ def brute_force_line_sample(channel, predicted, perp, a_line, k_line, lambda_lin
     winners.sort()
     off = winners[0][2]
     return np.array([predicted[0] + off * perp[0], predicted[1] + off * perp[1]])
+
+
+def blank_frame(width, height):
+    """A frame whose 7 channels are all zero."""
+    return HeatmapFrame(np.zeros((3, height, width), np.float32), np.zeros((4, height, width), np.float32))
+
+
+def is_blank(frame):
+    """Whether no channel of the frame has a non-zero pixel."""
+    return not (frame.line_channels.any() or frame.point_channels.any())

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import blank_frame, is_blank
 from turbloc.geometry import CameraIntrinsics, in_view, look_at_pose, pinhole, world_to_camera
 from turbloc.heatmap import (
     FrameChannelCountError,
@@ -69,7 +70,7 @@ class TestRender:
         eye = centre + np.array([30.0, 0.0, 0.0])
         away = look_at_pose(eye, eye + np.array([30.0, 0.0, 0.0]))
         frame = render(skeleton, away, k)
-        assert frame.is_blank()
+        assert is_blank(frame)
 
     def test_nonempty_channels_peak_exactly_one(self, skeleton):
         k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
@@ -191,6 +192,18 @@ class TestFrameIO:
         with pytest.raises(FramePayloadError):
             read_frame(path)
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (3, 0)])
+    def test_empty_image(self, tmp_path, width, height):
+        path = tmp_path / "empty.tmbt"
+        path.write_bytes(struct.pack("<4sIIII", b"TMBT", 1, width, height, 7))
+        with pytest.raises(FrameHeaderError):
+            read_frame(path)
+
+    @pytest.mark.parametrize("height, width", [(0, 0), (5, 0), (0, 3)])
+    def test_empty_frame_rejected(self, height, width):
+        with pytest.raises(ValueError):
+            HeatmapFrame(np.zeros((3, height, width), np.float32), np.zeros((4, height, width), np.float32))
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.tmbt"
         header = struct.pack("<4sIIII", b"TMBT", 1, 8, 8, 7)
@@ -207,9 +220,9 @@ class TestFrameIO:
 
 class TestFrameType:
     def test_zeros_and_blank(self):
-        frame = HeatmapFrame.zeros(16, 12)
+        frame = blank_frame(16, 12)
         assert frame.width == 16 and frame.height == 12
-        assert frame.is_blank()
+        assert is_blank(frame)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_line_sample, brute_force_point
+from oracles import blank_frame, brute_force_line_sample, brute_force_point, is_blank
 import reference_matching
 from reference_matching import reference_match_frame_arrays
 from turbloc.geometry import (
@@ -267,7 +267,7 @@ class TestMatchFrame:
 
     def test_all_zero_frame_empty(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
-        frame = HeatmapFrame.zeros(k.width, k.height)
+        frame = blank_frame(k.width, k.height)
         m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
         assert len(m) == 0
         for name in MATCH_FIELDS:
@@ -419,7 +419,7 @@ class TestMatchesReference:
     @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
     def test_all_zero_frame(self, scene, cfg):
         skeleton, _, k, pose, _ = scene
-        assert len(check_reference(skeleton, pose, k, HeatmapFrame.zeros(k.width, k.height), cfg)) == 0
+        assert len(check_reference(skeleton, pose, k, blank_frame(k.width, k.height), cfg)) == 0
 
 
 class TestPixelListCache:
@@ -469,7 +469,7 @@ class TestPixelListCache:
         u, v = np.rint(pinhole(k, world_to_camera(pose, skeleton.points[0]))).astype(int)
         points[0, v, u] = 1.0
         lines[0, v, u] = 1.0
-        assert frame.is_blank()
+        assert is_blank(frame)
         assert frame.point_pixels_above(cfg.lambda_point).index.size == 0
         assert len(check_reference(skeleton, pose, k, frame, cfg)) == 0
         assert len(check_reference(skeleton, pose, k, HeatmapFrame(lines, points), cfg)) > 0

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import blank_frame
 from turbloc.geometry import (
     CameraIntrinsics,
     Pose,
@@ -114,7 +115,7 @@ def truth_graph(scene, azimuths, perturb=None, blank=(), weights=None):
     graph = PoseGraph(skeleton, subdivided, k, weights or GraphWeights(), cfg)
     truths = [orbit_pose(skeleton, a) for a in azimuths]
     for i, pose in enumerate(truths):
-        frame = HeatmapFrame.zeros(k.width, k.height) if i in blank else render(skeleton, pose, k)
+        frame = blank_frame(k.width, k.height) if i in blank else render(skeleton, pose, k)
         graph.add_keyframe(pose, frame)
     if perturb is not None:
         for i, delta in perturb.items():
@@ -127,7 +128,7 @@ class TestAddKeyframe:
         skeleton, subdivided, k, cfg = scene
         graph = PoseGraph(skeleton, subdivided, k)
         pose = orbit_pose(skeleton, 0.3)
-        graph.add_keyframe(pose, HeatmapFrame.zeros(k.width, k.height))
+        graph.add_keyframe(pose, blank_frame(k.width, k.height))
         kf = graph.keyframes[0]
         assert kf.relative_measurement is None
         assert np.array_equal(kf.estimate.t, pose.t)
@@ -137,7 +138,7 @@ class TestAddKeyframe:
         skeleton, subdivided, k, cfg = scene
         graph = PoseGraph(skeleton, subdivided, k)
         pose = orbit_pose(skeleton, 0.0)
-        frame = HeatmapFrame.zeros(k.width, k.height)
+        frame = blank_frame(k.width, k.height)
         graph.add_keyframe(pose, frame)
         graph.add_keyframe(pose, frame)
         rel = graph.keyframes[1].relative_measurement
@@ -149,7 +150,7 @@ class TestAddKeyframe:
         skeleton, subdivided, k, cfg = scene
         graph = PoseGraph(skeleton, subdivided, k)
         rng = np.random.default_rng(5)
-        frame = HeatmapFrame.zeros(k.width, k.height)
+        frame = blank_frame(k.width, k.height)
         poses = []
         for _ in range(5):
             q = quat_normalize(rng.standard_normal(4))
@@ -165,7 +166,7 @@ class TestAddKeyframe:
     def test_estimate_seeded_from_previous_estimate(self, scene):
         skeleton, subdivided, k, cfg = scene
         graph = PoseGraph(skeleton, subdivided, k)
-        frame = HeatmapFrame.zeros(k.width, k.height)
+        frame = blank_frame(k.width, k.height)
         a = orbit_pose(skeleton, 0.0)
         b = orbit_pose(skeleton, 0.2)
         graph.add_keyframe(a, frame)
@@ -188,7 +189,7 @@ class TestAddKeyframe:
         pose = orbit_pose(skeleton, 0.0)
         for width, height in ((160, 120), (320, 241), (240, 320)):
             with pytest.raises(ValueError):
-                graph.add_keyframe(pose, HeatmapFrame.zeros(width, height))
+                graph.add_keyframe(pose, blank_frame(width, height))
         assert len(graph) == 0
         graph.add_keyframe(pose, render(skeleton, pose, k))
         assert len(graph) == 1 and graph.optimize().termination != "rank_deficient"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import is_blank
 from turbloc.geometry import (
     CameraIntrinsics,
     Pose,
@@ -179,7 +180,7 @@ class TestSimulateMeasurements:
         ts = np.array([0.0, 1.0])
         traj = Trajectory(ts, (away, away))
         frames = simulate_measurements(traj, skeleton, camera)
-        assert frames[0].is_blank()
+        assert is_blank(frames[0])
 
     def test_full_correspondences_from_truth(self, skeleton, camera):
         # cross-module consistency: matching from the rendering pose finds
