@@ -248,8 +248,11 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
+        if not all(np.isfinite(f) and f > 0.0 for f in (self.fx, self.fy)):
+            raise ValueError("focal lengths must be finite and positive")
+        for size in (self.width, self.height):
+            if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
+                raise ValueError("image size must be an integer")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
         if not (0.0 <= self.cx < self.width) or not (0.0 <= self.cy < self.height):

@@ -130,52 +130,37 @@ def _window(a, b, sigma: float, origin: tuple, shape: tuple) -> tuple[int, int, 
     )
 
 
-def _paint_gaussian_point(canvas: np.ndarray, origin: tuple, u: float, v: float, sigma: float) -> None:
-    """Max-compose an isotropic Gaussian centred at the sub-pixel (u, v).
-
-    `canvas` holds the image pixels from row, column `origin` on; (u, v) and
-    the pixel grid stay in image coordinates.  The profile is anchored so the
-    pixel nearest the centre reads exactly 1.0: same-class peaks then tie
-    exactly inside overlapping search windows, which the matcher resolves by
-    distance to the prediction.
-    """
-    x0, x1, y0, y1 = _window((u, v), (u, v), sigma, origin, canvas.shape)
-    if x0 > x1 or y0 > y1:
-        return
-    xs = np.arange(x0, x1 + 1, dtype=float) - u
-    ys = np.arange(y0, y1 + 1, dtype=float) - v
-    d2 = ys[:, None] ** 2 + xs[None, :] ** 2
-    d2_min = (np.rint(v) - v) ** 2 + (np.rint(u) - u) ** 2
-    vals = np.exp(-(d2 - d2_min) / (2.0 * sigma * sigma))
-    r = TRUNCATION_SIGMAS * sigma
-    vals[d2 > r * r] = 0.0
-    oy, ox = origin
-    window = canvas[y0 - oy : y1 - oy + 1, x0 - ox : x1 - ox + 1]
-    np.maximum(window, vals, out=window)
-
-
 def _paint_gaussian_segment(canvas: np.ndarray, origin: tuple, a: np.ndarray, b: np.ndarray, sigma: float) -> None:
-    """Max-compose a Gaussian ridge along the 2D segment a-b; a segment
-    shorter than 1e-9 px is painted as the point a.  `canvas` and `origin`
-    as for `_paint_gaussian_point`."""
+    """Max-compose a Gaussian ridge along the 2D sub-pixel segment a-b.
+
+    `canvas` holds the image pixels from row, column `origin` on; a, b and
+    the pixel grid stay in image coordinates.  A segment shorter than 1e-9 px
+    is painted as the point a, with its profile anchored so the pixel nearest
+    a reads exactly 1.0: same-class peaks then tie exactly inside overlapping
+    search windows, which the matcher resolves by distance to the prediction.
+    """
     ab = b - a
     denom = float(ab @ ab)
-    if denom < 1e-18:
-        _paint_gaussian_point(canvas, origin, a[0], a[1], sigma)
-        return
-    x0, x1, y0, y1 = _window(a, b, sigma, origin, canvas.shape)
+    point = denom < 1e-18
+    x0, x1, y0, y1 = _window(a, a if point else b, sigma, origin, canvas.shape)
     if x0 > x1 or y0 > y1:
         return
     xs = np.arange(x0, x1 + 1, dtype=float)
     ys = np.arange(y0, y1 + 1, dtype=float)
     px = np.broadcast_to(xs[None, :], (ys.size, xs.size))
     py = np.broadcast_to(ys[:, None], (ys.size, xs.size))
-    t = ((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom
-    np.clip(t, 0.0, 1.0, out=t)
-    dx = px - (a[0] + t * ab[0])
-    dy = py - (a[1] + t * ab[1])
+    if point:
+        cx, cy = a[0], a[1]
+        d2_min = (np.rint(a[1]) - a[1]) ** 2 + (np.rint(a[0]) - a[0]) ** 2
+    else:
+        t = ((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom
+        np.clip(t, 0.0, 1.0, out=t)
+        cx, cy = a[0] + t * ab[0], a[1] + t * ab[1]
+        d2_min = 0.0
+    dx = px - cx
+    dy = py - cy
     d2 = dx * dx + dy * dy
-    vals = np.exp(-d2 / (2.0 * sigma * sigma))
+    vals = np.exp(-(d2 - d2_min) / (2.0 * sigma * sigma))
     r = TRUNCATION_SIGMAS * sigma
     vals[d2 > r * r] = 0.0
     oy, ox = origin
@@ -220,8 +205,8 @@ def render(
     Each channel is painted and normalised inside the box that holds its
     features; the rest of the plane is 0.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError("sigma must be finite and positive")
     cam = world_to_camera(pose, skeleton.points)
     uv = pinhole(k, cam)
     points = [[] for _ in range(N_POINT_CHANNELS)]

@@ -11,6 +11,11 @@ total objective is a sum of squared residuals:
 - per correspondence, the 2-vector reprojection residual weighted by
   sqrt(beta_p) or sqrt(beta_line).
 
+One function, `PoseGraph._objective`, evaluates it for `optimize` and
+`total_cost`: the cost, the weighted image residuals and, on request, the
+normal equations.  A row behind its camera makes the cost inf; rows are
+matched in view, so only a trial step can do that, and it is rejected.
+
 Each outer iteration (pass) re-establishes correspondences at the current
 estimates (ICP-style), builds the normal equations from analytic Jacobians
 with respect to each keyframe's local 6-DoF parameterization (translation
@@ -45,6 +50,7 @@ The graph is single-writer: callers must serialize add_keyframe/optimize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -244,16 +250,13 @@ _LOWER = np.tril_indices(6)
 _BLOCK = np.divmod(np.arange(36), 6)
 
 
-@dataclass
-class _Stacked:
-    kf_idx: np.ndarray
-    points3d: np.ndarray
-    matched: np.ndarray
-    weights: np.ndarray
+class _Rows(NamedTuple):
+    """One pass's correspondences, stacked in `_image_forward`'s argument order."""
 
-    @property
-    def count(self) -> int:
-        return self.kf_idx.shape[0]
+    kf_idx: np.ndarray  # (m,) keyframe of each row
+    points3d: np.ndarray  # (m, 3)
+    matched: np.ndarray  # (m, 2)
+    weights: np.ndarray  # (m,) sqrt(beta_p) or sqrt(beta_line)
 
 
 class PoseGraph:
@@ -299,53 +302,52 @@ class PoseGraph:
 
     # -- correspondences -------------------------------------------------------
 
-    def _match(self, t: np.ndarray, q: np.ndarray) -> _Stacked:
+    def _match(self, t: np.ndarray, q: np.ndarray) -> _Rows:
         """Match every keyframe at the estimates (t, q) and stack the rows."""
-        idx, pts, mat, wts = [], [], [], []
-        sp = np.sqrt(self.weights.beta_p)
-        sl = np.sqrt(self.weights.beta_line)
-        for i, kf in enumerate(self.keyframes):
-            # one call per keyframe through the module global, which tests and
-            # tracing wrap
-            m = match_frame_arrays(
-                self.skeleton, self.subdivided, Pose(t[i], q[i]), self.camera, kf.frame, self.match_cfg
-            )
-            if len(m) == 0:
-                continue
-            idx.append(np.full(len(m), i, np.int64))
-            pts.append(m.points3d)
-            mat.append(m.matched)
-            wts.append(np.where(m.kinds == int(CorrespondenceKind.POINT), sp, sl))
-        if not idx:
-            return _Stacked(np.zeros(0, np.int64), np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
-        return _Stacked(np.concatenate(idx), np.vstack(pts), np.vstack(mat), np.concatenate(wts))
+        # one call per keyframe through the module global, which tests and
+        # tracing wrap
+        found = [
+            match_frame_arrays(self.skeleton, self.subdivided, Pose(t[i], q[i]), self.camera, kf.frame, self.match_cfg)
+            for i, kf in enumerate(self.keyframes)
+        ]
+        kinds = np.concatenate([m.kinds for m in found])
+        return _Rows(
+            np.repeat(np.arange(len(found)), [len(m) for m in found]),
+            np.concatenate([m.points3d for m in found]),
+            np.concatenate([m.matched for m in found]),
+            np.where(
+                kinds == int(CorrespondenceKind.POINT), np.sqrt(self.weights.beta_p), np.sqrt(self.weights.beta_line)
+            ),
+        )
 
     def _measurement_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         rels = [kf.relative_measurement for kf in self.keyframes[1:]]
-        if not rels:
-            return np.zeros((0, 3)), np.zeros((0, 4))
-        return np.stack([r.t for r in rels]), np.stack([r.q for r in rels])
+        return np.array([r.t for r in rels]).reshape(-1, 3), np.array([r.q for r in rels]).reshape(-1, 4)
 
-    # -- cost -----------------------------------------------------------------
+    # -- objective --------------------------------------------------------------
 
-    def _cost_of(self, t, q, stacked: _Stacked, meas_t, meas_q) -> tuple[float, np.ndarray]:
-        """Objective at (t, q) on the rows `stacked`, and their weighted image
-        residuals (m, 2); the cost is inf if a row lies behind its camera."""
-        sqrt_bt = np.sqrt(self.weights.beta_t)
-        sqrt_br = np.sqrt(self.weights.beta_rot)
-        cost = 0.0
-        r_img = np.zeros((0, 2))
-        if stacked.count:
-            r_img, ok, _ = _image_forward(
-                t, q, stacked.kf_idx, stacked.points3d, stacked.matched, stacked.weights, self.camera, False
-            )
-            if not ok.all():
-                return np.inf, r_img
-            cost += float(np.sum(r_img * r_img))
-        if meas_t.shape[0]:
-            r, _, _ = _relative_forward(t, q, meas_t, meas_q, sqrt_bt, sqrt_br, False)
-            cost += float(np.sum(r * r))
-        return cost, r_img
+    def _objective(self, t, q, rows: _Rows, meas_t, meas_q, with_system: bool = False):
+        """Objective at (t, q) on the correspondences `rows`.
+
+        Returns the cost and the weighted image residuals (m, 2), and with
+        `with_system` also the Gauss-Newton system (h_diag, h_off, g) of those
+        residuals.  The cost is inf if a row lies behind its camera.
+        """
+        sqrt_bt, sqrt_br = np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot)
+        r_img, ok, jac = _image_forward(t, q, *rows, self.camera, with_system)
+        r_rel, j_cur, j_prev = _relative_forward(t, q, meas_t, meas_q, sqrt_bt, sqrt_br, with_system)
+        cost = float(np.sum(r_img * r_img)) + float(np.sum(r_rel * r_rel)) if ok.all() else np.inf
+        if not with_system:
+            return cost, r_img
+        n = t.shape[0]
+        h_diag = _segment_sum(np.einsum("mka,mkb->mab", jac, jac), rows.kf_idx, n)
+        g = _segment_sum(np.einsum("mka,mk->ma", jac, r_img), rows.kf_idx, n)
+        h_diag[1:] += np.einsum("ikp,ikq->ipq", j_cur, j_cur)
+        h_diag[:-1] += np.einsum("ikp,ikq->ipq", j_prev, j_prev)
+        h_off = np.einsum("ikp,ikq->ipq", j_prev, j_cur)
+        g[1:] += np.einsum("ikp,ik->ip", j_cur, r_rel)
+        g[:-1] += np.einsum("ikp,ik->ip", j_prev, r_rel)
+        return cost, r_img, (h_diag, h_off, g)
 
     def total_cost(self) -> float:
         """Re-match all frames at the current estimates and evaluate the
@@ -355,39 +357,9 @@ class PoseGraph:
         t = np.array([kf.estimate.t for kf in self.keyframes])
         q = np.array([kf.estimate.q for kf in self.keyframes])
         meas_t, meas_q = self._measurement_arrays()
-        return self._cost_of(t, q, self._match(t, q), meas_t, meas_q)[0]
+        return self._objective(t, q, self._match(t, q), meas_t, meas_q)[0]
 
     # -- Gauss-Newton ----------------------------------------------------------
-
-    def _normal_equations(self, t, q, stacked: _Stacked, meas_t, meas_q):
-        n = len(self.keyframes)
-        h_diag = np.zeros((n, 6, 6))
-        h_off = np.zeros((max(n - 1, 0), 6, 6))
-        g = np.zeros((n, 6))
-        cost = 0.0
-        r_img = np.zeros((0, 2))
-        if stacked.count:
-            # no depth check: every row was matched in view at these same
-            # estimates, so it lies in front of the camera
-            r_img, _, jac = _image_forward(
-                t, q, stacked.kf_idx, stacked.points3d, stacked.matched, stacked.weights, self.camera, True
-            )
-            cost += float(np.sum(r_img * r_img))
-            jj = np.einsum("mka,mkb->mab", jac, jac)
-            jr = np.einsum("mka,mk->ma", jac, r_img)
-            h_diag += _segment_sum(jj, stacked.kf_idx, n)
-            g += _segment_sum(jr, stacked.kf_idx, n)
-        if n > 1:
-            sqrt_bt = np.sqrt(self.weights.beta_t)
-            sqrt_br = np.sqrt(self.weights.beta_rot)
-            r, j_cur, j_prev = _relative_forward(t, q, meas_t, meas_q, sqrt_bt, sqrt_br, True)
-            cost += float(np.sum(r * r))
-            h_diag[1:] += np.einsum("ikp,ikq->ipq", j_cur, j_cur)
-            h_diag[:-1] += np.einsum("ikp,ikq->ipq", j_prev, j_prev)
-            h_off += np.einsum("ikp,ikq->ipq", j_prev, j_cur)
-            g[1:] += np.einsum("ikp,ik->ip", j_cur, r)
-            g[:-1] += np.einsum("ikp,ik->ip", j_prev, r)
-        return h_diag, h_off, g, cost, r_img
 
     @staticmethod
     def _solve_banded(h_diag, h_off, g, damping):
@@ -424,15 +396,15 @@ class PoseGraph:
         motion = np.inf  # median image motion (px) of the last accepted step
 
         for _ in range(cfg.max_iterations):
-            stacked = self._match(t, q)
-            n_corr = stacked.count
+            rows = self._match(t, q)
+            n_corr = rows.kf_idx.size
             if n_corr == 0:
                 # only relative constraints remain: the global gauge is free
                 if not costs:
-                    costs.append(self._cost_of(t, q, stacked, meas_t, meas_q)[0])
+                    costs.append(self._objective(t, q, rows, meas_t, meas_q)[0])
                 termination = "rank_deficient"
                 break
-            h_diag, h_off, g, cost0, r0 = self._normal_equations(t, q, stacked, meas_t, meas_q)
+            cost0, r0, (h_diag, h_off, g) = self._objective(t, q, rows, meas_t, meas_q, with_system=True)
             if not costs:
                 costs.append(cost0)
             # the matcher is stateless, so cost0 is one function of the
@@ -447,19 +419,16 @@ class PoseGraph:
                 try:
                     delta = self._solve_banded(h_diag, h_off, g, lam)
                 except LinAlgError:
-                    lam = max(lam * 10.0, 1e-10)
-                    continue
-                if not np.all(np.isfinite(delta)):
-                    lam = max(lam * 10.0, 1e-10)
-                    continue
-                solved = True
-                t_new = t + delta[:, :3]
-                q_new = quaternion_boxplus(q, delta[:, 3:])
-                cost1, r1 = self._cost_of(t_new, q_new, stacked, meas_t, meas_q)
-                if np.isfinite(cost1) and cost1 <= cost0:
-                    accepted = True
-                    break
-                lam = max(lam * 10.0, 1e-10)
+                    delta = None
+                if delta is not None and np.all(np.isfinite(delta)):
+                    solved = True
+                    t_new = t + delta[:, :3]
+                    q_new = quaternion_boxplus(q, delta[:, 3:])
+                    cost1, r1 = self._objective(t_new, q_new, rows, meas_t, meas_q)
+                    if np.isfinite(cost1) and cost1 <= cost0:
+                        accepted = True
+                        break
+                lam *= 10.0
             if not accepted:
                 termination = "no_descent" if solved else "solve_failure"
                 break
@@ -468,7 +437,7 @@ class PoseGraph:
             iterations += 1
             costs.append(cost1)
             prev_cost0 = cost0
-            motion = _median_motion(r0, r1, stacked.weights)
+            motion = _median_motion(r0, r1, rows.weights)
             lam = max(lam / 3.0, DAMPING_FLOOR)
             if float(np.linalg.norm(delta)) < cfg.step_tolerance:
                 termination = "step_tolerance"

@@ -157,6 +157,8 @@ def degrade_measurements(
     """Optional measurement degradation: additive pixel noise and per-channel
     integer peak jitter.  Off by default; simulated measurements are error
     free unless explicitly requested."""
+    if not all(np.isfinite(v) and v >= 0.0 for v in (pixel_sigma, jitter_px)):
+        raise ValueError("pixel_sigma and jitter_px must be finite and non-negative")
     if pixel_sigma == 0.0 and jitter_px == 0.0:
         return list(frames)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -57,6 +57,9 @@ class TurbineParams:
         az = np.asarray(self.blade_azimuths, dtype=float).reshape(3)
         object.__setattr__(self, "base_position", base)
         object.__setattr__(self, "blade_azimuths", az)
+        scalars = (self.heading, self.tower_height, self.hub_offset, self.blade_length)
+        if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(base)) and np.all(np.isfinite(az))):
+            raise ValueError("turbine parameters must be finite")
         if self.tower_height <= 0.0:
             raise ValueError("tower_height must be positive")
         if self.blade_length <= 0.0:

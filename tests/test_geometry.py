@@ -332,6 +332,11 @@ class TestIntrinsicsValidation:
             dict(fx=1.0, fy=1.0, cx=10.0, cy=0.0, width=10, height=10),
             dict(fx=1.0, fy=1.0, cx=0.0, cy=-1.0, width=10, height=10),
             dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=0, height=10),
+            dict(fx=np.nan, fy=1.0, cx=0.0, cy=0.0, width=10, height=10),
+            dict(fx=1.0, fy=np.inf, cx=0.0, cy=0.0, width=10, height=10),
+            dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10.5, height=10),
+            dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10.0, height=10),
+            dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=True),
         ],
     )
     def test_rejects_bad_values(self, kwargs):

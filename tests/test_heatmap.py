@@ -134,6 +134,12 @@ class TestRender:
         with pytest.raises(ValueError):
             render(skeleton, face_on_pose(skeleton), k, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_nonfinite_sigma(self, skeleton, sigma):
+        k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
+        with pytest.raises(ValueError, match="sigma"):
+            render(skeleton, face_on_pose(skeleton), k, sigma=sigma)
+
     def test_wide_sigma_spreads_mass(self, skeleton):
         k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
         pose = face_on_pose(skeleton)

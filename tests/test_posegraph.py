@@ -6,6 +6,7 @@ import pytest
 
 from oracles import blank_frame
 from turbloc.geometry import (
+    EPS_DEPTH,
     CameraIntrinsics,
     Pose,
     compose,
@@ -15,6 +16,7 @@ from turbloc.geometry import (
     pinhole,
     quaternion_boxplus,
     quat_normalize,
+    quat_rotate,
     relative_pose,
     world_to_camera,
 )
@@ -94,15 +96,16 @@ def outlier_on_second_call(monkeypatch):
         m = match_frame_arrays(*args)
         return with_outlier(m) if len(calls) == 2 else m
 
-    normal_equations = PoseGraph._normal_equations
+    objective = PoseGraph._objective
 
-    def spy(self, *args):
-        out = normal_equations(self, *args)
-        cost0s.append(out[3])
+    def spy(self, *args, **kwargs):
+        out = objective(self, *args, **kwargs)
+        if len(out) == 3:  # a pass's system, not a trial step's cost
+            cost0s.append(out[0])
         return out
 
     monkeypatch.setattr(posegraph, "match_frame_arrays", matcher)
-    monkeypatch.setattr(PoseGraph, "_normal_equations", spy)
+    monkeypatch.setattr(PoseGraph, "_objective", spy)
     return calls, cost0s
 
 
@@ -306,6 +309,23 @@ class TestTotalCost:
         cost = graph.total_cost()
         assert isinstance(cost, float)
         assert cost == graph.optimize(SolverConfig()).initial_cost
+
+
+    def test_row_behind_the_camera_costs_inf(self, scene):
+        # a trial step that carries the camera 30.5 m along its axis, past the
+        # blade centre, puts some of the rows matched before it behind it
+        graph, _ = truth_graph(scene, [0.4, 0.7], weights=GraphWeights(beta_line=0.0))
+        t = np.array([kf.estimate.t for kf in graph.keyframes])
+        q = np.array([kf.estimate.q for kf in graph.keyframes])
+        meas_t, meas_q = graph._measurement_arrays()
+        rows = graph._match(t, q)
+        assert np.isfinite(graph._objective(t, q, rows, meas_t, meas_q)[0])
+        t_step = t.copy()
+        t_step[1] += 30.5 * quat_rotate(q[1], np.array([0.0, 0.0, 1.0]))
+        depth = world_to_camera(Pose(t_step[1], q[1]), rows.points3d[rows.kf_idx == 1])[:, 2]
+        assert 0 < np.sum(depth <= EPS_DEPTH) < depth.size
+        assert graph._objective(t_step, q, rows, meas_t, meas_q)[0] == np.inf
+        assert graph._objective(t_step, q, rows, meas_t, meas_q, with_system=True)[0] == np.inf
 
 
 class TestOptimize:

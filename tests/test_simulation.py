@@ -201,6 +201,15 @@ class TestSimulateMeasurements:
         same = degrade_measurements(frames, 0.0, 0.0, seed=1)
         assert same[0] is frames[0]
 
+    @pytest.mark.parametrize(
+        "pixel_sigma, jitter_px", [(-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf)]
+    )
+    def test_degrade_rejects_bad_magnitudes(self, skeleton, camera, pixel_sigma, jitter_px):
+        truth = generate_orbit_trajectory(skeleton, 30.0, 2)
+        frames = simulate_measurements(truth, skeleton, camera)
+        with pytest.raises(ValueError, match="non-negative"):
+            degrade_measurements(frames, pixel_sigma, jitter_px, seed=1)
+
     def test_degrade_adds_noise(self, skeleton, camera):
         truth = generate_orbit_trajectory(skeleton, 30.0, 2)
         frames = simulate_measurements(truth, skeleton, camera)

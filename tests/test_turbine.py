@@ -69,7 +69,25 @@ class TestBuildSkeleton:
         )
         assert all(c == PointClass.BLADE_TIP for c in POINT_CLASSES[3:])
 
-    @pytest.mark.parametrize("field,value", [("tower_height", 0.0), ("blade_length", 0.0), ("blade_length", -1.0), ("hub_offset", -0.5)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tower_height", 0.0),
+            ("blade_length", 0.0),
+            ("blade_length", -1.0),
+            ("hub_offset", -0.5),
+            ("tower_height", math.nan),
+            ("tower_height", math.inf),
+            ("blade_length", math.inf),
+            ("hub_offset", math.nan),
+            ("hub_offset", math.inf),
+            ("heading", math.nan),
+            ("heading", math.inf),
+            ("base_position", np.array([0.0, math.nan, 0.0])),
+            ("base_position", np.array([0.0, 0.0, -math.inf])),
+            ("blade_azimuths", np.array([0.0, math.nan, 2.0])),
+        ],
+    )
     def test_rejects_bad_params(self, field, value):
         with pytest.raises(ValueError):
             make_params(**{field: value})
