@@ -8,6 +8,9 @@ Conventions used throughout the package:
 - ``Pose`` is the camera pose expressed in the world frame
   (world-from-camera): a world point ``p`` maps into the camera frame as
   ``R(q)^T (p - t)``.
+- Composition and relative pose are written once, as `compose_rows` and
+  `relative_rows` over rows of ``(t, q)`` arrays, which do not renormalise
+  ``q``; `compose` and `relative_pose` are their single-`Pose` forms.
 - The world frame is z-up and right handed.  Image coordinates ``(u, v)``
   run along columns and rows respectively, with the origin at the centre of
   the top-left pixel; a pixel is in view iff ``-0.5 <= u < width - 0.5``
@@ -215,23 +218,29 @@ class Pose:
         return f"Pose(t={np.array2string(self.t, precision=4)}, q={np.array2string(self.q, precision=4)})"
 
 
+def compose_rows(t_a, q_a, t_b, q_b) -> tuple[np.ndarray, np.ndarray]:
+    """(t, q) of the transforms applying b then a (T_a T_b), row by row;
+    q is not renormalised."""
+    return t_a + quat_rotate(q_a, t_b), quat_multiply(q_a, q_b)
+
+
+def relative_rows(t_cur, q_cur, t_prev, q_prev) -> tuple[np.ndarray, np.ndarray]:
+    """(t, q) of each previous pose in its current pose's frame, row by row:
+    inverse(current) * previous, that is R_c^T (t_p - t_c) and q_c^-1 * q_p;
+    q is not renormalised."""
+    q_inv = quat_conjugate(q_cur)
+    return quat_rotate(q_inv, t_prev - t_cur), quat_multiply(q_inv, q_prev)
+
+
 def compose(a: Pose, b: Pose) -> Pose:
     """Transform applying b then a (matrix product T_a T_b)."""
-    return Pose(a.t + quat_rotate(a.q, b.t), quat_multiply(a.q, b.q))
+    return Pose(*compose_rows(a.t, a.q, b.t, b.q))
 
 
 def relative_pose(current: Pose, previous: Pose) -> Pose:
-    """Offset of the previous pose expressed in the current pose's frame.
-
-    Equivalent to the homogeneous product inverse(current) * previous:
-    translation R_c^T (t_p - t_c), rotation q_c^-1 * q_p.  Composing the
-    current pose with it gives the previous pose back.
-    """
-    q_inv = quat_conjugate(current.q)
-    return Pose(
-        quat_rotate(q_inv, previous.t - current.t),
-        quat_multiply(q_inv, previous.q),
-    )
+    """Offset of the previous pose expressed in the current pose's frame;
+    composing the current pose with it gives the previous pose back."""
+    return Pose(*relative_rows(current.t, current.q, previous.t, previous.q))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, clip_segments_to_front, in_view, pinhole, world_to_camera
-from .turbine import POINT_CLASSES, TurbineSkeleton
+from .turbine import LINES, POINT_CLASSES, TurbineSkeleton
 
 N_LINE_CHANNELS = 3
 N_POINT_CHANNELS = 4
@@ -211,14 +211,13 @@ def render(
     uv = pinhole(k, cam)
     points = [[] for _ in range(N_POINT_CHANNELS)]
     for idx in np.flatnonzero(in_view(k, uv)):
-        points[int(POINT_CLASSES[idx])].append((uv[idx], uv[idx]))
+        points[POINT_CLASSES[idx]].append((uv[idx], uv[idx]))
 
-    table = skeleton.line_table
-    ends_a, ends_b, in_front = clip_segments_to_front(cam[table[:, 0]], cam[table[:, 1]])
+    ends_a, ends_b, in_front = clip_segments_to_front(cam[LINES[:, 0]], cam[LINES[:, 1]])
     a2, b2 = pinhole(k, ends_a), pinhole(k, ends_b)
     lines = [[] for _ in range(N_LINE_CHANNELS)]
     for i in np.flatnonzero(in_front):
-        lines[table[i, 2]].append((a2[i], b2[i]))
+        lines[LINES[i, 2]].append((a2[i], b2[i]))
     return HeatmapFrame(_render_stack(lines, k, sigma), _render_stack(points, k, sigma))
 
 

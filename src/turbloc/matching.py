@@ -40,9 +40,9 @@ points, lines or line pairs:
   interpolated at once from the flattened line-channel stack, with the
   offsets in tie-break order so that the first maximum wins.
 
-What depends only on the skeleton or the MatchConfig (the line table, the
-same-class pair mask, the ordered offsets) is computed once and cached on
-those objects.
+The topology is fixed, so the same-class pair mask is a module constant
+derived from `turbine.LINES`; the ordered offsets depend only on the
+MatchConfig and are cached on it.
 
 Tie-breaks and outputs are unchanged from the per-feature loop these passes
 replaced, to the last bit; the loop is kept as the test reference in
@@ -62,7 +62,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, clip_segments_to_front, in_view, pinhole, world_to_camera
 from .heatmap import HeatmapFrame, PixelList
-from .turbine import POINT_CLASSES, SubdividedModel, TurbineSkeleton
+from .turbine import LINES, POINT_CLASSES, SubdividedModel, TurbineSkeleton
 
 
 # positions in a row-major 3x3 neighbourhood of the horizontal, then the
@@ -70,9 +70,9 @@ from .turbine import POINT_CLASSES, SubdividedModel, TurbineSkeleton
 _PEAK_CROSS = np.array([3, 4, 5, 1, 4, 7])
 _PEAK_CROSS.flags.writeable = False
 
-# channel of each skeleton point, indexed like the skeleton's points
-_POINT_CLASS_IDS = np.asarray(POINT_CLASSES, dtype=np.int64)
-_POINT_CLASS_IDS.flags.writeable = False
+# pairs of distinct skeleton lines of one class, the parallel guard's candidates
+_SAME_CLASS_PAIRS = (LINES[:, None, 2] == LINES[None, :, 2]) & ~np.eye(len(LINES), dtype=bool)
+_SAME_CLASS_PAIRS.flags.writeable = False
 
 
 class CorrespondenceKind(IntEnum):
@@ -298,7 +298,6 @@ class FrameMatches:
     """Array view of one frame's correspondences, ready for stacking."""
 
     points3d: np.ndarray  # (m, 3)
-    predicted: np.ndarray  # (m, 2)
     matched: np.ndarray  # (m, 2)
     kinds: np.ndarray  # (m,) CorrespondenceKind values
     class_ids: np.ndarray  # (m,)
@@ -330,12 +329,10 @@ def match_frame_arrays(
     grouped by skeleton line, each group in subdivided order.
     """
     n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
-    lines = skeleton.line_table
-    line_cls = lines[:, 2]
 
     # projection: skeleton points, subdivided points, then clipped line ends
     cam = world_to_camera(pose_estimate, np.concatenate([skeleton.points, subdivided.points]))
-    ends_a, ends_b, projected = clip_segments_to_front(cam[lines[:, 0]], cam[lines[:, 1]])
+    ends_a, ends_b, projected = clip_segments_to_front(cam[LINES[:, 0]], cam[LINES[:, 1]])
     uv = pinhole(k, np.concatenate([cam, ends_a, ends_b]))
     seen = in_view(k, uv)  # false behind the camera, where uv is nan
     uv_sub = uv[n_pts : n_pts + n_sub]
@@ -343,13 +340,12 @@ def match_frame_arrays(
 
     # point search over every visible skeleton point
     p_idx = np.flatnonzero(seen[:n_pts])
-    p_cls = _POINT_CLASS_IDS[p_idx]
+    p_cls = POINT_CLASSES[p_idx]
     pixels = frame.point_pixels_above(cfg.lambda_point)
     p_match, found = _search_points(pixels, p_cls, uv[p_idx], cfg)
     p_idx, p_cls, p_match = p_idx[found], p_cls[found], p_match[found]
-    p_pred = uv[p_idx]
     refined = _refine_peaks(frame.point_channels, p_cls, p_match)
-    shift = refined - p_pred
+    shift = refined - uv[p_idx]
     # vecdot sums like the 1-D np.linalg.norm, to the bit
     p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)
 
@@ -359,12 +355,7 @@ def match_frame_arrays(
     usable &= projected
     sin_guard = np.sin(np.radians(cfg.parallel_guard_deg))
     cross = direction[:, None, 0] * direction[None, :, 1] - direction[:, None, 1] * direction[None, :, 0]
-    near_parallel = (
-        skeleton.same_class_pairs
-        & usable[:, None]
-        & usable[None, :]
-        & ~(np.abs(cross) >= sin_guard)
-    )
+    near_parallel = _SAME_CLASS_PAIRS & usable[:, None] & usable[None, :] & ~(np.abs(cross) >= sin_guard)
     lid = subdivided.line_ids
     keep = seen[n_pts : n_pts + n_sub] & usable[lid]
     if near_parallel.any():
@@ -373,14 +364,13 @@ def match_frame_arrays(
     # line search over every visible, unguarded sample
     samples = np.flatnonzero(keep)
     samples = samples[np.argsort(lid[samples], kind="stable")]
-    s_cls = line_cls[lid[samples]]
+    s_cls = LINES[lid[samples], 2]
     l_match, found = _search_lines(frame.line_channels, s_cls, uv_sub[samples], perp[lid[samples]], cfg)
     samples, s_cls, l_match = samples[found], s_cls[found], l_match[found]
 
     n_p, n_l = p_idx.size, samples.size
     return FrameMatches(
         np.concatenate([skeleton.points[p_idx], subdivided.points[samples]]),
-        np.concatenate([p_pred, uv_sub[samples]]),
         np.concatenate([p_match, l_match]),
         np.repeat(np.array([CorrespondenceKind.POINT, CorrespondenceKind.LINE], dtype=np.int64), [n_p, n_l]),
         np.concatenate([p_cls, s_cls]),

@@ -11,10 +11,10 @@ total objective is a sum of squared residuals:
 - per correspondence, the 2-vector reprojection residual weighted by
   sqrt(beta_p) or sqrt(beta_line).
 
-One function, `PoseGraph._objective`, evaluates it for `optimize` and
-`total_cost`: the cost, the weighted image residuals and, on request, the
-normal equations.  A row behind its camera makes the cost inf; rows are
-matched in view, so only a trial step can do that, and it is rejected.
+One function, `PoseGraph._objective`, evaluates it for `optimize`: the
+cost, the weighted image residuals and, on request, the normal equations.
+A row behind its camera makes the cost inf; rows are matched in view, so
+only a trial step can do that, and it is rejected.
 
 Each outer iteration (pass) re-establishes correspondences at the current
 estimates (ICP-style), builds the normal equations from analytic Jacobians
@@ -49,7 +49,7 @@ The graph is single-writer: callers must serialize add_keyframe/optimize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,10 +62,10 @@ from .geometry import (
     compose,
     quat_conjugate,
     quat_multiply,
-    quat_rotate,
     quat_to_matrix,
     quaternion_boxplus,
     relative_pose,
+    relative_rows,
     skew,
 )
 from .heatmap import HeatmapFrame
@@ -138,14 +138,7 @@ class OptimizeReport:
     n_correspondences: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "initial_cost": self.initial_cost,
-            "final_cost": self.final_cost,
-            "termination": self.termination,
-            "costs": list(self.costs),
-            "n_correspondences": self.n_correspondences,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +194,7 @@ def _relative_forward(
     Row i couples keyframes (i, i+1); J_cur differentiates with respect to
     the later (current) keyframe, J_prev with respect to the earlier one.
     """
-    t_cur, q_cur = t[1:], q[1:]
-    t_prev, q_prev = t[:-1], q[:-1]
-    q_cur_inv = quat_conjugate(q_cur)
-    t_hat = quat_rotate(q_cur_inv, t_prev - t_cur)
-    q_hat = quat_multiply(q_cur_inv, q_prev)
+    t_hat, q_hat = relative_rows(t[1:], q[1:], t[:-1], q[:-1])
     q_err = quat_multiply(q_hat, quat_conjugate(meas_q))
     flip = np.where(q_err[:, :1] < 0.0, -1.0, 1.0)
     q_err = q_err * flip
@@ -213,8 +202,8 @@ def _relative_forward(
     r = np.concatenate([sqrt_bt * (t_hat - meas_t), sqrt_br * 2.0 * v_e], axis=1)
     if not with_jacobian:
         return r, None, None
-    n1 = t_cur.shape[0]
-    rot_cur_t = np.swapaxes(quat_to_matrix(q_cur), -1, -2)
+    n1 = t_hat.shape[0]
+    rot_cur_t = np.swapaxes(quat_to_matrix(q[1:]), -1, -2)
     eye = np.broadcast_to(np.eye(3), (n1, 3, 3))
     j_cur = np.zeros((n1, 6, 6))
     j_prev = np.zeros((n1, 6, 6))
@@ -348,16 +337,6 @@ class PoseGraph:
         g[1:] += np.einsum("ikp,ik->ip", j_cur, r_rel)
         g[:-1] += np.einsum("ikp,ik->ip", j_prev, r_rel)
         return cost, r_img, (h_diag, h_off, g)
-
-    def total_cost(self) -> float:
-        """Re-match all frames at the current estimates and evaluate the
-        objective; this is the initial cost `optimize` would report."""
-        if not self.keyframes:
-            raise ValueError("empty graph")
-        t = np.array([kf.estimate.t for kf in self.keyframes])
-        q = np.array([kf.estimate.q for kf in self.keyframes])
-        meas_t, meas_q = self._measurement_arrays()
-        return self._objective(t, q, self._match(t, q), meas_t, meas_q)[0]
 
     # -- Gauss-Newton ----------------------------------------------------------
 

@@ -27,13 +27,12 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     Pose,
+    compose_rows,
     geodesic_angle,
     look_at_pose,
-    quat_conjugate,
     quat_from_rotvec,
-    quat_multiply,
     quat_normalize,
-    quat_rotate,
+    relative_rows,
 )
 from .heatmap import HeatmapFrame, render
 from .matching import MatchConfig
@@ -59,6 +58,8 @@ class Trajectory:
             raise ValueError("a trajectory needs at least 2 poses")
         if ts.shape[0] != len(poses):
             raise ValueError("timestamp/pose count mismatch")
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("timestamps must be finite")
         if not np.all(np.diff(ts) > 0.0):
             raise ValueError("timestamps must be strictly increasing")
         ts = ts.copy()
@@ -79,6 +80,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not all(np.isfinite(v) and v >= 0.0 for v in (self.sigma_t, self.sigma_r)):
             raise ValueError("noise magnitudes must be finite and non-negative")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -101,8 +104,12 @@ def generate_orbit_trajectory(
     skeleton: TurbineSkeleton, radius: float, n_keyframes: int, hz: float = 1.0
 ) -> Trajectory:
     """Circular inspection orbit around the blade centre, camera aimed at it."""
-    if radius <= float(np.linalg.norm(skeleton.points[3] - skeleton.points[2])):
-        raise ValueError("orbit radius must exceed the blade length")
+    if not (np.isfinite(radius) and radius > float(np.linalg.norm(skeleton.points[3] - skeleton.points[2]))):
+        raise ValueError("orbit radius must be finite and exceed the blade length")
+    if not (np.isfinite(hz) and hz > 0.0):
+        raise ValueError("hz must be finite and positive")
+    if not isinstance(n_keyframes, (int, np.integer)) or isinstance(n_keyframes, bool):
+        raise ValueError("n_keyframes must be an integer")
     if n_keyframes < 2:
         raise ValueError("an orbit needs at least 2 keyframes")
     centre = skeleton.point("blade_centre")
@@ -126,9 +133,8 @@ def inject_noise(truth: Trajectory, spec: NoiseSpec) -> Trajectory:
         return Trajectory(truth.timestamps, truth.poses)
     t = np.array([p.t for p in truth.poses])
     q = np.array([p.q for p in truth.poses])
-    q_inv = quat_conjugate(q[:-1])
-    step_t = quat_rotate(q_inv, t[1:] - t[:-1])
-    step_q = quat_normalize(quat_multiply(q_inv, q[1:]))
+    step_t, step_q = relative_rows(t[:-1], q[:-1], t[1:], q[1:])
+    step_q = quat_normalize(step_q)
 
     streams = np.random.SeedSequence(spec.seed).spawn(len(truth) - 1)
     draws = np.array([np.random.default_rng(s).standard_normal(7) for s in streams])
@@ -141,13 +147,11 @@ def inject_noise(truth: Trajectory, spec: NoiseSpec) -> Trajectory:
     axis = np.where(usable, axis / np.where(usable, norm, 1.0), [1.0, 0.0, 0.0])
     dq = quat_normalize(quat_from_rotvec(angle * axis))
 
-    # compose(step, perturbation), row by row
-    move_t = step_t + quat_rotate(step_q, dt)
-    move_q = quat_normalize(quat_multiply(step_q, dq))
+    move_t, move_q = compose_rows(step_t, step_q, dt, dq)
+    move_q = quat_normalize(move_q)
     noisy = [truth.poses[0]]
     for mt, mq in zip(move_t, move_q):
-        prev = noisy[-1]
-        noisy.append(Pose(prev.t + quat_rotate(prev.q, mt), quat_multiply(prev.q, mq)))
+        noisy.append(Pose(*compose_rows(noisy[-1].t, noisy[-1].q, mt, mq)))
     return Trajectory(truth.timestamps, tuple(noisy))
 
 

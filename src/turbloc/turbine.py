@@ -1,5 +1,10 @@
 """Parametric wind-turbine skeleton: 6 labelled points joined by 5 lines.
 
+The topology is fixed and stated once, as module constants: a tower, a hub
+and three blades (`LINES`), with the point classes in `POINT_CLASSES`.  Only
+the shape varies from turbine to turbine: `TurbineParams` places the 6
+points, and a `TurbineSkeleton` holds nothing else.
+
 The rotor plane is vertical, its normal given by the heading yaw.  Blade
 azimuths are measured inside the rotor plane, counterclockwise from the
 in-plane horizontal axis, so 90 degrees points straight up.
@@ -10,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -31,14 +35,18 @@ class LineClass(IntEnum):
 POINT_LABELS = ("tower_base", "tower_top", "blade_centre", "blade_tip_0", "blade_tip_1", "blade_tip_2")
 
 # class of each skeleton point, indexed like POINT_LABELS
-POINT_CLASSES = (
-    PointClass.TOWER_BASE,
-    PointClass.TOWER_TOP,
-    PointClass.BLADE_CENTRE,
-    PointClass.BLADE_TIP,
-    PointClass.BLADE_TIP,
-    PointClass.BLADE_TIP,
+POINT_CLASSES = np.array(
+    [PointClass.TOWER_BASE, PointClass.TOWER_TOP, PointClass.BLADE_CENTRE] + [PointClass.BLADE_TIP] * 3,
+    dtype=np.int64,
 )
+POINT_CLASSES.flags.writeable = False
+
+# (start, end, line class) of each skeleton line; start and end index POINT_LABELS
+LINES = np.array(
+    [(0, 1, LineClass.TOWER), (1, 2, LineClass.HUB)] + [(2, tip, LineClass.BLADE) for tip in (3, 4, 5)],
+    dtype=np.int64,
+)
+LINES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -75,25 +83,15 @@ class TurbineParams:
 
 
 @dataclass(frozen=True)
-class SkeletonLine:
-    start: int  # index into TurbineSkeleton.points
-    end: int
-    line_class: LineClass
-
-
-@dataclass(frozen=True)
 class TurbineSkeleton:
-    """6 points (rows of `points`, ordered as POINT_LABELS) and 5 lines."""
+    """The 6 points of one turbine, rows of `points` ordered as POINT_LABELS."""
 
     points: np.ndarray  # (6, 3)
-    lines: tuple[SkeletonLine, ...]
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (6, 3):
             raise ValueError("skeleton needs exactly 6 points")
-        if len(self.lines) != 5:
-            raise ValueError("skeleton needs exactly 5 lines")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -101,35 +99,20 @@ class TurbineSkeleton:
     def point(self, label: str) -> np.ndarray:
         return self.points[POINT_LABELS.index(label)]
 
-    @cached_property
-    def line_table(self) -> np.ndarray:
-        """(5, 3) read-only rows (start, end, line class) of `lines`."""
-        table = np.array([(line.start, line.end, int(line.line_class)) for line in self.lines], dtype=np.int64)
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def same_class_pairs(self) -> np.ndarray:
-        """(5, 5) read-only mask of pairs of distinct lines of one class."""
-        cls = self.line_table[:, 2]
-        pairs = (cls[:, None] == cls[None, :]) & ~np.eye(cls.size, dtype=bool)
-        pairs.flags.writeable = False
-        return pairs
-
 
 @dataclass(frozen=True)
 class SubdividedModel:
     """Line points sampled at regular intervals, endpoints included."""
 
     points: np.ndarray  # (m, 3)
-    line_ids: np.ndarray  # (m,) index into skeleton.lines; the matcher's guard and row order use it
+    line_ids: np.ndarray  # (m,) row of LINES; the matcher's guard and row order use it
 
     def __len__(self):
         return self.points.shape[0]
 
 
 def build_skeleton(params: TurbineParams) -> TurbineSkeleton:
-    """Assemble the 6-point / 5-line skeleton from shape parameters."""
+    """Place the skeleton's 6 points from shape parameters."""
     up = np.array([0.0, 0.0, 1.0])
     normal = np.array([math.cos(params.heading), math.sin(params.heading), 0.0])
     horiz = np.cross(up, normal)  # in-plane horizontal axis
@@ -141,27 +124,21 @@ def build_skeleton(params: TurbineParams) -> TurbineSkeleton:
         blade_centre + params.blade_length * (math.cos(a) * horiz + math.sin(a) * up)
         for a in params.blade_azimuths
     ]
-    points = np.vstack([tower_base, tower_top, blade_centre] + tips)
-    lines = (
-        SkeletonLine(0, 1, LineClass.TOWER),
-        SkeletonLine(1, 2, LineClass.HUB),
-        SkeletonLine(2, 3, LineClass.BLADE),
-        SkeletonLine(2, 4, LineClass.BLADE),
-        SkeletonLine(2, 5, LineClass.BLADE),
-    )
-    return TurbineSkeleton(points, lines)
+    return TurbineSkeleton(np.vstack([tower_base, tower_top, blade_centre] + tips))
 
 
 def subdivide(skeleton: TurbineSkeleton, s_tower: int, s_hub: int, s_blade: int) -> SubdividedModel:
-    """Sample each line uniformly: s_tower/s_hub/s_blade points per class."""
-    counts = {LineClass.TOWER: s_tower, LineClass.HUB: s_hub, LineClass.BLADE: s_blade}
-    for name, n in (("s_tower", s_tower), ("s_hub", s_hub), ("s_blade", s_blade)):
+    """Sample each line of LINES uniformly: s_tower/s_hub/s_blade points per class."""
+    counts = (s_tower, s_hub, s_blade)  # indexed by LineClass
+    for name, n in zip(("s_tower", "s_hub", "s_blade"), counts):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValueError(f"{name} must be an integer")
         if n < 2:
             raise ValueError(f"{name} must be at least 2")
     points, ids = [], []
-    for line_id, line in enumerate(skeleton.lines):
-        a, b = skeleton.points[line.start], skeleton.points[line.end]
-        n = counts[line.line_class]
+    for line_id, (start, end, line_class) in enumerate(LINES):
+        a, b = skeleton.points[start], skeleton.points[end]
+        n = counts[line_class]
         frac = np.linspace(0.0, 1.0, n)
         points.append(a[None, :] + frac[:, None] * (b - a)[None, :])
         ids.append(np.full(n, line_id, dtype=np.int64))

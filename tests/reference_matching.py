@@ -11,7 +11,7 @@ import numpy as np
 
 from turbloc.geometry import EPS_DEPTH, clip_segments_to_front, pinhole, world_to_camera
 from turbloc.matching import CorrespondenceKind, FrameMatches
-from turbloc.turbine import POINT_CLASSES
+from turbloc.turbine import LINES, POINT_CLASSES
 
 
 def match_point(channel, predicted, cfg):
@@ -119,7 +119,7 @@ def _point_segment_distance(points, a, b):
     return np.linalg.norm(points - (a + t[:, None] * ab[None, :]), axis=-1)
 
 
-def _ambiguous_samples(uv, line_id, line_class, skeleton, projected_lines, sin_guard, reach):
+def _ambiguous_samples(uv, line_id, line_class, projected_lines, sin_guard, reach):
     flagged = np.zeros(uv.shape[0], dtype=bool)
     a_own, b_own = projected_lines[line_id]
     d_own = b_own - a_own
@@ -127,8 +127,8 @@ def _ambiguous_samples(uv, line_id, line_class, skeleton, projected_lines, sin_g
     if n_own < 1e-9:
         return flagged
     d_own = d_own / n_own
-    for other_id, other in enumerate(skeleton.lines):
-        if other_id == line_id or other.line_class != line_class:
+    for other_id, (_, _, other_class) in enumerate(LINES):
+        if other_id == line_id or other_class != line_class:
             continue
         if other_id not in projected_lines:
             continue
@@ -146,13 +146,13 @@ def _ambiguous_samples(uv, line_id, line_class, skeleton, projected_lines, sin_g
 
 def empty_matches():
     return FrameMatches(
-        np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((0, 2)),
+        np.zeros((0, 3)), np.zeros((0, 2)),
         np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64),
     )
 
 
 def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, cfg):
-    rows_p3d, rows_pred, rows_match, rows_kind, rows_cls, rows_line = [], [], [], [], [], []
+    rows_p3d, rows_match, rows_kind, rows_cls, rows_line = [], [], [], [], []
 
     cam_points = world_to_camera(pose_estimate, skeleton.points)
     for idx, cls in enumerate(POINT_CLASSES):
@@ -170,7 +170,6 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
         if np.linalg.norm(refined - uv) <= cfg.r_point:
             matched = refined
         rows_p3d.append(skeleton.points[idx])
-        rows_pred.append(uv)
         rows_match.append(matched)
         rows_kind.append(int(CorrespondenceKind.POINT))
         rows_cls.append(int(cls))
@@ -178,13 +177,13 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
 
     cam_sub = world_to_camera(pose_estimate, subdivided.points)
     projected_lines = {}
-    for line_id, line in enumerate(skeleton.lines):
-        a, b, in_front = clip_segments_to_front(cam_points[line.start][None], cam_points[line.end][None])
+    for line_id, (start, end, _) in enumerate(LINES):
+        a, b, in_front = clip_segments_to_front(cam_points[start][None], cam_points[end][None])
         if in_front[0]:
             projected_lines[line_id] = (pinhole(k, a[0]), pinhole(k, b[0]))
 
     sin_guard = np.sin(np.radians(cfg.parallel_guard_deg))
-    for line_id, line in enumerate(skeleton.lines):
+    for line_id, (_, _, line_class) in enumerate(LINES):
         if line_id not in projected_lines:
             continue
         a2, b2 = projected_lines[line_id]
@@ -201,29 +200,25 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
             (uv[:, 0] >= -0.5) & (uv[:, 0] < k.width - 0.5)
             & (uv[:, 1] >= -0.5) & (uv[:, 1] < k.height - 0.5)
         )
-        visible &= ~_ambiguous_samples(
-            uv, line_id, line.line_class, skeleton, projected_lines, sin_guard, cfg.a_line
-        )
+        visible &= ~_ambiguous_samples(uv, line_id, line_class, projected_lines, sin_guard, cfg.a_line)
         if not visible.any():
             continue
-        channel = frame.line_channels[int(line.line_class)]
+        channel = frame.line_channels[int(line_class)]
         matched, found = _match_line_rows(channel, uv[visible], perp, cfg)
         vis_idx = sel[visible]
         for local, global_idx in enumerate(vis_idx):
             if not found[local]:
                 continue
             rows_p3d.append(subdivided.points[global_idx])
-            rows_pred.append(uv[visible][local])
             rows_match.append(matched[local])
             rows_kind.append(int(CorrespondenceKind.LINE))
-            rows_cls.append(int(line.line_class))
+            rows_cls.append(int(line_class))
             rows_line.append(line_id)
 
     if not rows_p3d:
         return empty_matches()
     return FrameMatches(
         np.asarray(rows_p3d, dtype=float),
-        np.asarray(rows_pred, dtype=float),
         np.asarray(rows_match, dtype=float),
         np.asarray(rows_kind, dtype=np.int64),
         np.asarray(rows_cls, dtype=np.int64),

@@ -33,7 +33,7 @@ from turbloc.heatmap import (
     _HEADER,
 )
 from turbloc.simulation import Trajectory
-from turbloc.turbine import POINT_CLASSES
+from turbloc.turbine import LINES, POINT_CLASSES
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,10 @@ def render(skeleton, pose, k, sigma=MEASUREMENT_SIGMA):
     for idx in np.flatnonzero(in_view(k, uv)):
         _paint_gaussian_point(points[int(POINT_CLASSES[idx])], uv[idx, 0], uv[idx, 1], sigma)
 
-    table = skeleton.line_table
-    ends_a, ends_b, in_front = clip_segments_to_front(cam[table[:, 0]], cam[table[:, 1]])
+    ends_a, ends_b, in_front = clip_segments_to_front(cam[LINES[:, 0]], cam[LINES[:, 1]])
     a2, b2 = pinhole(k, ends_a), pinhole(k, ends_b)
     for i in np.flatnonzero(in_front):
-        _paint_gaussian_segment(lines[table[i, 2]], a2[i], b2[i], sigma)
+        _paint_gaussian_segment(lines[LINES[i, 2]], a2[i], b2[i], sigma)
 
     for stack in (lines, points):
         for c in range(stack.shape[0]):

@@ -8,6 +8,7 @@ from turbloc.geometry import (
     CameraIntrinsics,
     Pose,
     compose,
+    compose_rows,
     geodesic_angle,
     in_view,
     pinhole,
@@ -17,6 +18,7 @@ from turbloc.geometry import (
     quat_rotate,
     quaternion_boxplus,
     relative_pose,
+    relative_rows,
     world_to_camera,
 )
 from turbloc.posegraph import GraphWeights, _relative_forward
@@ -178,6 +180,34 @@ class TestRelativePose:
                 acc = compose(acc, rel)
             end_to_end = relative_pose(chain[-1], chain[0])
             assert pose_close(acc, end_to_end)
+
+
+class TestRowForms:
+    """compose_rows and relative_rows state the two formulas once: on rows of
+    (t, q) they equal their single-Pose forms before normalisation and their
+    own single-row calls, bit for bit."""
+
+    @pytest.mark.parametrize("rows, pose_form", [(compose_rows, compose), (relative_rows, relative_pose)])
+    def test_equal_pose_form_and_single_rows(self, rows, pose_form):
+        rng = np.random.default_rng(61)
+        a = [random_pose(rng) for _ in range(200)]
+        b = [random_pose(rng) for _ in range(200)]
+        t, q = rows(*(np.array([getattr(p, f) for p in poses]) for poses in (a, b) for f in ("t", "q")))
+        for i in range(200):
+            want = pose_form(a[i], b[i])
+            one_t, one_q = rows(a[i].t, a[i].q, b[i].t, b[i].q)
+            assert t[i].tobytes() == one_t.tobytes() == want.t.tobytes()
+            assert q[i].tobytes() == one_q.tobytes()
+            assert quat_normalize(q[i]).tobytes() == want.q.tobytes()
+
+    @pytest.mark.parametrize("rows", [compose_rows, relative_rows])
+    def test_q_is_not_renormalised(self, rows):
+        rng = np.random.default_rng(67)
+        ta, tb = rng.standard_normal((2, 50, 3))
+        qa, qb = 2.0 * rng.standard_normal((2, 50, 4))
+        _, q = rows(ta, qa, tb, qb)
+        # |qa qb| = |qa| |qb|, far from 1 for these scales
+        assert np.allclose(np.linalg.norm(q, axis=1), np.linalg.norm(qa, axis=1) * np.linalg.norm(qb, axis=1))
 
 
 class TestPoseResidual:

@@ -19,6 +19,7 @@ from turbloc.geometry import (
 )
 from turbloc.heatmap import HeatmapFrame, pixels_above, render
 from turbloc.matching import (
+    _SAME_CLASS_PAIRS,
     _bilinear,
     _perpendiculars,
     _refine_peaks,
@@ -30,7 +31,7 @@ from turbloc.matching import (
     match_frame_arrays,
 )
 from turbloc.simulation import NoiseSpec, degrade_measurements, generate_orbit_trajectory, inject_noise
-from turbloc.turbine import LineClass, TurbineParams, build_skeleton, subdivide
+from turbloc.turbine import LINES, LineClass, TurbineParams, build_skeleton, subdivide
 
 DEG = math.pi / 180.0
 
@@ -255,6 +256,26 @@ class TestRefinePeak:
         assert np.array_equal(_refine_peaks(channel[None], FIRST, np.array([[8.0, 8.0]]))[0], [8.0, 8.0])
 
 
+class TestSameClassPairs:
+    def test_distinct_lines_of_one_class(self):
+        # class equality between distinct lines
+        cls = LINES[:, 2]
+        want = (cls[:, None] == cls[None, :]) & ~np.eye(cls.size, dtype=bool)
+        assert _SAME_CLASS_PAIRS.dtype == bool and np.array_equal(_SAME_CLASS_PAIRS, want)
+        # only the three blades pair up
+        assert [tuple(p) for p in np.argwhere(_SAME_CLASS_PAIRS)] == [(2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3)]
+
+    def test_read_only(self):
+        assert not _SAME_CLASS_PAIRS.flags.writeable
+        with pytest.raises(ValueError):
+            _SAME_CLASS_PAIRS[2, 3] = False
+
+
+def predictions(k, pose, m):
+    """Where the matched model points `m.points3d` project at `pose`."""
+    return pinhole(k, world_to_camera(pose, m.points3d))
+
+
 class TestMatchFrame:
     def test_self_consistency_full_count(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
@@ -263,7 +284,7 @@ class TestMatchFrame:
         assert m.n_points == 6
         assert m.n_lines == cfg.s_tower + cfg.s_hub + 3 * cfg.s_blade
         assert len(m) == m.n_points + m.n_lines
-        assert np.all(np.linalg.norm(m.predicted - m.matched, axis=1) <= 1.0)
+        assert np.all(np.linalg.norm(predictions(k, pose, m) - m.matched, axis=1) <= 1.0)
 
     def test_all_zero_frame_empty(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
@@ -297,7 +318,8 @@ class TestMatchFrame:
         moved = pinhole(k, world_to_camera(true_pose, m.points3d)) - pinhole(k, world_to_camera(pose, m.points3d))
         assert np.all(np.isfinite(moved))
         checked = 0
-        for predicted, matched, kind, line_id, expected in zip(m.predicted, m.matched, m.kinds, m.line_ids, moved):
+        rows = zip(predictions(k, pose, m), m.matched, m.kinds, m.line_ids, moved)
+        for predicted, matched, kind, line_id, expected in rows:
             got = matched - predicted
             if kind == CorrespondenceKind.POINT:
                 assert np.linalg.norm(got - expected) <= 1.0
@@ -317,20 +339,20 @@ class TestMatchFrame:
         a = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
         b = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
         assert np.array_equal(a.matched, b.matched)
-        assert np.array_equal(a.predicted, b.predicted)
+        assert np.array_equal(a.points3d, b.points3d)
         assert np.array_equal(a.kinds, b.kinds)
 
     def test_refinement_bounds_respected(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
         m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        dist = np.linalg.norm(m.predicted - m.matched, axis=1)
+        dist = np.linalg.norm(predictions(k, pose, m) - m.matched, axis=1)
         is_point = m.kinds == CorrespondenceKind.POINT
         assert np.all(dist[is_point] <= cfg.r_point)
         assert np.all(dist[~is_point] <= cfg.a_line / 2 + 1e-9)
 
 
-MATCH_FIELDS = ("points3d", "predicted", "matched", "kinds", "class_ids", "line_ids")
+MATCH_FIELDS = ("points3d", "matched", "kinds", "class_ids", "line_ids")
 REFERENCE_CONFIGS = [
     MatchConfig(),
     MatchConfig(r_point=24.0, a_line=16.0, k_line=9, s_tower=4, s_hub=2, s_blade=5),
@@ -400,7 +422,7 @@ class TestMatchesReference:
             frame = render(skeleton, pose, k)
             for estimate in [pose] + [perturbed(pose, rng, 0.3, 1.0 * DEG) for _ in range(4)]:
                 want = check_reference(skeleton, estimate, k, frame, cfg)
-                pred = want.predicted[want.kinds == int(CorrespondenceKind.POINT)]
+                pred = predictions(k, estimate, want)[want.kinds == int(CorrespondenceKind.POINT)]
                 near_border += np.sum(np.min(np.hstack([pred, 255.0 - pred]), axis=1) < cfg.r_point)
         assert near_border > 0
 

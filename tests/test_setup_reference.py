@@ -25,7 +25,7 @@ from turbloc.simulation import (
     run_sweep,
 )
 from turbloc.posegraph import SolverConfig
-from turbloc.turbine import TurbineParams, build_skeleton
+from turbloc.turbine import LINES, TurbineParams, build_skeleton
 
 DEG = math.pi / 180.0
 K256 = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
@@ -111,12 +111,11 @@ def views(skeleton):
 class TestRender:
     def test_views_cover_the_degenerate_cases(self, skeleton):
         vs = views(skeleton)
-        table = skeleton.line_table
         point_like = clipped = behind = 0
         for k, pose in vs:
             cam = world_to_camera(pose, skeleton.points)
             uv = pinhole(k, cam)
-            ab = uv[table[:, 1]] - uv[table[:, 0]]
+            ab = uv[LINES[:, 1]] - uv[LINES[:, 0]]
             point_like += np.any(np.einsum("ij,ij->i", ab, ab) < 1e-18)
             behind += np.any(cam[:, 2] <= 0.0)
             off = (uv < -0.5) | (uv >= np.array([k.width, k.height]) - 0.5)

@@ -96,6 +96,15 @@ class TestOrbit:
         with pytest.raises(ValueError):
             generate_orbit_trajectory(skeleton, 4.0, 10)  # blade length is 5
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("radius", math.inf), ("radius", math.nan), ("hz", 0.0), ("hz", -1.0), ("hz", math.inf), ("hz", math.nan)]
+        + [("n_keyframes", 4.5), ("n_keyframes", 4.0), ("n_keyframes", True)],
+    )
+    def test_rejects_bad_inputs(self, skeleton, name, value):
+        with pytest.raises(ValueError, match=name):
+            generate_orbit_trajectory(skeleton, **{"radius": 30.0, "n_keyframes": 10, name: value})
+
     def test_points_in_view(self, skeleton, camera):
         traj = generate_orbit_trajectory(skeleton, 30.0, 36)
         for pose in traj.poses:
@@ -192,7 +201,7 @@ class TestSimulateMeasurements:
         for pose, frame in zip(truth.poses, frames):
             m = match_frame_arrays(skeleton, sub, pose, camera, frame, cfg)
             assert m.n_points == 6
-            disp = np.linalg.norm(m.matched - m.predicted, axis=1)
+            disp = np.linalg.norm(m.matched - pinhole(camera, world_to_camera(pose, m.points3d)), axis=1)
             assert disp.max() < 1.0
 
     def test_degrade_off_is_identity(self, skeleton, camera):
@@ -389,6 +398,12 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), (Pose.identity(), Pose.identity()))
 
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_rejects_non_finite_timestamps(self, last):
+        # save_trajectory would write them, and load_trajectory reject the file
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array([0.0, 1.0, last]), (Pose.identity(),) * 3)
+
     def test_noise_spec_invariants(self):
         with pytest.raises(ValueError):
             NoiseSpec(-0.1, 0.0, seed=0)
@@ -396,3 +411,11 @@ class TestTrajectoryType:
             NoiseSpec(0.0, -0.1, seed=0)
         with pytest.raises(ValueError):
             NoiseSpec(math.nan, 0.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "1"])
+    def test_noise_spec_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(0.1, 0.1, seed=seed)
+
+    def test_noise_spec_accepts_numpy_seed(self):
+        assert NoiseSpec(0.1, 0.1, seed=np.uint64(2**63)).seed == 2**63

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turbloc.turbine import (
+    LINES,
     LineClass,
     PointClass,
     POINT_CLASSES,
@@ -33,7 +34,7 @@ class TestBuildSkeleton:
     def test_counts(self):
         sk = build_skeleton(make_params())
         assert sk.points.shape == (6, 3)
-        assert len(sk.lines) == 5
+        assert LINES.shape == (5, 3) and LINES.dtype == np.int64
 
     def test_hand_trigonometry(self):
         sk = build_skeleton(make_params())
@@ -54,20 +55,23 @@ class TestBuildSkeleton:
             assert np.isclose(np.linalg.norm(sk.point(label) - centre), 5.0)
 
     def test_line_topology(self):
-        sk = build_skeleton(make_params())
-        classes = [line.line_class for line in sk.lines]
-        assert classes == [LineClass.TOWER, LineClass.HUB] + [LineClass.BLADE] * 3
-        assert (sk.lines[0].start, sk.lines[0].end) == (0, 1)
-        assert (sk.lines[1].start, sk.lines[1].end) == (1, 2)
-        assert all(line.start == 2 for line in sk.lines[2:])
+        assert LINES[:, 2].tolist() == [LineClass.TOWER, LineClass.HUB] + [LineClass.BLADE] * 3
+        # tower base to top, top to blade centre, blade centre to each tip
+        assert LINES[:, :2].tolist() == [[0, 1], [1, 2], [2, 3], [2, 4], [2, 5]]
 
     def test_point_classes(self):
-        assert POINT_CLASSES[:3] == (
+        assert POINT_CLASSES.dtype == np.int64
+        assert POINT_CLASSES.tolist() == [
             PointClass.TOWER_BASE,
             PointClass.TOWER_TOP,
             PointClass.BLADE_CENTRE,
-        )
-        assert all(c == PointClass.BLADE_TIP for c in POINT_CLASSES[3:])
+        ] + [PointClass.BLADE_TIP] * 3
+
+    @pytest.mark.parametrize("table", [LINES, POINT_CLASSES])
+    def test_topology_is_read_only(self, table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
 
     @pytest.mark.parametrize(
         "field,value",
@@ -122,7 +126,7 @@ class TestSubdivide:
     def test_uniform_tower_samples(self):
         sk = build_skeleton(make_params())
         sub = subdivide(sk, 3, 2, 2)
-        tower = sub.points[sk.line_table[sub.line_ids, 2] == int(LineClass.TOWER)]
+        tower = sub.points[LINES[sub.line_ids, 2] == int(LineClass.TOWER)]
         assert np.allclose(tower[:, 2], [0.0, 5.0, 10.0])
 
     def test_counts(self):
@@ -144,8 +148,8 @@ class TestSubdivide:
     def test_endpoints_included(self):
         sk = build_skeleton(make_params())
         sub = subdivide(sk, 4, 3, 5)
-        for line_id, line in enumerate(sk.lines):
-            a, b = sk.points[line.start], sk.points[line.end]
+        for line_id, (start, end, _) in enumerate(LINES):
+            a, b = sk.points[start], sk.points[end]
             samples = sub.points[sub.line_ids == line_id]
             assert np.allclose(samples[0], a)
             assert np.allclose(samples[-1], b)
@@ -154,4 +158,10 @@ class TestSubdivide:
     def test_rejects_small_counts(self, counts):
         sk = build_skeleton(make_params())
         with pytest.raises(ValueError):
+            subdivide(sk, *counts)
+
+    @pytest.mark.parametrize("counts", [(2.5, 3, 3), (3, 3.0, 3), (3, 3, True), (3, 3, "3")])
+    def test_rejects_non_integer_counts(self, counts):
+        sk = build_skeleton(make_params())
+        with pytest.raises(ValueError, match="must be an integer"):
             subdivide(sk, *counts)
