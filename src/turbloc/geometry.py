@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -267,27 +268,50 @@ class CameraIntrinsics:
         if not (0.0 <= self.cx < self.width) or not (0.0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(fx, fy), (cx, cy) and the raster's upper bounds (width - 0.5,
+        height - 0.5), for `pinhole` and `in_view` to treat u and v at once."""
+        return (
+            np.array([self.fx, self.fy], dtype=float),
+            np.array([self.cx, self.cy], dtype=float),
+            np.array([self.width - 0.5, self.height - 0.5]),
+        )
+
+
+# cyclic shifts of (x, y, z): component i of a x b is
+# a[_NEXT][i] * b[_PREV][i] - a[_PREV][i] * b[_NEXT][i]
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
 
 def world_to_camera(pose: Pose, points: np.ndarray) -> np.ndarray:
-    """World points into the camera frame: R^T (p - t)."""
-    return quat_rotate(quat_conjugate(pose.q), np.asarray(points, dtype=float) - pose.t)
+    """World points into the camera frame: R^T (p - t).
+
+    The arithmetic of `quat_rotate(quat_conjugate(pose.q), p - t)`, to the
+    bit, on whole rows: the cross products take rolled components.
+    """
+    v = np.asarray(points, dtype=float) - pose.t
+    w, u = pose.q[0], -pose.q[1:]
+    u_next, u_prev = u[_NEXT], u[_PREV]
+    t = 2.0 * (u_next * v.take(_PREV, axis=-1) - u_prev * v.take(_NEXT, axis=-1))
+    return v + w * t + (u_next * t.take(_PREV, axis=-1) - u_prev * t.take(_NEXT, axis=-1))
 
 
 def pinhole(k: CameraIntrinsics, points_cam: np.ndarray) -> np.ndarray:
     """Pinhole projection of camera-frame points; NaN for a point behind the
     camera (depth at most EPS_DEPTH).  Off-image points are not checked."""
     p = np.asarray(points_cam, dtype=float)
-    z = np.where(p[..., 2] > EPS_DEPTH, p[..., 2], np.nan)
-    u = k.fx * p[..., 0] / z + k.cx
-    v = k.fy * p[..., 1] / z + k.cy
-    return np.stack([u, v], axis=-1)
+    focal, centre, _ = k._columns
+    z = p[..., 2:]
+    return focal * p[..., :2] / np.where(z > EPS_DEPTH, z, np.nan) + centre
 
 
 def in_view(k: CameraIntrinsics, uv: np.ndarray) -> np.ndarray:
     """Whether pixel coordinates fall on the image raster; false for NaN."""
     uv = np.asarray(uv, dtype=float)
-    u, v = uv[..., 0], uv[..., 1]
-    return (u >= -0.5) & (u < k.width - 0.5) & (v >= -0.5) & (v < k.height - 0.5)
+    inside = (uv >= -0.5) & (uv < k._columns[2])
+    return inside[..., 0] & inside[..., 1]
 
 
 def clip_segments_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

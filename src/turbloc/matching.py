@@ -28,17 +28,30 @@ points, lines or line pairs:
   built on the first match and cached on the frame.  The listed pixels of a
   window's rows are one contiguous run of that list, found by two binary
   searches; the box, disk, maximum and tie-break tests run on those runs,
-  padded to an (n_points, longest run) array, and the winners are then
-  refined together.  The gain rests on the heatmaps being sparse: on
-  rendered and degraded frames about 0.5% of point-channel pixels exceed
-  the threshold.  A window's work is bounded by the listed pixels of its
-  rows, so a dense frame costs a few times the dense box scan, not more;
+  padded to an (n_points, longest run) array.  The gain rests on the
+  heatmaps being sparse: on rendered and degraded frames about 0.5% of
+  point-channel pixels exceed the threshold.  A window's work is bounded by
+  the listed pixels of its rows, so a dense frame costs a few times the
+  dense box scan, not more;
+- peak refinement: a gather from the per-frame peak memo below;
 - parallel-line guard: one (lines, lines) near-parallel mask and, when some
   line has a near-parallel same-class partner, one (lines, samples)
   point-to-segment distance matrix;
-- line search: all (sample, offset) positions, shape (m, k_line, 2),
-  interpolated at once from the flattened line-channel stack, with the
-  offsets in tie-break order so that the first maximum wins.
+- line search: the x and the y of all (sample, offset) positions, each of
+  shape (m, k_line), interpolated at once from the flattened line-channel
+  stack, with the offsets in tie-break order so that the first maximum wins.
+
+Per frame, and per lambda_point, two things are memoised beside the frame:
+the pixel list itself and, in it, the sub-pixel peak refined around each
+listed pixel (`PixelList.peaks`).  A peak depends only on the frame's point
+channels and the winning pixel, never on the pose, so a pixel is refined
+the first time it wins a window, and every later match that it wins reads
+the stored peak.  Neither can go stale: the frame's channels are read-only
+copies (`HeatmapFrame`), and both memos are built and dropped with the
+frame.  The memo is filled lazily because refining all 262,144 point
+pixels of a dense 256x256 frame up front takes about 100 ms.  What is left
+per call is the pose-dependent work: projection, the window and line
+searches and the guard, each a fixed number of array passes.
 
 The topology is fixed, so the same-class pair mask is a module constant
 derived from `turbine.LINES`; the ordered offsets depend only on the
@@ -150,7 +163,8 @@ def _search_points(
     lambda_point or one is NaN, including a window that lies wholly off the
     raster.  Only listed pixels can win, and the listed pixels of a window's
     rows form one run of the list, from (y0, x0) to (y1, x1).  Returns
-    (winning pixel centres (n, 2), found (n,)).
+    (winning pixel centres (n, 2), found (n,), the winners' positions in the
+    list (n,)); a row that is not found has an arbitrary centre and position.
     """
     n = predicted.shape[0]
     _, h, w = pixels.shape
@@ -163,10 +177,11 @@ def _search_points(
     ends = (box.reshape(n, 2, 2) @ (1.0, w) + (class_ids * (h * w))[:, None]).astype(np.int64)
     start = np.searchsorted(pixels.index, ends[:, 0])
     length = np.searchsorted(pixels.index, ends[:, 1], side="right") - start
-    if np.max(length, initial=0) <= 0:  # no listed pixel in any window's rows
-        return np.zeros((n, 2)), np.zeros(n, dtype=bool)
+    longest = length.max(initial=0)
+    if longest <= 0:  # no listed pixel in any window's rows
+        return np.zeros((n, 2)), np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
     # one padded row of run positions per window
-    span = np.arange(length.max())
+    span = np.arange(longest)
     at = start[:, None] + span
     values = pixels.values.take(at, mode="clip")
     xs = pixels.cols.take(at, mode="clip")
@@ -179,7 +194,7 @@ def _search_points(
     # ties: smallest squared distance, then row-major order (argmin keeps the first)
     j = np.argmin(np.where(values == best[:, None], d2, np.inf), axis=1)
     rows = np.arange(n)
-    return np.array([xs[rows, j], ys[rows, j]]).T, best > cfg.lambda_point
+    return np.array([xs[rows, j], ys[rows, j]]).T, best > cfg.lambda_point, at[rows, j]
 
 
 def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,14 +215,13 @@ def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.where(flip[:, None], -p, p), d, ok
 
 
-def _bilinear(channels: np.ndarray, class_ids: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Interpolated values at positions xy (..., 2) in channels[class_ids], -inf off the raster.
+def _bilinear(channels: np.ndarray, class_ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Interpolated values at positions (x, y) in channels[class_ids], -inf off the raster.
 
-    class_ids broadcasts against xy[..., 0]; corners are gathered from the
+    class_ids, x and y broadcast together; corners are gathered from the
     flattened channel stack.
     """
     _, h, w = channels.shape
-    x, y = xy[..., 0], xy[..., 1]
     xs = _clip(x, 0.0, w - 1.0)
     ys = _clip(y, 0.0, h - 1.0)
     x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
@@ -222,10 +236,10 @@ def _bilinear(channels: np.ndarray, class_ids: np.ndarray, xy: np.ndarray) -> np
     flat = channels.reshape(-1)
     corner = class_ids * (h * w) + y0 * w + x0
     vals = (
-        flat[corner] * gx * gy
-        + flat[corner + dx] * fx * gy
-        + flat[corner + dy] * gx * fy
-        + flat[corner + dy + dx] * fx * fy
+        flat.take(corner) * gx * gy
+        + flat.take(corner + dx) * fx * gy
+        + flat.take(corner + dy) * gx * fy
+        + flat.take(corner + dy + dx) * fx * fy
     )
     # a position is on the raster where clipping left it unchanged (NaN is not)
     return np.where((xs == x) & (ys == y), vals, -np.inf)
@@ -246,8 +260,9 @@ def _search_lines(
     Returns (matched (m, 2), found (m,)).
     """
     offsets = cfg._offsets_by_preference
-    positions = predicted[:, None, :] + offsets[None, :, None] * perp[:, None, :]
-    values = _bilinear(channels, class_ids[:, None], positions)
+    x = predicted[:, 0, None] + offsets * perp[:, 0, None]
+    y = predicted[:, 1, None] + offsets * perp[:, 1, None]
+    values = _bilinear(channels, class_ids[:, None], x, y)
     # the samples run in tie-break order, so argmax's first maximum wins
     j = np.argmax(values, axis=1)
     found = values[np.arange(j.size), j] > cfg.lambda_line
@@ -280,6 +295,19 @@ def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarra
     shift = _clip(0.5 * (lp[..., 0] - lp[..., 2]) / np.where(concave, den, -1.0), -0.5, 0.5)
     centre = nearest.astype(float)
     return np.where(concave, centre + shift, centre)
+
+
+def _memo_peaks(
+    channels: np.ndarray, pixels: PixelList, class_ids: np.ndarray, centres: np.ndarray, win: np.ndarray
+) -> np.ndarray:
+    """`_refine_peaks(channels, class_ids, centres)` for the winning pixels at
+    positions `win` of the channels' pixel list, read from the list's memo;
+    the peaks not yet in it are refined and stored."""
+    peaks = pixels.peaks[win]
+    fresh = np.isnan(peaks[:, 0])
+    if fresh.any():
+        peaks[fresh] = pixels.peaks[win[fresh]] = _refine_peaks(channels, class_ids[fresh], centres[fresh])
+    return peaks
 
 
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,9 +370,9 @@ def match_frame_arrays(
     p_idx = np.flatnonzero(seen[:n_pts])
     p_cls = POINT_CLASSES[p_idx]
     pixels = frame.point_pixels_above(cfg.lambda_point)
-    p_match, found = _search_points(pixels, p_cls, uv[p_idx], cfg)
-    p_idx, p_cls, p_match = p_idx[found], p_cls[found], p_match[found]
-    refined = _refine_peaks(frame.point_channels, p_cls, p_match)
+    p_match, found, win = _search_points(pixels, p_cls, uv[p_idx], cfg)
+    p_idx, p_cls, p_match, win = p_idx[found], p_cls[found], p_match[found], win[found]
+    refined = _memo_peaks(frame.point_channels, pixels, p_cls, p_match, win)
     shift = refined - uv[p_idx]
     # vecdot sums like the 1-D np.linalg.norm, to the bit
     p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)

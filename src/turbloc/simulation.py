@@ -71,6 +71,11 @@ class Trajectory:
         return len(self.poses)
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     sigma_t: float  # per-step translation noise std, meters
@@ -80,8 +85,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not all(np.isfinite(v) and v >= 0.0 for v in (self.sigma_t, self.sigma_r)):
             raise ValueError("noise magnitudes must be finite and non-negative")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -161,6 +165,7 @@ def degrade_measurements(
     """Optional measurement degradation: additive pixel noise and per-channel
     integer peak jitter.  Off by default; simulated measurements are error
     free unless explicitly requested."""
+    _check_seed(seed)
     if not all(np.isfinite(v) and v >= 0.0 for v in (pixel_sigma, jitter_px)):
         raise ValueError("pixel_sigma and jitter_px must be finite and non-negative")
     if pixel_sigma == 0.0 and jitter_px == 0.0:
@@ -276,6 +281,7 @@ class SweepReport:
 
 def cell_seed(root_seed: int, cell_index: int) -> int:
     """Per-cell noise seed; stable when cells are appended to the grid."""
+    _check_seed(root_seed)
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(cell_index,))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -296,6 +302,7 @@ def run_sweep(
     Cells are independent and deterministic; measurements are rendered once
     at ground truth and shared.
     """
+    _check_seed(seed)
     sigma_t_grid = [float(s) for s in sigma_t_grid]
     sigma_r_grid = [float(s) for s in sigma_r_grid]
     if not sigma_t_grid or not sigma_r_grid:

@@ -13,6 +13,7 @@ from turbloc.geometry import (
     in_view,
     pinhole,
     quat_angle,
+    quat_conjugate,
     quat_multiply,
     quat_normalize,
     quat_rotate,
@@ -116,6 +117,16 @@ class TestQuaternionFormulasBitwise:
         got = quat_rotate(q, v)
         want = cross_quat_rotate(q, v)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(3,), (500, 3)])
+    def test_world_to_camera(self, shape):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            pose = random_pose(rng)
+            points = 10.0 * rng.standard_normal(shape)
+            got = world_to_camera(pose, points)
+            want = quat_rotate(quat_conjugate(pose.q), points - pose.t)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestCompose:
@@ -314,6 +325,20 @@ class TestProjection:
             h = km @ (m[:3, :3] @ point + m[:3, 3])
             assert np.allclose(uv, h[:2] / h[2], atol=1e-9)
             hits += 1
+
+    def test_columns_match_the_scalar_formulas(self):
+        # u and v are computed together, with the arithmetic of one column at a time
+        rng = np.random.default_rng(43)
+        k = CameraIntrinsics(300.0, 280.0, 320.0, 240.0, 640, 480)
+        p = rng.standard_normal((2000, 3)) * (1.5, 1.0, 1.0) + (0.0, 0.0, 2.0)
+        p[:3, 2] = (0.0, EPS_DEPTH, -1.0)
+        z = np.where(p[:, 2] > EPS_DEPTH, p[:, 2], np.nan)
+        want = np.stack([k.fx * p[:, 0] / z + k.cx, k.fy * p[:, 1] / z + k.cy], axis=1)
+        uv = pinhole(k, p)
+        assert uv.shape == want.shape and np.array_equal(uv, want, equal_nan=True)
+        u, v = want.T
+        seen = (u >= -0.5) & (u < k.width - 0.5) & (v >= -0.5) & (v < k.height - 0.5)
+        assert 0 < seen.sum() < seen.size and np.array_equal(in_view(k, uv), seen)
 
     def test_behind_camera(self):
         # depth -1, 0 and exactly EPS_DEPTH are behind: NaN, without a

@@ -69,7 +69,7 @@ FIRST = np.zeros(1, np.int64)
 
 def search_points(channels, class_ids, predicted, cfg):
     """`_search_points` on a bare channel stack, through its pixel list."""
-    return _search_points(pixels_above(channels, cfg.lambda_point), class_ids, predicted, cfg)
+    return _search_points(pixels_above(channels, cfg.lambda_point), class_ids, predicted, cfg)[:2]
 
 
 class TestMatchPoint:
@@ -194,9 +194,9 @@ class TestMatchLineSample:
             (profile.reshape(1, 5, 1), np.stack([np.zeros(5), along], axis=1)),
             (profile.reshape(1, 1, 5), np.stack([along, np.zeros(5)], axis=1)),
         ):
-            values = _bilinear(channels, FIRST, xy)
+            values = _bilinear(channels, FIRST, xy[:, 0], xy[:, 1])
             assert np.allclose(values, np.interp(along, np.arange(5), profile), rtol=0.0, atol=1e-7)
-            off = _bilinear(channels, FIRST, xy[:1] + 0.5)  # beyond the single column or row
+            off = _bilinear(channels, FIRST, xy[:1, 0] + 0.5, xy[:1, 1] + 0.5)  # beyond the single column or row
             assert off[0] == -np.inf
 
     def test_one_pixel_rasters_match_the_oracles(self):
@@ -444,20 +444,32 @@ class TestMatchesReference:
         assert len(check_reference(skeleton, pose, k, blank_frame(k.width, k.height), cfg)) == 0
 
 
+def with_nan_pixels(skeleton, pose, k, frame):
+    """`frame` with NaN pixels in the tower base's disk, in the tower top's
+    box off its disk and across a few tower samples' searches."""
+    uv = np.rint(pinhole(k, world_to_camera(pose, skeleton.points))).astype(int)
+    points = frame.point_channels.copy()
+    lines = frame.line_channels.copy()
+    points[0, uv[0, 1] + 3, uv[0, 0] - 2] = np.nan
+    points[1, uv[1, 1] - 29, uv[1, 0] - 29] = np.nan
+    lines[0, uv[0, 1] - 40 : uv[0, 1] - 20, uv[0, 0] + 8] = np.nan
+    return HeatmapFrame(lines, points)
+
+
+def filled(pixels):
+    """Positions of the pixel list's memoised peaks."""
+    done = ~np.isnan(pixels.peaks)
+    assert np.array_equal(done[:, 0], done[:, 1])
+    return np.flatnonzero(done[:, 0])
+
+
 class TestPixelListCache:
     """The frame's cached list of point pixels above lambda_point: NaN pixels,
     thresholds and frame lifetimes, each against the reference matcher."""
 
     def test_nan_pixels(self, scene):
         skeleton, _, k, pose, _ = scene
-        frame = render(skeleton, pose, k)
-        uv = np.rint(pinhole(k, world_to_camera(pose, skeleton.points))).astype(int)
-        points = frame.point_channels.copy()
-        lines = frame.line_channels.copy()
-        points[0, uv[0, 1] + 3, uv[0, 0] - 2] = np.nan  # in the tower base's disk
-        points[1, uv[1, 1] - 29, uv[1, 0] - 29] = np.nan  # in the tower top's box, off its disk
-        lines[0, uv[0, 1] - 40 : uv[0, 1] - 20, uv[0, 0] + 8] = np.nan  # across a few tower samples' searches
-        nan_frame = HeatmapFrame(lines, points)
+        nan_frame = with_nan_pixels(skeleton, pose, k, render(skeleton, pose, k))
         for config in REFERENCE_CONFIGS:
             m = check_reference(skeleton, pose, k, nan_frame, config)
             assert set(m.class_ids[m.kinds == int(CorrespondenceKind.POINT)].tolist()) == {1, 2, 3}
@@ -502,6 +514,51 @@ class TestPixelListCache:
         for channels in (frame.point_channels, frame.line_channels):
             with pytest.raises(ValueError):
                 channels[0, 0, 0] = 1.0
+
+
+class TestPeakMemo:
+    """The refined peaks memoised beside a frame's pixel list."""
+
+    def test_memo_equals_refinement(self, scene):
+        skeleton, subdivided, k, pose, cfg = scene
+        clean = render(skeleton, pose, k)
+        frames = (clean, degrade_measurements([clean], 0.1, 5.0, seed=7)[0], with_nan_pixels(skeleton, pose, k, clean))
+        rng = np.random.default_rng(31)
+        estimates = [pose] + [perturbed(pose, rng, s, 2.0 * s * DEG) for s in (0.1, 0.5, 1.5) for _ in range(3)]
+        for frame in frames:
+            for estimate in estimates:
+                match_frame_arrays(skeleton, subdivided, estimate, k, frame, cfg)
+            pixels = frame.point_pixels_above(cfg.lambda_point)
+            done = filled(pixels)
+            assert done.size > 0
+            _, h, w = pixels.shape
+            centres = np.stack([pixels.cols[done], pixels.rows[done]], axis=1)
+            want = _refine_peaks(frame.point_channels, pixels.index[done] // (h * w), centres)
+            assert np.array_equal(pixels.peaks[done], want)
+
+    def test_one_memo_per_threshold(self, scene):
+        skeleton, subdivided, k, pose, _ = scene
+        frame = render(skeleton, pose, k)
+        for lam in (0.3, 0.6):
+            match_frame_arrays(skeleton, subdivided, pose, k, frame, MatchConfig(lambda_point=lam))
+        low, high = frame.point_pixels_above(0.3), frame.point_pixels_above(0.6)
+        assert low.index.size > high.index.size
+        assert filled(low).size == filled(high).size == 6
+        # the same winners, memoised in each list at its own positions
+        assert np.array_equal(low.peaks[filled(low)], high.peaks[filled(high)])
+
+    def test_fills_one_entry_per_found_row(self, scene):
+        # every point pixel is listed and ties at 0.5, so each found row wins
+        # a pixel that no other row wins
+        skeleton, subdivided, k, pose, cfg = scene
+        frame = HeatmapFrame(np.zeros((3, k.height, k.width), np.float32), np.full((4, k.height, k.width), 0.5, np.float32))
+        pixels = frame.point_pixels_above(cfg.lambda_point)
+        assert pixels.index.size == 4 * k.height * k.width and filled(pixels).size == 0
+        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert m.n_points == 6
+        assert filled(pixels).size == m.n_points
+        match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert filled(pixels).size == m.n_points
 
 
 class TestKernelsMatchReference:

@@ -417,5 +417,17 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match="seed"):
             NoiseSpec(0.1, 0.1, seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_seeded_functions_reject_bad_seed(self, skeleton, camera, seed):
+        truth = generate_orbit_trajectory(skeleton, 30.0, 2)
+        frames = simulate_measurements(truth, skeleton, camera)
+        for magnitudes in ((0.1, 1.0), (0.0, 0.0)):  # the no-op path checks too
+            with pytest.raises(ValueError, match="seed"):
+                degrade_measurements(frames, *magnitudes, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            cell_seed(seed, 0)
+        with pytest.raises(ValueError, match="seed"):
+            run_sweep(truth, skeleton, camera, [0.01], [1.0 * DEG], seed=seed)
+
     def test_noise_spec_accepts_numpy_seed(self):
         assert NoiseSpec(0.1, 0.1, seed=np.uint64(2**63)).seed == 2**63
