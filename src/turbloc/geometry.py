@@ -85,19 +85,21 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
 
 
+# cyclic shifts of (x, y, z): component i of a x b is
+# a[_NEXT][i] * b[_PREV][i] - a[_PREV][i] * b[_NEXT][i]
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the rotation R(q) to 3-vectors v."""
-    w, ux, uy, uz = _components(q)
-    vx, vy, vz = _components(v)
-    # v + w t + u x t with t = 2 u x v, cross products written out per component
-    tx = 2.0 * (uy * vz - uz * vy)
-    ty = 2.0 * (uz * vx - ux * vz)
-    tz = 2.0 * (ux * vy - uy * vx)
-    return _stack_last((
-        vx + w * tx + (uy * tz - uz * ty),
-        vy + w * ty + (uz * tx - ux * tz),
-        vz + w * tz + (ux * ty - uy * tx),
-    ))
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w, u = q[..., :1], q[..., 1:]
+    u_next, u_prev = u.take(_NEXT, axis=-1), u.take(_PREV, axis=-1)
+    # v + w t + u x t with t = 2 u x v, the cross products on rolled components
+    t = 2.0 * (u_next * v.take(_PREV, axis=-1) - u_prev * v.take(_NEXT, axis=-1))
+    return v + w * t + (u_next * t.take(_PREV, axis=-1) - u_prev * t.take(_NEXT, axis=-1))
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -279,23 +281,9 @@ class CameraIntrinsics:
         )
 
 
-# cyclic shifts of (x, y, z): component i of a x b is
-# a[_NEXT][i] * b[_PREV][i] - a[_PREV][i] * b[_NEXT][i]
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-
-
 def world_to_camera(pose: Pose, points: np.ndarray) -> np.ndarray:
-    """World points into the camera frame: R^T (p - t).
-
-    The arithmetic of `quat_rotate(quat_conjugate(pose.q), p - t)`, to the
-    bit, on whole rows: the cross products take rolled components.
-    """
-    v = np.asarray(points, dtype=float) - pose.t
-    w, u = pose.q[0], -pose.q[1:]
-    u_next, u_prev = u[_NEXT], u[_PREV]
-    t = 2.0 * (u_next * v.take(_PREV, axis=-1) - u_prev * v.take(_NEXT, axis=-1))
-    return v + w * t + (u_next * t.take(_PREV, axis=-1) - u_prev * t.take(_NEXT, axis=-1))
+    """World points into the camera frame: R^T (p - t)."""
+    return quat_rotate(quat_conjugate(pose.q), np.asarray(points, dtype=float) - pose.t)
 
 
 def pinhole(k: CameraIntrinsics, points_cam: np.ndarray) -> np.ndarray:

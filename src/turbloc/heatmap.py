@@ -55,22 +55,20 @@ class PixelList(NamedTuple):
     """Pixels of a (channels, H, W) stack whose value exceeds a threshold or
     is NaN, in row-major order of the stack.
 
-    `peaks` is the matcher's memo of the sub-pixel peak fitted around each
-    listed pixel: NaN until the pixel first wins a point search, then filled
-    in place.  It depends on the stack alone, so it lives and dies with the
-    list.
+    `peaks` is built all NaN and lives and dies with the list; what it holds
+    and when it is filled is decided by `matching._memo_peaks` alone.
     """
 
     index: np.ndarray  # (m,) ascending flat indices into the stack
     values: np.ndarray  # (m,) float32
     rows: np.ndarray  # (m,) float pixel row
     cols: np.ndarray  # (m,) float pixel column
-    peaks: np.ndarray  # (m, 2) float64 refined (x, y) peak, NaN until filled
+    peaks: np.ndarray  # (m, 2) float64, see matching._memo_peaks
     shape: tuple  # (channels, H, W)
 
 
 def pixels_above(channels: np.ndarray, threshold: float) -> PixelList:
-    """The PixelList of a (channels, H, W) stack for `threshold`, no peak filled."""
+    """The PixelList of a (channels, H, W) stack for `threshold`."""
     _, h, w = channels.shape
     index = np.flatnonzero(~(channels <= threshold))
     rows, cols = np.divmod(index % (h * w), w)
@@ -83,10 +81,10 @@ class HeatmapFrame:
     """One keyframe's image measurements: line and point channel stacks.
 
     The channels are read-only float32 copies of the arrays passed in, so
-    what is derived from them and cached on the frame (`point_pixels_above`,
-    with its peak memo) cannot go stale, through the frame or through the
-    caller's arrays.  Every constructor copies, `render` its fresh stacks and
-    `read_frame` its view of the file's bytes too.
+    what is derived from them and cached on the frame (`point_pixels_above`)
+    cannot go stale, through the frame or through the caller's arrays.  Every
+    constructor copies, `render` its fresh stacks and `read_frame` its view
+    of the file's bytes too.
     """
 
     line_channels: np.ndarray  # (3, H, W) float32

@@ -13,7 +13,6 @@ from turbloc.geometry import (
     in_view,
     pinhole,
     quat_angle,
-    quat_conjugate,
     quat_multiply,
     quat_normalize,
     quat_rotate,
@@ -117,16 +116,6 @@ class TestQuaternionFormulasBitwise:
         got = quat_rotate(q, v)
         want = cross_quat_rotate(q, v)
         assert got.shape == want.shape and np.array_equal(got, want)
-
-    @pytest.mark.parametrize("shape", [(3,), (500, 3)])
-    def test_world_to_camera(self, shape):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            pose = random_pose(rng)
-            points = 10.0 * rng.standard_normal(shape)
-            got = world_to_camera(pose, points)
-            want = quat_rotate(quat_conjugate(pose.q), points - pose.t)
-            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestCompose:
