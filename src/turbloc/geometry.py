@@ -273,12 +273,16 @@ class CameraIntrinsics:
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(fx, fy), (cx, cy) and the raster's upper bounds (width - 0.5,
-        height - 0.5), for `pinhole` and `in_view` to treat u and v at once."""
-        return (
+        height - 0.5), for `pinhole` and `in_view` to treat u and v at once;
+        read-only, like the camera itself."""
+        columns = (
             np.array([self.fx, self.fy], dtype=float),
             np.array([self.cx, self.cy], dtype=float),
             np.array([self.width - 0.5, self.height - 0.5]),
         )
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
 
 def world_to_camera(pose: Pose, points: np.ndarray) -> np.ndarray:

@@ -81,15 +81,18 @@ class HeatmapFrame:
     """One keyframe's image measurements: line and point channel stacks.
 
     The channels are read-only float32 copies of the arrays passed in, so
-    what is derived from them and cached on the frame (`point_pixels_above`)
-    cannot go stale, through the frame or through the caller's arrays.  Every
-    constructor copies, `render` its fresh stacks and `read_frame` its view
-    of the file's bytes too.
+    what is derived from them and cached on the frame cannot go stale,
+    through the frame or through the caller's arrays.  Every constructor
+    copies, `render` its fresh stacks and `read_frame` its view of the
+    file's bytes too.  Two caches live on the frame: `point_pixels_above`'s
+    pixel lists, and `_last_match`, where `matching.match_frame_arrays`
+    keeps its last call on this frame (the format is stated there).
     """
 
     line_channels: np.ndarray  # (3, H, W) float32
     point_channels: np.ndarray  # (4, H, W) float32
     _point_pixels: dict = field(default_factory=dict, init=False, repr=False)
+    _last_match: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         lines = np.array(self.line_channels, dtype=np.float32)

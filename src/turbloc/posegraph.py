@@ -294,7 +294,9 @@ class PoseGraph:
     def _match(self, t: np.ndarray, q: np.ndarray) -> _Rows:
         """Match every keyframe at the estimates (t, q) and stack the rows."""
         # one call per keyframe through the module global, which tests and
-        # tracing wrap
+        # tracing wrap.  The matcher serves a call at the frame's last matched
+        # pose from its memo: after a `stalled` call, the next call's first
+        # pass finds every older keyframe where that call left it
         found = [
             match_frame_arrays(self.skeleton, self.subdivided, Pose(t[i], q[i]), self.camera, kf.frame, self.match_cfg)
             for i, kf in enumerate(self.keyframes)
@@ -386,8 +388,9 @@ class PoseGraph:
             cost0, r0, (h_diag, h_off, g) = self._objective(t, q, rows, meas_t, meas_q, with_system=True)
             if not costs:
                 costs.append(cost0)
-            # the matcher is stateless, so cost0 is one function of the
-            # estimates and comparable across passes
+            # the matcher's result depends only on its arguments (its memo
+            # returns what it would compute), so cost0 is one function of
+            # the estimates and comparable across passes
             if cost0 >= prev_cost0 and motion < STALL_MOTION_PX:
                 termination = "stalled"
                 break

@@ -102,10 +102,29 @@ class TurbineSkeleton:
 
 @dataclass(frozen=True)
 class SubdividedModel:
-    """Line points sampled at regular intervals, endpoints included."""
+    """Line points sampled at regular intervals, endpoints included.
+
+    Both arrays are read-only copies, checked as they arrive: the matcher
+    indexes LINES with the ids and keeps its last result per frame keyed on
+    this object."""
 
     points: np.ndarray  # (m, 3)
-    line_ids: np.ndarray  # (m,) row of LINES; the matcher's guard and row order use it
+    line_ids: np.ndarray  # (m,) int64 row of LINES; the matcher's guard and row order use it
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float)
+        ids = np.array(self.line_ids)
+        if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
+            raise ValueError("points must be a finite (m, 3) array")
+        if ids.shape != pts.shape[:1] or not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError("line_ids must hold one integer per point")
+        if not np.all((ids >= 0) & (ids < len(LINES))):
+            raise ValueError("line_ids must index LINES")
+        ids = ids.astype(np.int64)
+        pts.flags.writeable = False
+        ids.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "line_ids", ids)
 
     def __len__(self):
         return self.points.shape[0]

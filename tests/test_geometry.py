@@ -329,6 +329,11 @@ class TestProjection:
         seen = (u >= -0.5) & (u < k.width - 0.5) & (v >= -0.5) & (v < k.height - 0.5)
         assert 0 < seen.sum() < seen.size and np.array_equal(in_view(k, uv), seen)
 
+    def test_columns_read_only(self):
+        for column in CameraIntrinsics(300.0, 280.0, 320.0, 240.0, 640, 480)._columns:
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
     def test_behind_camera(self):
         # depth -1, 0 and exactly EPS_DEPTH are behind: NaN, without a
         # division warning, and never in view; the row in front is untouched

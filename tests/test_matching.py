@@ -1,6 +1,8 @@
 import gc
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from turbloc.geometry import (
     quat_from_rotvec,
     world_to_camera,
 )
+from turbloc import matching
 from turbloc.heatmap import HeatmapFrame, pixels_above, render
 from turbloc.matching import (
     _SAME_CLASS_PAIRS,
@@ -31,7 +34,7 @@ from turbloc.matching import (
     match_frame_arrays,
 )
 from turbloc.simulation import NoiseSpec, degrade_measurements, generate_orbit_trajectory, inject_noise
-from turbloc.turbine import LINES, LineClass, TurbineParams, build_skeleton, subdivide
+from turbloc.turbine import LINES, LineClass, TurbineParams, TurbineSkeleton, build_skeleton, subdivide
 
 DEG = math.pi / 180.0
 
@@ -271,6 +274,11 @@ class TestSameClassPairs:
             _SAME_CLASS_PAIRS[2, 3] = False
 
 
+def copy_of(frame):
+    """A new frame with `frame`'s channels and none of its caches."""
+    return HeatmapFrame(frame.line_channels, frame.point_channels)
+
+
 def predictions(k, pose, m):
     """Where the matched model points `m.points3d` project at `pose`."""
     return pinhole(k, world_to_camera(pose, m.points3d))
@@ -337,7 +345,8 @@ class TestMatchFrame:
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
         a = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        b = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        # a copy of the frame, which the first call's memo does not serve
+        b = match_frame_arrays(skeleton, subdivided, pose, k, copy_of(frame), cfg)
         assert np.array_equal(a.matched, b.matched)
         assert np.array_equal(a.points3d, b.points3d)
         assert np.array_equal(a.kinds, b.kinds)
@@ -557,8 +566,100 @@ class TestPeakMemo:
         m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
         assert m.n_points == 6
         assert filled(pixels).size == m.n_points
-        match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        # past the last-match memo, which would serve this call
+        matching._match_frame(skeleton, subdivided, pose, k, frame, cfg)
         assert filled(pixels).size == m.n_points
+
+
+def same_matches(a, b):
+    pairs = [(getattr(a, name), getattr(b, name)) for name in MATCH_FIELDS]
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
+
+
+def ulp_off(pose, attr):
+    """`pose` with one component of t or q moved by 1 ulp; for q, the first
+    component whose move survives Pose's renormalisation."""
+    for i in range(4 if attr == "q" else 3):
+        parts = {"t": pose.t.copy(), "q": pose.q.copy()}
+        parts[attr][i] = np.nextafter(parts[attr][i], np.inf)
+        moved = Pose(parts["t"], parts["q"])
+        if getattr(moved, attr).tobytes() != getattr(pose, attr).tobytes():
+            return moved
+    raise AssertionError(f"no 1 ulp move of {attr} survives")
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The frames that reach the computing function behind the memo, in call order."""
+    frames = []
+    compute = matching._match_frame
+
+    def spy(*args):
+        frames.append(args[4])
+        return compute(*args)
+
+    monkeypatch.setattr(matching, "_match_frame", spy)
+    return frames
+
+
+class TestMatchMemo:
+    """Each frame keeps its last match; a call that repeats it is served from it."""
+
+    def test_same_pose_returns_the_stored_object(self, scene, computed):
+        skeleton, subdivided, k, pose, cfg = scene
+        frame = render(skeleton, pose, k)
+        first = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        # a distinct Pose with the same bytes is the same key
+        twin = Pose(pose.t.copy(), pose.q.copy())
+        assert twin is not pose and twin.t.tobytes() == pose.t.tobytes() and twin.q.tobytes() == pose.q.tobytes()
+        assert match_frame_arrays(skeleton, subdivided, twin, k, frame, cfg) is first
+        assert computed == [frame]
+        fresh = match_frame_arrays(skeleton, subdivided, pose, k, copy_of(frame), cfg)
+        assert fresh is not first and len(first) > 0 and same_matches(first, fresh)
+
+    @pytest.mark.parametrize("change", ["t", "q", "cfg", "subdivided", "skeleton", "camera"])
+    def test_any_other_argument_computes_anew(self, scene, computed, change):
+        skeleton, subdivided, k, pose, cfg = scene
+        frame = render(skeleton, pose, k)
+        args = dict(skeleton=skeleton, subdivided=subdivided, pose_estimate=pose, k=k, frame=frame, cfg=cfg)
+        first = match_frame_arrays(**args)
+        if change in ("t", "q"):
+            args["pose_estimate"] = ulp_off(pose, change)
+        else:
+            # an equal but distinct object
+            name, value = {
+                "cfg": ("cfg", MatchConfig()),
+                "subdivided": ("subdivided", subdivide(skeleton, cfg.s_tower, cfg.s_hub, cfg.s_blade)),
+                "skeleton": ("skeleton", TurbineSkeleton(skeleton.points)),
+                "camera": ("k", dataclasses.replace(k)),
+            }[change]
+            assert value is not args[name]
+            args[name] = value
+        second = match_frame_arrays(**args)
+        assert computed == [frame, frame] and second is not first
+        if change not in ("t", "q"):
+            assert same_matches(first, second)
+        # the memo now holds the second call
+        assert match_frame_arrays(**args) is second and len(computed) == 2
+
+    def test_one_entry(self, scene, computed):
+        skeleton, subdivided, k, pose, cfg = scene
+        frame = render(skeleton, pose, k)
+        other = ulp_off(pose, "t")
+        a = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        match_frame_arrays(skeleton, subdivided, other, k, frame, cfg)
+        again = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert computed == [frame] * 3
+        assert again is not a and same_matches(a, again)
+
+    def test_results_are_frozen(self, scene):
+        skeleton, subdivided, k, pose, cfg = scene
+        m = match_frame_arrays(skeleton, subdivided, pose, k, render(skeleton, pose, k), cfg)
+        for name in MATCH_FIELDS:
+            with pytest.raises(ValueError):
+                getattr(m, name)[:1] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, getattr(m, name).copy())
 
 
 class TestKernelsMatchReference:

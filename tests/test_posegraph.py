@@ -21,7 +21,7 @@ from turbloc.geometry import (
     world_to_camera,
 )
 from turbloc.heatmap import HeatmapFrame, render
-from turbloc import posegraph
+from turbloc import matching, posegraph
 from turbloc.matching import CorrespondenceKind, FrameMatches, MatchConfig, match_frame_arrays
 from turbloc.posegraph import (
     GraphWeights,
@@ -453,6 +453,41 @@ class TestOptimize:
         assert report.termination == "max_iterations"
         frames = [kf.frame for kf in graph.keyframes]
         assert calls == frames * cfg.max_iterations
+
+    def test_first_pass_after_a_stall_reuses_the_old_keyframes_matches(self, scene, monkeypatch):
+        # a stalled call leaves every keyframe at the pose of its last match,
+        # so the next call's first pass computes only the new keyframe's
+        skeleton, subdivided, k, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 6)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        computed, served = [], []  # frames computed; per posegraph call, whether served from the memo
+        compute = matching._match_frame
+
+        def spy(*args):
+            computed.append(args[4])
+            return compute(*args)
+
+        def counted(*args):
+            before = len(computed)
+            m = match_frame_arrays(*args)
+            served.append(len(computed) == before)
+            return m
+
+        monkeypatch.setattr(matching, "_match_frame", spy)
+        monkeypatch.setattr(posegraph, "match_frame_arrays", counted)
+        graph = PoseGraph(skeleton, subdivided, k, GraphWeights(), cfg)
+        after_stall = 0
+        stalled = False
+        for pose, frame in zip(noisy.poses, simulate_measurements(truth, skeleton, k)):
+            graph.add_keyframe(pose, frame)
+            first = len(served)
+            report = graph.optimize(SolverConfig())
+            first_pass = served[first : first + len(graph)]
+            if stalled:
+                assert first_pass == [True] * (len(graph) - 1) + [False]
+                after_stall += 1
+            stalled = report.termination == "stalled"
+        assert after_stall >= 2
 
     @pytest.mark.parametrize("scale, stalls", [(1e-4, True), (1.0, False)])
     def test_stall_needs_a_small_step(self, scene, monkeypatch, scale, stalls):

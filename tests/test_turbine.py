@@ -9,6 +9,7 @@ from turbloc.turbine import (
     LineClass,
     PointClass,
     POINT_CLASSES,
+    SubdividedModel,
     TurbineParams,
     build_skeleton,
     subdivide,
@@ -165,3 +166,41 @@ class TestSubdivide:
         sk = build_skeleton(make_params())
         with pytest.raises(ValueError, match="must be an integer"):
             subdivide(sk, *counts)
+
+
+class TestSubdividedModel:
+    """A model checks and freezes its inputs, as the skeleton does."""
+
+    def test_read_only_copies(self):
+        sub = subdivide(build_skeleton(make_params()), 3, 2, 2)
+        points, ids = sub.points.copy(), sub.line_ids.copy()
+        model = SubdividedModel(points, ids)
+        points[0, 0] = ids[0] = 4
+        assert np.array_equal(model.points, sub.points) and np.array_equal(model.line_ids, sub.line_ids)
+        for array in (model.points, model.line_ids):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_ids_become_int64(self):
+        model = SubdividedModel(np.zeros((3, 3)), np.array([0, 4, 2], dtype=np.uint8))
+        assert model.line_ids.dtype == np.int64 and model.line_ids.tolist() == [0, 4, 2]
+
+    @pytest.mark.parametrize(
+        "points, line_ids",
+        [
+            (np.zeros((3, 3)), np.array([0, 9, 1.5])),  # non-integer and out of range
+            (np.zeros((3, 3)), np.array([0.0, 1.0, 2.0])),  # integer values of a float array
+            (np.zeros((3, 3)), np.array([0, 5, 1])),  # one past the last line
+            (np.zeros((3, 3)), np.array([0, -1, 1])),
+            (np.zeros((3, 3)), np.array([True, False, True])),
+            (np.zeros((3, 3)), np.array([0, 1])),  # one id short
+            (np.zeros((3, 3)), np.zeros((3, 1), dtype=np.int64)),
+            (np.zeros((3, 2)), np.array([0, 1, 2])),
+            (np.zeros(3), np.array([0])),
+            (np.array([[0.0, 0.0, np.nan]]), np.array([0])),
+            (np.array([[0.0, np.inf, 0.0]]), np.array([0])),
+        ],
+    )
+    def test_rejects(self, points, line_ids):
+        with pytest.raises(ValueError):
+            SubdividedModel(points, line_ids)
