@@ -56,7 +56,11 @@ def _stack_last(parts) -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion with non-negative scalar part."""
+    """Unit quaternion with non-negative scalar part.
+
+    `Pose` does the same arithmetic on Python floats for its one quaternion;
+    the two must stay alike to the bit.
+    """
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
     if not (np.isfinite(n).all() and n.all()):
@@ -79,10 +83,13 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ))
 
 
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+_CONJUGATE.flags.writeable = False
+
+
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     """Conjugate; equals the inverse for unit quaternions."""
-    q = np.asarray(q, dtype=float)
-    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
+    return np.asarray(q, dtype=float) * _CONJUGATE
 
 
 # cyclic shifts of (x, y, z): component i of a x b is
@@ -187,27 +194,36 @@ def skew(v: np.ndarray) -> np.ndarray:
 # rigid transforms
 # ---------------------------------------------------------------------------
 
-def _frozen_vector(v, size: int) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(size).copy()
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite vector")
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """World-from-camera rigid transform: position t and orientation q."""
+    """World-from-camera rigid transform: position t and orientation q.
+
+    Both are stored as read-only float copies.  t must be finite; q is
+    normalised exactly as `quat_normalize` does it, to the bit, and a zero
+    or non-finite q (squares that overflow included) raises ValueError.
+    """
 
     t: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        t = _frozen_vector(self.t, 3)
-        q = quat_normalize(np.asarray(self.q, dtype=float).reshape(4))
-        q.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "q", q)
+        # quat_normalize's arithmetic on Python floats, a few times cheaper
+        # than numpy's on one row: np.linalg.norm sums the four squares in
+        # order, and sqrt and division round alike in both
+        t = np.asarray(self.t, dtype=float).reshape(3).tolist()
+        if not all(map(math.isfinite, t)):
+            raise ValueError("non-finite vector")
+        w, x, y, z = np.asarray(self.q, dtype=float).reshape(4).tolist()
+        n = math.sqrt(((w * w + x * x) + y * y) + z * z)
+        if not (math.isfinite(n) and n):
+            raise ValueError("cannot normalize a zero or non-finite quaternion")
+        q = [w / n, x / n, y / n, z / n]
+        if q[0] < 0.0:
+            q = [-c for c in q]
+        for name, values in (("t", t), ("q", q)):
+            a = np.array(values)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @staticmethod
     def identity() -> "Pose":
@@ -307,16 +323,21 @@ def in_view(k: CameraIntrinsics, uv: np.ndarray) -> np.ndarray:
 
 
 def clip_segments_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clip camera-frame segments (..., 3) to depth > EPS_DEPTH.
+    """Clip camera-frame segments, ends pa and pb of one shape (..., 3), to
+    depth > EPS_DEPTH.
 
     Returns the clipped endpoints and whether any part of each segment lies in
     front.  An endpoint behind the camera moves onto the near plane, strictly
-    in front; segments entirely behind keep their endpoints.
+    in front; segments entirely behind keep their endpoints.  When no end is
+    behind, the endpoints returned are the input arrays themselves (as float
+    arrays), so callers must not write into them.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
     za, zb = pa[..., 2], pb[..., 2]
     behind_a, behind_b = za <= EPS_DEPTH, zb <= EPS_DEPTH
+    if not (behind_a.any() or behind_b.any()):
+        return pa, pb, np.ones(za.shape, dtype=bool)
     crosses = behind_a ^ behind_b
     t = (EPS_DEPTH - za) / np.where(crosses, zb - za, 1.0)
     crossing = pa + t[..., None] * (pb - pa)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from turbloc.geometry import (
     EPS_DEPTH,
     CameraIntrinsics,
     Pose,
+    clip_segments_to_front,
     compose,
     compose_rows,
     geodesic_angle,
@@ -98,6 +101,27 @@ def cross_quat_rotate(q, v):
     return v + w * t + np.cross(u, t)
 
 
+def reference_clip_segments_to_front(pa, pb):
+    # clip_segments_to_front as it was before its early return for segments
+    # wholly in front
+    pa = np.asarray(pa, dtype=float)
+    pb = np.asarray(pb, dtype=float)
+    za, zb = pa[..., 2], pb[..., 2]
+    behind_a, behind_b = za <= EPS_DEPTH, zb <= EPS_DEPTH
+    crosses = behind_a ^ behind_b
+    t = (EPS_DEPTH - za) / np.where(crosses, zb - za, 1.0)
+    crossing = pa + t[..., None] * (pb - pa)
+    crossing[..., 2] = EPS_DEPTH * (1.0 + 1e-6)
+    a = np.where((crosses & behind_a)[..., None], crossing, pa)
+    b = np.where((crosses & behind_b)[..., None], crossing, pb)
+    return a, b, ~(behind_a & behind_b)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestQuaternionFormulasBitwise:
     """The explicit component formulas equal the np.cross forms to the bit."""
 
@@ -116,6 +140,136 @@ class TestQuaternionFormulasBitwise:
         got = quat_rotate(q, v)
         want = cross_quat_rotate(q, v)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestPoseConstruction:
+    """Pose normalises its one quaternion on Python floats, exactly as
+    quat_normalize does on arrays."""
+
+    def test_equals_quat_normalize_to_the_bit(self):
+        rng = np.random.default_rng(41)
+        n = 12_000
+        # scales from 1e-3 to 1e3, a quarter with negative scalar parts and
+        # 1,000 with scalar parts of +0.0 and -0.0; 100 of the negative ones
+        # are subnormal and become -0.0 in the division, which keeps the sign
+        q = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        q[: n // 4, 0] = -np.abs(q[: n // 4, 0])
+        q[:100, :2] = -5e-324, 1e3
+        q[n // 4 : n // 4 + 500, 0] = 0.0
+        q[n // 4 + 500 : n // 4 + 1000, 0] = -0.0
+        t = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        poses = [Pose(t[i], q[i]) for i in range(n)]
+        want = quat_normalize(q)
+        assert same_bits(np.array([p.q for p in poses]), want)
+        assert same_bits(np.array([p.t for p in poses]), t)
+        # the cases named above are all there, and the signed zeros survive
+        assert np.sum(q[:, 0] < 0.0) >= n // 4 and np.sum(want[:, 0] == 0.0) == 1100
+        assert np.sum(np.signbit(want[:, 0])) == 600
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.0, 0.0, -0.0, 0.0],
+            [np.nan, 0.0, 0.0, 1.0],
+            [1.0, np.inf, 0.0, 0.0],
+            [-np.inf, 0.0, 0.0, 0.0],
+            [1e200, 0.0, 0.0, 0.0],  # finite, but its square overflows
+            [0.0, 0.0, -1.3e154, 1.3e154],
+        ],
+    )
+    def test_rejects_zero_and_non_finite_quaternions(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                Pose(np.zeros(3), np.array(q))
+
+    @pytest.mark.parametrize("t", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
+    def test_rejects_non_finite_positions(self, t):
+        with pytest.raises(ValueError):
+            Pose(np.array(t), np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_arrays_are_read_only_copies(self):
+        t = np.array([1.0, 2.0, 3.0])
+        q = np.array([0.5, 0.5, 0.5, 0.5])
+        pose = Pose(t, q)
+        t[0] = q[0] = 9.0
+        assert pose.t[0] == 1.0 and pose.q[0] == 0.5
+        for array, shape in ((pose.t, (3,)), (pose.q, (4,))):
+            assert array.shape == shape and array.dtype == np.float64
+            assert array.flags.owndata and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # other array-likes are converted the same way
+        assert same_bits(Pose([[1, 2, 3]], (2, 0, 0, 0)).q, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+class TestClipSegmentsToFront:
+    NEAR = EPS_DEPTH * (1.0 + 1e-6)  # depth of an end moved onto the near plane
+
+    def test_wholly_in_front_equals_the_reference_to_the_bit(self):
+        rng = np.random.default_rng(43)
+        pa, pb = rng.standard_normal((2, 200, 3))
+        pa[:, 2], pb[:, 2] = rng.uniform(0.01, 50.0, (2, 200))
+        pa[0, 2] = pb[1, 2] = np.nextafter(EPS_DEPTH, 1.0)
+        got, want = clip_segments_to_front(pa, pb), reference_clip_segments_to_front(pa, pb)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert got[2].all()
+
+    def test_mixed_segments_equal_the_reference_to_the_bit(self):
+        rng = np.random.default_rng(47)
+        pa, pb = rng.standard_normal((2, 300, 3))
+        pa[:, 2], pb[:, 2] = rng.uniform(-2.0, 2.0, (2, 300))
+        pa[:20, 2] = EPS_DEPTH
+        got, want = clip_segments_to_front(pa, pb), reference_clip_segments_to_front(pa, pb)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_one_end_behind_moves_onto_the_segment(self):
+        # row 0 has its b end behind, row 1 its a end
+        pa = np.array([[1.0, 2.0, 5.0], [0.5, -1.0, -3.0]])
+        pb = np.array([[3.0, -2.0, -1.0], [2.0, 4.0, 7.0]])
+        a, b, front = clip_segments_to_front(pa, pb)
+        assert front.all()
+        assert same_bits(a[0], pa[0]) and same_bits(b[1], pb[1])
+        for moved, p, q in ((b[0], pa[0], pb[0]), (a[1], pb[1], pa[1])):
+            assert moved[2] == self.NEAR
+            s = (EPS_DEPTH - p[2]) / (q[2] - p[2])  # where the depth reaches EPS_DEPTH
+            assert 0.0 < s < 1.0
+            assert np.allclose(moved[:2], p[:2] + s * (q[:2] - p[:2]), rtol=0.0, atol=1e-12)
+
+    def test_both_ends_behind_keep_their_ends(self):
+        pa = np.array([[1.0, 2.0, -1.0], [0.0, 0.0, 0.0], [3.0, 1.0, EPS_DEPTH]])
+        pb = np.array([[3.0, 4.0, -5.0], [1.0, 1.0, EPS_DEPTH], [-2.0, 0.5, -0.0]])
+        a, b, front = clip_segments_to_front(pa, pb)
+        assert not front.any()
+        assert same_bits(a, pa) and same_bits(b, pb)
+
+    def test_depth_eps_depth_counts_as_behind(self):
+        pb = np.array([[1.0, 0.0, 1.0]])
+        a, b, front = clip_segments_to_front(np.array([[0.0, 0.0, EPS_DEPTH]]), pb)
+        assert front.all() and a[0, 2] == self.NEAR and same_bits(b, pb)
+        # one ulp further out is in front and kept as it is
+        just_in_front = np.array([[0.0, 0.0, np.nextafter(EPS_DEPTH, 1.0)]])
+        a, b, front = clip_segments_to_front(just_in_front, pb)
+        assert front.all() and same_bits(a, just_in_front) and same_bits(b, pb)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 5, 3), (3, 1, 2, 3)])
+    @pytest.mark.parametrize("behind", [None, 0, 1])
+    def test_batch_shapes(self, shape, behind):
+        # no end behind, or the last segment's a or b end behind
+        rng = np.random.default_rng(53)
+        pa, pb = rng.standard_normal((2,) + shape)
+        pa[..., 2], pb[..., 2] = rng.uniform(0.5, 5.0, (2,) + shape[:-1])
+        if behind is not None:
+            (pa, pb)[behind].reshape(-1, 3)[-1, 2] = -1.0
+        a, b, front = clip_segments_to_front(pa, pb)
+        assert a.shape == b.shape == shape and np.shape(front) == shape[:-1]
+        want = reference_clip_segments_to_front(pa, pb)
+        assert all(same_bits(g, w) for g, w in zip((a, b, np.asarray(front)), want))
+        # and row by row as a flat batch
+        flat = clip_segments_to_front(pa.reshape(-1, 3), pb.reshape(-1, 3))
+        assert same_bits(a.reshape(-1, 3), flat[0]) and same_bits(b.reshape(-1, 3), flat[1])
+        assert same_bits(np.reshape(front, -1), flat[2])
 
 
 class TestCompose:

@@ -365,7 +365,11 @@ class TestTrajectoryIO:
         with pytest.raises(TrajectoryFormatError):
             load_trajectory(path)
 
-    @pytest.mark.parametrize("record", ["1,1,nan,3,1,0,0,0", "nan,1,2,3,1,0,0,0", "1,1,2,3,1,0,inf,0"])
+    # the last record's fields are finite but its quaternion's norm is not: a
+    # format error, not numpy's overflow warning
+    @pytest.mark.parametrize(
+        "record", ["1,1,nan,3,1,0,0,0", "nan,1,2,3,1,0,0,0", "1,1,2,3,1,0,inf,0", "0,0,0,0,1e200,0,0,0"]
+    )
     def test_non_finite_field(self, tmp_path, record):
         path = tmp_path / "bad.csv"
         path.write_text(f"0,1,2,3,1,0,0,0\n{record}\n")
