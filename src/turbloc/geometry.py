@@ -62,7 +62,8 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     the two must stay alike to the bit.
     """
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    # np.linalg.norm's own arithmetic: the squares summed in order, then sqrt
+    n = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
     if not (np.isfinite(n).all() and n.all()):
         raise ValueError("cannot normalize a zero or non-finite quaternion")
     q = q / n
@@ -151,14 +152,16 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Quaternion for an axis-angle vector (angle = |v|, axis = v / |v|)."""
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v, axis=-1, keepdims=True)
+    angle = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     half = 0.5 * angle
+    q = np.empty(v.shape[:-1] + (4,))
+    np.cos(half, out=q[..., :1])  # an infinite angle warns here: invalid value
     # sinc form is exact at angle = 0 and smooth for small angles
     small = angle < 1e-12
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k = np.where(small, 0.5, np.sin(half) / np.where(small, 1.0, angle))
-    w = np.cos(half)
-    return np.concatenate([w, k * v], axis=-1)
+    k = np.sin(half) / np.where(small, 1.0, angle)
+    k[small] = 0.5
+    np.multiply(k, v, out=q[..., 1:])
+    return q
 
 
 def quat_angle(q: np.ndarray) -> np.ndarray:

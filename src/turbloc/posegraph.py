@@ -25,6 +25,17 @@ does not increase (Levenberg-style diagonal damping, never below
 `DAMPING_FLOOR`).  No correspondence outlives its iteration, so `optimize`
 depends only on the keyframes' estimates, measurements and frames.
 
+A pass's time splits into matching, one `match_frame_arrays` call per
+keyframe (about two thirds of `optimize` on the 12-keyframe flights, more
+on large graphs), and the graph side: `_objective` with and without the
+system, `_solve_banded`, `quaternion_boxplus` and `_median_motion`, written
+for few numpy calls.  The graph side keeps the rounding of its first form,
+einsums over dense Jacobians, to the bit, because the flights are chaotic in
+round-off: where explicit products replace an einsum, they sum its terms in
+the einsum's order (sequentially, in index order; `matmul` rounds
+differently).  Only the sign of an exact zero Jacobian entry can differ, and
+the sums of H and g, which start at +0, do not see it.
+
 `OptimizeReport.termination` says why `optimize` stopped:
 
 - ``step_tolerance``: the accepted step's norm fell below
@@ -49,7 +60,9 @@ The graph is single-writer: callers must serialize add_keyframe/optimize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -155,29 +168,39 @@ def _image_forward(
     k: CameraIntrinsics,
     with_jacobian: bool,
 ):
-    """Weighted reprojection residuals (m, 2) and optional Jacobians (m, 2, 6)."""
-    rot = quat_to_matrix(q)  # (n, 3, 3), camera-to-world
-    rt = np.swapaxes(rot, -1, -2)[kf_idx]  # world-to-camera per correspondence
-    d = points3d - t[kf_idx]
-    pc = np.einsum("mij,mj->mi", rt, d)
-    z = pc[:, 2]
+    """Weighted reprojection residuals (m, 2) and optional Jacobians (m, 2, 6),
+    the latter a view of a (2, 6, m) array: rows run along the last axis."""
+    n, m = t.shape[0], kf_idx.shape[0]
+    # world-to-camera rotation of each row, rt[i, j] = R[j, i]
+    rt = quat_to_matrix(q).T.reshape(9, n).take(kf_idx, axis=1).reshape(3, 3, m)
+    d = (points3d - t.take(kf_idx, axis=0)).T
+    x, y, z = np.einsum("ijm,jm->im", rt, d)
     ok = z > EPS_DEPTH
     safe_z = np.where(ok, z, 1.0)
-    u = k.fx * pc[:, 0] / safe_z + k.cx
-    v = k.fy * pc[:, 1] / safe_z + k.cy
+    u = k.fx * x / safe_z + k.cx
+    v = k.fy * y / safe_z + k.cy
     r = w[:, None] * (np.stack([u, v], axis=1) - matched)
     if not with_jacobian:
         return r, ok, None
-    dpi = np.zeros((len(z), 2, 3))
-    dpi[:, 0, 0] = k.fx / safe_z
-    dpi[:, 0, 2] = -k.fx * pc[:, 0] / safe_z**2
-    dpi[:, 1, 1] = k.fy / safe_z
-    dpi[:, 1, 2] = -k.fy * pc[:, 1] / safe_z**2
-    jac = np.empty((len(z), 2, 6))
-    jac[:, :, :3] = np.einsum("mij,mjk->mik", dpi, -rt)
-    jac[:, :, 3:] = np.einsum("mij,mjk->mik", dpi, skew(pc))
-    jac *= w[:, None, None]
-    return r, ok, jac
+    # d(u, v)/d(p_c) = [[a, 0, cz], [0, b, dz]] times -R^T (translation) and
+    # skew(p_c) (rotation), written out without the zero terms, each entry
+    # summed in the order an einsum over the full matrices sums it
+    a = k.fx / safe_z
+    cz = -k.fx * x / safe_z**2
+    b = k.fy / safe_z
+    dz = -k.fy * y / safe_z**2
+    nrt = -rt
+    jac = np.empty((2, 6, m))
+    jac[0, :3] = a * nrt[0] + cz * nrt[2]
+    jac[1, :3] = b * nrt[1] + dz * nrt[2]
+    jac[0, 3] = cz * -y
+    jac[0, 4] = a * -z + cz * x
+    jac[0, 5] = a * y
+    jac[1, 3] = b * z + dz * -y
+    jac[1, 4] = dz * x
+    jac[1, 5] = b * -x
+    jac *= w
+    return r, ok, jac.transpose(2, 0, 1)
 
 
 def _relative_forward(
@@ -203,17 +226,18 @@ def _relative_forward(
     if not with_jacobian:
         return r, None, None
     n1 = t_hat.shape[0]
-    rot_cur_t = np.swapaxes(quat_to_matrix(q[1:]), -1, -2)
-    eye = np.broadcast_to(np.eye(3), (n1, 3, 3))
+    rot = quat_to_matrix(np.concatenate([q[1:], q_hat]))
+    rot_cur_t, rot_hat = np.swapaxes(rot[:n1], -1, -2), rot[n1:]
+    sk = skew(np.concatenate([t_hat, v_e]))
+    skew_t, skew_v = sk[:n1], sk[n1:]
+    w_eye = w_e[:, None, None] * _EYE
     j_cur = np.zeros((n1, 6, 6))
     j_prev = np.zeros((n1, 6, 6))
     j_cur[:, :3, :3] = -sqrt_bt * rot_cur_t
-    j_cur[:, :3, 3:] = sqrt_bt * skew(t_hat)
-    j_cur[:, 3:, 3:] = sqrt_br * (-w_e[:, None, None] * eye + skew(v_e))
+    j_cur[:, :3, 3:] = sqrt_bt * skew_t
+    j_cur[:, 3:, 3:] = sqrt_br * (-w_eye + skew_v)
     j_prev[:, :3, :3] = sqrt_bt * rot_cur_t
-    j_prev[:, 3:, 3:] = sqrt_br * np.einsum(
-        "nij,njk->nik", w_e[:, None, None] * eye - skew(v_e), quat_to_matrix(q_hat)
-    )
+    j_prev[:, 3:, 3:] = sqrt_br * np.einsum("nij,njk->nik", w_eye - skew_v, rot_hat)
     return r, j_cur, j_prev
 
 
@@ -223,20 +247,45 @@ def _median_motion(r_old: np.ndarray, r_new: np.ndarray, w: np.ndarray) -> float
     live = w > 0.0
     if not live.any():
         return np.inf
-    return float(np.median(np.linalg.norm(r_new[live] - r_old[live], axis=1) / w[live]))
+    dx, dy = (r_new - r_old).compress(live, axis=0).T
+    # np.median of np.linalg.norm, by their own arithmetic
+    motion = np.sqrt(dx * dx + dy * dy) / w.compress(live)
+    h = motion.size // 2
+    if motion.size % 2:
+        motion.partition(h)
+        return float(motion[h])
+    motion.partition((h - 1, h))
+    return float((motion[h - 1] + motion[h]) / 2.0)
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Sum rows of `values` (m, ...) into n bins given by idx, each bin in row order."""
-    flat = values.reshape(values.shape[0], -1)
-    d = flat.shape[1]
-    bins = (idx[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(bins, weights=flat.ravel(), minlength=n * d).reshape((n,) + values.shape[1:])
+    """Sum the columns of `values` (d, m) into n bins given by idx (m,),
+    giving (d, n); each bin sums its columns in order."""
+    d = values.shape[0]
+    bins = (np.arange(d)[:, None] * n + idx).ravel()
+    return np.bincount(bins, weights=values.ravel(), minlength=d * n).reshape(d, n)
 
 
-# (row, column) index pairs of a 6x6 block: its lower triangle, and all of it
-_LOWER = np.tril_indices(6)
-_BLOCK = np.divmod(np.arange(36), 6)
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """Where `_solve_banded` puts H for n keyframes in lower band storage
+    ab[r, c] = H[c + r, c]: the flat indices into ab, into h_diag (n, 36)
+    and into h_off (n - 1, 36), and ab's shape.  The lower triangle of each
+    diagonal block goes first, then the block below it (h_off transposed)."""
+    a, b = np.tril_indices(6)
+    p, q = np.divmod(np.arange(36), 6)
+    shape = (min(11, 6 * n - 1) + 1, 6 * n)
+    first = 6 * np.arange(n)[:, None]
+    rows = np.concatenate([np.broadcast_to(a - b, (n, a.size)), np.broadcast_to(6 + p - q, (n - 1, p.size))], axis=None)
+    cols = np.concatenate([first + b, first[:-1] + q], axis=None)
+    layout = (np.ravel_multi_index((rows, cols), shape), 6 * a + b, 6 * q + p, shape)
+    for index in layout[:3]:
+        index.flags.writeable = False
+    return layout
 
 
 class _Rows(NamedTuple):
@@ -327,12 +376,21 @@ class PoseGraph:
         sqrt_bt, sqrt_br = np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot)
         r_img, ok, jac = _image_forward(t, q, *rows, self.camera, with_system)
         r_rel, j_cur, j_prev = _relative_forward(t, q, meas_t, meas_q, sqrt_bt, sqrt_br, with_system)
-        cost = float(np.sum(r_img * r_img)) + float(np.sum(r_rel * r_rel)) if ok.all() else np.inf
+        cost = float((r_img * r_img).sum()) + float((r_rel * r_rel).sum()) if ok.all() else np.inf
         if not with_system:
             return cost, r_img
-        n = t.shape[0]
-        h_diag = _segment_sum(np.einsum("mka,mkb->mab", jac, jac), rows.kf_idx, n)
-        g = _segment_sum(np.einsum("mka,mk->ma", jac, r_img), rows.kf_idx, n)
+        n, m = t.shape[0], r_img.shape[0]
+        # each row's 6x6 block of J^T J and its 6 entries of J^T r (the terms
+        # of u, then of v, added as an einsum over them adds them), then all
+        # 42 summed per keyframe in one pass
+        j0, j1 = jac.transpose(1, 2, 0)
+        per_row = np.empty((7, 6, m))
+        np.multiply(j0[:, None], j0, out=per_row[:6])
+        per_row[:6] += j1[:, None] * j1
+        np.multiply(j0, r_img[:, 0], out=per_row[6])
+        per_row[6] += j1 * r_img[:, 1]
+        sums = _segment_sum(per_row.reshape(42, m), rows.kf_idx, n).reshape(7, 6, n)
+        h_diag, g = sums[:6].transpose(2, 0, 1), sums[6].T
         h_diag[1:] += np.einsum("ikp,ikq->ipq", j_cur, j_cur)
         h_diag[:-1] += np.einsum("ikp,ikq->ipq", j_prev, j_prev)
         h_off = np.einsum("ikp,ikq->ipq", j_prev, j_cur)
@@ -345,18 +403,10 @@ class PoseGraph:
     @staticmethod
     def _solve_banded(h_diag, h_off, g, damping):
         n = h_diag.shape[0]
-        ab = np.zeros((min(11, 6 * n - 1) + 1, 6 * n))
-        # lower band storage ab[r, c] = H[c + r, c]: the lower triangle of
-        # each diagonal block, then the block below it
-        a, b = _LOWER
-        p, q = _BLOCK
-        first = 6 * np.arange(n)[:, None]
-        rows = np.concatenate(
-            [np.broadcast_to(a - b, (n, a.size)), np.broadcast_to(6 + p - q, (n - 1, p.size))], axis=None
-        )
-        cols = np.concatenate([first + b, first[:-1] + q], axis=None)
-        ab[rows, cols] = np.concatenate([h_diag[:, a, b], h_off[:, q, p]], axis=None)
-        ab[0, :] += damping
+        at, diag_at, off_at, shape = _band_layout(n)
+        ab = np.zeros(shape)
+        ab.put(at, np.concatenate([h_diag.reshape(n, 36)[:, diag_at], h_off.reshape(n - 1, 36)[:, off_at]], axis=None))
+        ab[0] += damping
         delta = solveh_banded(ab, -g.ravel(), lower=True)
         return delta.reshape(n, 6)
 
@@ -402,7 +452,7 @@ class PoseGraph:
                     delta = self._solve_banded(h_diag, h_off, g, lam)
                 except LinAlgError:
                     delta = None
-                if delta is not None and np.all(np.isfinite(delta)):
+                if delta is not None and np.isfinite(delta).all():
                     solved = True
                     t_new = t + delta[:, :3]
                     q_new = quaternion_boxplus(q, delta[:, 3:])
@@ -421,7 +471,8 @@ class PoseGraph:
             prev_cost0 = cost0
             motion = _median_motion(r0, r1, rows.weights)
             lam = max(lam / 3.0, DAMPING_FLOOR)
-            if float(np.linalg.norm(delta)) < cfg.step_tolerance:
+            step = delta.ravel()  # np.linalg.norm's own arithmetic
+            if math.sqrt(step.dot(step)) < cfg.step_tolerance:
                 termination = "step_tolerance"
                 break
             if abs(cost0 - cost1) <= cfg.cost_tolerance * max(cost0, 1e-300):

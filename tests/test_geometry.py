@@ -16,6 +16,7 @@ from turbloc.geometry import (
     in_view,
     pinhole,
     quat_angle,
+    quat_from_rotvec,
     quat_multiply,
     quat_normalize,
     quat_rotate,
@@ -25,6 +26,7 @@ from turbloc.geometry import (
     world_to_camera,
 )
 from turbloc.posegraph import GraphWeights, _relative_forward
+import reference_posegraph
 
 
 def random_pose(rng, scale=10.0):
@@ -140,6 +142,59 @@ class TestQuaternionFormulasBitwise:
         got = quat_rotate(q, v)
         want = cross_quat_rotate(q, v)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestBoxplusMatchesReference:
+    """quat_from_rotvec, quat_normalize and quaternion_boxplus equal the
+    np.linalg.norm / np.concatenate forms kept in reference_posegraph, to the
+    bit, and warn where those warn."""
+
+    SHAPES = [(3,), (500, 3), (7, 2, 3)]
+
+    def rotvecs(self, rng, shape):
+        # angles from 1e-15 (the sinc form's constant) to 10 rad, zeros and -0.0
+        v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-15, 1, shape[:-1] + (1,))
+        if v.ndim == 2:
+            v[:5] = 0.0
+            v[5:10, 0] = -0.0
+            v[10:15] *= 1e-12 / np.linalg.norm(v[10:15], axis=-1, keepdims=True)
+        return v
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rotvec(self, shape):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            v = self.rotvecs(rng, shape)
+            assert same_bits(quat_from_rotvec(v), reference_posegraph.quat_from_rotvec(v))
+
+    @pytest.mark.parametrize("shape", [(4,), (500, 4), (7, 2, 4)])
+    def test_normalize(self, shape):
+        rng = np.random.default_rng(67)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            q = scale * rng.standard_normal(shape)
+            assert same_bits(quat_normalize(q), reference_posegraph.quat_normalize(q))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_boxplus(self, shape):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            delta = self.rotvecs(rng, shape)
+            q = quat_normalize(rng.standard_normal(shape[:-1] + (4,)))
+            assert same_bits(quaternion_boxplus(q, delta), reference_posegraph.quaternion_boxplus(q, delta))
+
+    @pytest.mark.parametrize("bad", [[np.inf, 0.0, 0.0], [[0.1, 0.0, 0.0], [0.0, -np.inf, 1.0]]])
+    def test_infinite_rotvec_warns_as_before(self, bad):
+        for fn in (quat_from_rotvec, reference_posegraph.quat_from_rotvec):
+            with pytest.raises(RuntimeWarning, match="invalid value encountered in cos"):
+                fn(bad)
+
+    def test_nan_rotvec_gives_nan_as_before(self):
+        v = np.array([[0.1, 0.0, 0.0], [np.nan, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quat_from_rotvec(v)
+        assert same_bits(got, reference_posegraph.quat_from_rotvec(v))
+        assert np.isnan(got[1]).all() and np.isfinite(got[0]).all()
 
 
 class TestPoseConstruction:

@@ -41,6 +41,7 @@ from turbloc.simulation import (
 )
 from turbloc.turbine import TurbineParams, build_skeleton, subdivide
 from reference_matching import reference_match_frame_arrays
+import reference_posegraph
 
 DEG = math.pi / 180.0
 
@@ -575,6 +576,140 @@ class TestFlightMatchesReference:
         want_estimates, want_reports = fly()
         assert reports == want_reports
         assert sum(r["iterations"] for r in reports) > 5
+        for got, want in zip(estimates, want_estimates):
+            assert got.t.tobytes() == want.t.tobytes() and got.q.tobytes() == want.q.tobytes()
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def orbit_graphs(scene):
+    """The benchmark's orbits as graphs at their seeded estimates: the first
+    1, 2, 6 and 12 keyframes of the 12-keyframe orbit (sigma 0.08 m, 6 deg)
+    and the 48-keyframe orbit (0.04 m, 3 deg), GPS/IMU noise seed 123."""
+    skeleton, subdivided, k, cfg = scene
+    graphs = {}
+    for n_orbit, sigma_t, sigma_r, sizes in ((12, 0.08, 6.0, (1, 2, 6, 12)), (48, 0.04, 3.0, (48,))):
+        truth = generate_orbit_trajectory(skeleton, 30.0, n_orbit)
+        noisy = inject_noise(truth, NoiseSpec(sigma_t, sigma_r * DEG, seed=123))
+        frames = simulate_measurements(truth, skeleton, k)
+        for size in sizes:
+            graph = PoseGraph(skeleton, subdivided, k, GraphWeights(), cfg)
+            for pose, frame in zip(noisy.poses[:size], frames):
+                graph.add_keyframe(pose, frame)
+            graphs[size] = graph
+    return graphs
+
+
+def assert_pass_matches_reference(graph, t, q):
+    """One Gauss-Newton pass at (t, q) with the library's graph side and with
+    reference_posegraph's: every output equal to the bit."""
+    meas_t, meas_q = graph._measurement_arrays()
+    rows = graph._match(t, q)
+    cost0, r0, system = graph._objective(t, q, rows, meas_t, meas_q, with_system=True)
+    want_cost0, want_r0, want_system = reference_posegraph.objective(graph, t, q, rows, meas_t, meas_q, True)
+    assert same_bits(cost0, want_cost0) and same_bits(r0, want_r0)
+    for got, want in zip(system, want_system):  # h_diag, h_off, g
+        assert same_bits(got, want)
+    for damping in (1e-6, 1e-2, 10.0):
+        delta = PoseGraph._solve_banded(*system, damping)
+        assert same_bits(delta, reference_posegraph.solve_banded(*want_system, damping))
+        q_new = quaternion_boxplus(q, delta[:, 3:])
+        assert same_bits(q_new, reference_posegraph.quaternion_boxplus(q, delta[:, 3:]))
+        cost1, r1 = graph._objective(t + delta[:, :3], q_new, rows, meas_t, meas_q)
+        want_cost1, want_r1 = reference_posegraph.objective(graph, t + delta[:, :3], q_new, rows, meas_t, meas_q)
+        assert same_bits(cost1, want_cost1) and same_bits(r1, want_r1)
+        motion = posegraph._median_motion(r0, r1, rows.weights)
+        assert same_bits(motion, reference_posegraph.median_motion(r0, r1, rows.weights))
+    return rows
+
+
+class TestGraphSideMatchesReference:
+    """The graph side of a pass (objective with and without the system, the
+    banded solve, the boxplus and the median motion) equals the einsum forms
+    kept in reference_posegraph, to the bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 6, 12, 48])
+    def test_orbit_graph(self, orbit_graphs, size):
+        graph = orbit_graphs[size]
+        t = np.array([kf.estimate.t for kf in graph.keyframes])
+        q = np.array([kf.estimate.q for kf in graph.keyframes])
+        rows = assert_pass_matches_reference(graph, t, q)
+        assert rows.kf_idx.size > 10 * size
+        # and a few passes on, nearer the optimum
+        rng = np.random.default_rng(size)
+        step = 1e-3 * rng.standard_normal((size, 6))
+        assert_pass_matches_reference(graph, t + step[:, :3], quaternion_boxplus(q, step[:, 3:]))
+
+    def test_row_behind_the_camera(self, scene):
+        # the trial step of test_row_behind_the_camera_costs_inf: cost inf,
+        # and the system of the rows in front as the reference builds it
+        graph, _ = truth_graph(scene, [0.4, 0.7], weights=GraphWeights(beta_line=0.0))
+        t = np.array([kf.estimate.t for kf in graph.keyframes])
+        q = np.array([kf.estimate.q for kf in graph.keyframes])
+        meas_t, meas_q = graph._measurement_arrays()
+        rows = graph._match(t, q)
+        t[1] += 30.5 * quat_rotate(q[1], np.array([0.0, 0.0, 1.0]))
+        for with_system in (False, True):
+            got = graph._objective(t, q, rows, meas_t, meas_q, with_system)
+            want = reference_posegraph.objective(graph, t, q, rows, meas_t, meas_q, with_system)
+            assert got[0] == want[0] == np.inf
+            assert same_bits(got[1], want[1])
+        for got, want in zip(got[2], want[2]):
+            assert same_bits(got, want)
+
+    def test_zero_line_weight(self, scene):
+        weights = GraphWeights(beta_line=0.0)
+        graph, _ = truth_graph(scene, [0.2, 0.5, 0.8], perturb={1: DELTA, 2: -DELTA}, weights=weights)
+        t = np.array([kf.estimate.t for kf in graph.keyframes])
+        q = np.array([kf.estimate.q for kf in graph.keyframes])
+        rows = assert_pass_matches_reference(graph, t, q)
+        assert 0 < np.sum(rows.weights == 0.0) < rows.weights.size
+
+    @pytest.mark.parametrize("n_live", [1, 2, 5, 6, 7, 8, 131, 132])
+    def test_median_of_odd_and_even_live_rows(self, n_live):
+        rng = np.random.default_rng(n_live)
+        r_old, r_new = rng.normal(size=(2, n_live + 9, 2))
+        w = np.zeros(n_live + 9)
+        w[rng.permutation(w.size)[:n_live]] = rng.choice([0.5, 1.0, 2.0], n_live)
+        r_new[:3] = r_old[:3]  # ties at zero motion
+        got = posegraph._median_motion(r_old, r_new, w)
+        assert same_bits(got, reference_posegraph.median_motion(r_old, r_new, w))
+        assert isinstance(got, float)
+
+
+class TestFlightGraphSideMatchesReference:
+    """A whole degraded incremental flight with the library's graph side
+    equals the same flight with reference_posegraph's, to the last bit."""
+
+    def test_degraded_incremental_flight(self, scene, monkeypatch):
+        skeleton, _, k, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 12)
+        frames = degrade_measurements(simulate_measurements(truth, skeleton, k), 0.1, 5.0, seed=7)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+
+        def fly():
+            graph, reports = build_and_optimize(noisy, frames, skeleton, k, GraphWeights(), cfg, SolverConfig())
+            return graph.estimates(), [r.as_dict() for r in reports]
+
+        estimates, reports = fly()
+        reference_calls = []
+
+        def reference_objective(*args, **kwargs):
+            reference_calls.append(kwargs.get("with_system", False))
+            return reference_posegraph.objective(*args, **kwargs)
+
+        monkeypatch.setattr(PoseGraph, "_objective", reference_objective)
+        monkeypatch.setattr(PoseGraph, "_solve_banded", staticmethod(reference_posegraph.solve_banded))
+        monkeypatch.setattr(posegraph, "_median_motion", reference_posegraph.median_motion)
+        monkeypatch.setattr(posegraph, "quaternion_boxplus", reference_posegraph.quaternion_boxplus)
+        want_estimates, want_reports = fly()
+        assert any(reference_calls) and not all(reference_calls)
+        assert reports == want_reports
+        assert sum(r["iterations"] for r in reports) > 50
         for got, want in zip(estimates, want_estimates):
             assert got.t.tobytes() == want.t.tobytes() and got.q.tobytes() == want.q.tobytes()
 
