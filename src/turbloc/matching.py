@@ -33,7 +33,10 @@ points, lines or line pairs:
   point-channel pixels exceed the threshold.  A window's work is bounded by
   the listed pixels of its rows, so a dense frame costs a few times the
   dense box scan, not more;
-- peak refinement: a gather from the per-frame peak memo below;
+- peak refinement: a gather from `PixelList.peaks`.  A peak depends only on
+  the frame's point channels and the winning pixel, never on the pose, so
+  the list refines the peak around every listed pixel once, when it is
+  built, and every match reads the stored peaks;
 - parallel-line guard: one (lines, lines) near-parallel mask and, when some
   line has a near-parallel same-class partner, one (lines, samples)
   point-to-segment distance matrix;
@@ -41,35 +44,18 @@ points, lines or line pairs:
   shape (m, k_line), interpolated at once from the flattened line-channel
   stack, with the offsets in tie-break order so that the first maximum wins.
 
-Three things are memoised beside each frame.  Per lambda_point, the pixel
-list itself and, in it, the sub-pixel peak refined around each listed pixel
-(`PixelList.peaks`, in the format `_memo_peaks` states).  A peak depends
-only on the frame's point channels and the winning pixel, never on the
-pose, so a pixel is refined the first time it wins a window, and every
-later match that it wins reads the stored peak.  The pose graph matches
-each keyframe again on every pass, and on the locbench flights 90-95% of
-the winners are read from the memo.  The memo is filled lazily because
-refining all 262,144 point pixels of a dense 256x256 frame up front takes
-about 100 ms.
+The matcher keeps no state of its own: a call reads its arguments, builds
+the frame's pixel list if the frame has none for lambda_point yet, and
+computes.  Building the list, peaks included, is the one cost that the first
+match of a frame pays: on one core of a 2-core VM the first match of a
+rendered or degraded 256x256 frame takes 0.8-1.1 ms, a later one 0.4-0.6 ms.
+On a dense frame, where every point pixel exceeds lambda_point, the first
+match takes about 55 ms, nearly all of it building the list and refining its
+262,144 peaks; no rendered or degraded frame comes near that.  Repeated calls
+at one pose are the caller's to avoid: `PoseGraph._match` keeps each
+keyframe's last match.
 
-The third is the frame's last match (`HeatmapFrame._last_match`): the
-result of the last `match_frame_arrays` call on the frame, keyed on the
-bytes of the pose's t and q and on the identity of the skeleton, the
-subdivided model, the camera and the config.  A call with the same key
-returns that result object; any other call computes and replaces it.  The
-online loop makes such calls: an `optimize` call that stops as `stalled`
-leaves every keyframe at the pose it was last matched at, and the next
-call's first pass matches them there again (187 of the 1,344 calls of a
-locbench incremental cycle).  One entry suffices: on the locbench
-workloads, keeping every pose ever matched would serve no further call.
-
-No memo can go stale.  Frames, skeletons, subdivided models, cameras,
-configs and poses are immutable, with read-only arrays, and so is the
-match handed out (`FrameMatches`).  The memos are built and dropped with
-the frame, and the last match holds its key's objects, so their ids cannot
-be reused.
-
-What is left per computed call is the pose-dependent work: projection, the
+What is left per call is the pose-dependent work: projection, the
 window and line searches and the guard, each a fixed number of array passes
 over 6-40 rows.  At that size most of a pass's cost is numpy's per-call
 dispatch, not arithmetic, so the passes call array methods and ufuncs
@@ -78,7 +64,7 @@ dispatch, not arithmetic, so the passes call array methods and ufuncs
 (`np.flatnonzero`, `np.searchsorted`, ..., `np.linalg.norm`), and
 `clip_segments_to_front` returns at once when no line end is behind the
 camera, as on every match of the locbench flights.  On the 816 matches of a
-48-keyframe flight a computed call then costs about 0.3 ms on one core of a
+48-keyframe flight a call then costs about 0.3 ms on one core of a
 2-core VM: the line search about 30% (most of it the bilinear gathers), the
 point search 25-30%, the guard 15% and projection 15%.
 
@@ -96,7 +82,6 @@ last bit.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -107,11 +92,6 @@ from .geometry import CameraIntrinsics, Pose, clip_segments_to_front, in_view, p
 from .heatmap import HeatmapFrame, PixelList
 from .turbine import LINES, POINT_CLASSES, SubdividedModel, TurbineSkeleton
 
-
-# positions in a row-major 3x3 neighbourhood of the horizontal, then the
-# vertical line through its centre
-_PEAK_CROSS = np.array([3, 4, 5, 1, 4, 7])
-_PEAK_CROSS.flags.writeable = False
 
 # pairs of distinct skeleton lines of one class, the parallel guard's candidates
 _SAME_CLASS_PAIRS = (LINES[:, None, 2] == LINES[None, :, 2]) & ~np.eye(len(LINES), dtype=bool)
@@ -317,50 +297,6 @@ def _search_lines(
     return predicted + offsets[j][:, None] * perp, found
 
 
-def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """Sub-pixel peaks around finite rows of `pixels` (n, 2) in channels[class_ids].
-
-    A separable log-quadratic fit around each (rounded) pixel gives the
-    continuous peak, which is exact for an isolated Gaussian.  A row falls
-    back to the pixel centre at the image border or when its 3x3
-    neighbourhood holds a value that is not positive, and an axis keeps the
-    centre when its fit is not concave.  The offset never exceeds half a
-    pixel per axis.
-    """
-    n = pixels.shape[0]
-    _, h, w = channels.shape
-    nearest = pixels.round().astype(np.int64)
-    # row-major 3x3 neighbourhoods from the flattened stack; the clip keeps a
-    # border row's gather on the stack, and border rows are not used
-    around = (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1)
-    patch = channels.reshape(-1).take((class_ids * (h * w) + nearest @ (1, w))[:, None] + around, mode="clip")
-    usable = ((nearest >= 1) & (nearest <= (w - 2, h - 2))).all(axis=1) & (patch.min(axis=1) > 0.0)
-    # values through the peak: (n, [x, y], [minus, centre, plus])
-    tri = patch[:, _PEAK_CROSS].reshape(n, 2, 3).astype(float)
-    lp = np.log(np.where(usable[:, None, None], tri, 1.0))
-    den = lp[..., 0] - 2.0 * lp[..., 1] + lp[..., 2]
-    concave = usable[:, None] & (den < 0.0)
-    shift = _clip(0.5 * (lp[..., 0] - lp[..., 2]) / np.where(concave, den, -1.0), -0.5, 0.5)
-    centre = nearest.astype(float)
-    return np.where(concave, centre + shift, centre)
-
-
-def _memo_peaks(
-    channels: np.ndarray, pixels: PixelList, class_ids: np.ndarray, centres: np.ndarray, win: np.ndarray
-) -> np.ndarray:
-    """`_refine_peaks(channels, class_ids, centres)` for the winning pixels at
-    positions `win` of the channels' pixel list, read from the list's memo.
-
-    The memo is `pixels.peaks`: row i is the refined (x, y) peak around
-    listed pixel i, NaN until that pixel first wins a window; the peaks not
-    yet in it are refined here and stored."""
-    peaks = pixels.peaks[win]
-    fresh = np.isnan(peaks[:, 0])
-    if fresh.any():
-        peaks[fresh] = pixels.peaks[win[fresh]] = _refine_peaks(channels, class_ids[fresh], centres[fresh])
-    return peaks
-
-
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from every point (s, 2) to every segment a -> b (l, 2), shape (l, s)."""
     ab = b - a
@@ -380,8 +316,9 @@ class FrameMatches:
     """Array view of one frame's correspondences, ready for stacking.
 
     The arrays passed in are made read-only in place, not copied:
-    `match_frame_arrays` builds them fresh and hands one object to every
-    call at the same pose, so no caller may change what a later one reads.
+    `match_frame_arrays` builds them fresh, and the pose graph hands one
+    object to every pass at the same pose, so no reader may change what a
+    later one reads.
     """
 
     points3d: np.ndarray  # (m, 3)
@@ -417,30 +354,10 @@ def match_frame_arrays(
     """Establish all point and line correspondences for one frame.
 
     Rows list point matches in skeleton order, then line-sample matches
-    grouped by skeleton line, each group in subdivided order.  A call that
-    repeats the frame's previous call returns that call's result object.
+    grouped by skeleton line, each group in subdivided order.  Every call
+    computes its result from its arguments alone and assigns nothing; the
+    frame's first match builds the frame's pixel list (module docstring).
     """
-    # the last-match memo (module docstring): frame._last_match is [key,
-    # matches] once the frame has been matched; the key's pose bytes are
-    # compared by value, its objects by identity
-    key = (pose_estimate.t.tobytes(), pose_estimate.q.tobytes(), skeleton, subdivided, k, cfg)
-    last = frame._last_match
-    if last and last[0][:2] == key[:2] and all(map(operator.is_, last[0][2:], key[2:])):
-        return last[1]
-    matches = _match_frame(skeleton, subdivided, pose_estimate, k, frame, cfg)
-    last[:] = key, matches
-    return matches
-
-
-def _match_frame(
-    skeleton: TurbineSkeleton,
-    subdivided: SubdividedModel,
-    pose_estimate: Pose,
-    k: CameraIntrinsics,
-    frame: HeatmapFrame,
-    cfg: MatchConfig,
-) -> FrameMatches:
-    """`match_frame_arrays` without the memo: every call computes."""
     n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
 
     # projection: skeleton points, subdivided points, then clipped line ends
@@ -457,7 +374,7 @@ def _match_frame(
     pixels = frame.point_pixels_above(cfg.lambda_point)
     p_match, found, win = _search_points(pixels, p_cls, uv[p_idx], cfg)
     p_idx, p_cls, p_match, win = p_idx[found], p_cls[found], p_match[found], win[found]
-    refined = _memo_peaks(frame.point_channels, pixels, p_cls, p_match, win)
+    refined = pixels.peaks[win]
     shift = refined - uv[p_idx]
     # vecdot sums like the 1-D np.linalg.norm, to the bit
     p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)

@@ -26,15 +26,16 @@ does not increase (Levenberg-style diagonal damping, never below
 depends only on the keyframes' estimates, measurements and frames.
 
 A pass's time splits into matching, one `match_frame_arrays` call per
-keyframe (about two thirds of `optimize` on the 12-keyframe flights, more
-on large graphs), and the graph side: `_objective` with and without the
-system, `_solve_banded`, `quaternion_boxplus` and `_median_motion`, written
-for few numpy calls.  The graph side keeps the rounding of its first form,
-einsums over dense Jacobians, to the bit, because the flights are chaotic in
-round-off: where explicit products replace an einsum, they sum its terms in
-the einsum's order (sequentially, in index order; `matmul` rounds
-differently).  Only the sign of an exact zero Jacobian entry can differ, and
-the sums of H and g, which start at +0, do not see it.
+keyframe not at its last matched pose (about two thirds of `optimize` on
+the 12-keyframe flights, more on large graphs), and the graph side:
+`_objective` with and without the system, `_solve_banded`,
+`quaternion_boxplus` and `_median_motion`, written for few numpy calls.  The
+graph side keeps the rounding of its first form, einsums over dense
+Jacobians, to the bit, because the flights are chaotic in round-off: where
+explicit products replace an einsum, they sum its terms in the einsum's
+order (sequentially, in index order; `matmul` rounds differently).  Only the
+sign of an exact zero Jacobian entry can differ, and the sums of H and g,
+which start at +0, do not see it.
 
 `OptimizeReport.termination` says why `optimize` stopped:
 
@@ -133,6 +134,8 @@ class Keyframe:
     relative_measurement: Pose | None  # previous pose in this one's frame; None iff id == 0
     frame: HeatmapFrame
     estimate: Pose
+    # ((frame, t bytes, q bytes), FrameMatches) of the last match, see PoseGraph._match
+    last_match: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -341,15 +344,27 @@ class PoseGraph:
     # -- correspondences -------------------------------------------------------
 
     def _match(self, t: np.ndarray, q: np.ndarray) -> _Rows:
-        """Match every keyframe at the estimates (t, q) and stack the rows."""
-        # one call per keyframe through the module global, which tests and
-        # tracing wrap.  The matcher serves a call at the frame's last matched
-        # pose from its memo: after a `stalled` call, the next call's first
-        # pass finds every older keyframe where that call left it
-        found = [
-            match_frame_arrays(self.skeleton, self.subdivided, Pose(t[i], q[i]), self.camera, kf.frame, self.match_cfg)
-            for i, kf in enumerate(self.keyframes)
-        ]
+        """Match every keyframe at the estimates (t, q) and stack the rows.
+
+        Each keyframe keeps its last match, keyed on its frame and the bytes
+        of the pose it was matched at, and the matcher is called only when
+        the key changes.  The key leaves out the skeleton, the subdivided
+        model, the camera and the match config: they are the graph's own and
+        stay fixed for its life.  A call that stops without a step on its
+        last pass (`stalled`, `no_descent`, `solve_failure`,
+        `rank_deficient`) leaves every keyframe at the pose of its last
+        match, so the next call's first pass matches only the new keyframes.
+        """
+        found = []
+        for i, kf in enumerate(self.keyframes):
+            pose = Pose(t[i], q[i])
+            key = (kf.frame, pose.t.tobytes(), pose.q.tobytes())
+            if kf.last_match is None or kf.last_match[0] != key:
+                # through the module global, which tests and tracing wrap
+                kf.last_match = key, match_frame_arrays(
+                    self.skeleton, self.subdivided, pose, self.camera, kf.frame, self.match_cfg
+                )
+            found.append(kf.last_match[1])
         kinds = np.concatenate([m.kinds for m in found])
         return _Rows(
             np.repeat(np.arange(len(found)), [len(m) for m in found]),
@@ -438,8 +453,8 @@ class PoseGraph:
             cost0, r0, (h_diag, h_off, g) = self._objective(t, q, rows, meas_t, meas_q, with_system=True)
             if not costs:
                 costs.append(cost0)
-            # the matcher's result depends only on its arguments (its memo
-            # returns what it would compute), so cost0 is one function of
+            # the matcher's result depends only on its arguments (a kept
+            # match is what it would compute), so cost0 is one function of
             # the estimates and comparable across passes
             if cost0 >= prev_cost0 and motion < STALL_MOTION_PX:
                 termination = "stalled"

@@ -105,8 +105,7 @@ class SubdividedModel:
     """Line points sampled at regular intervals, endpoints included.
 
     Both arrays are read-only copies, checked as they arrive: the matcher
-    indexes LINES with the ids and keeps its last result per frame keyed on
-    this object."""
+    indexes LINES with the ids."""
 
     points: np.ndarray  # (m, 3)
     line_ids: np.ndarray  # (m,) int64 row of LINES; the matcher's guard and row order use it

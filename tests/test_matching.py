@@ -19,13 +19,12 @@ from turbloc.geometry import (
     quat_from_rotvec,
     world_to_camera,
 )
-from turbloc import matching
-from turbloc.heatmap import HeatmapFrame, pixels_above, render
+from turbloc import posegraph
+from turbloc.heatmap import HeatmapFrame, _refine_peaks, pixels_above, render
 from turbloc.matching import (
     _SAME_CLASS_PAIRS,
     _bilinear,
     _perpendiculars,
-    _refine_peaks,
     _search_lines,
     _search_points,
     _segment_distances,
@@ -33,6 +32,7 @@ from turbloc.matching import (
     MatchConfig,
     match_frame_arrays,
 )
+from turbloc.posegraph import PoseGraph
 from turbloc.simulation import NoiseSpec, degrade_measurements, generate_orbit_trajectory, inject_noise
 from turbloc.turbine import LINES, LineClass, TurbineParams, TurbineSkeleton, build_skeleton, subdivide
 
@@ -274,11 +274,6 @@ class TestSameClassPairs:
             _SAME_CLASS_PAIRS[2, 3] = False
 
 
-def copy_of(frame):
-    """A new frame with `frame`'s channels and none of its caches."""
-    return HeatmapFrame(frame.line_channels, frame.point_channels)
-
-
 def predictions(k, pose, m):
     """Where the matched model points `m.points3d` project at `pose`."""
     return pinhole(k, world_to_camera(pose, m.points3d))
@@ -345,8 +340,7 @@ class TestMatchFrame:
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
         a = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        # a copy of the frame, which the first call's memo does not serve
-        b = match_frame_arrays(skeleton, subdivided, pose, k, copy_of(frame), cfg)
+        b = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
         assert np.array_equal(a.matched, b.matched)
         assert np.array_equal(a.points3d, b.points3d)
         assert np.array_equal(a.kinds, b.kinds)
@@ -465,13 +459,6 @@ def with_nan_pixels(skeleton, pose, k, frame):
     return HeatmapFrame(lines, points)
 
 
-def filled(pixels):
-    """Positions of the pixel list's memoised peaks."""
-    done = ~np.isnan(pixels.peaks)
-    assert np.array_equal(done[:, 0], done[:, 1])
-    return np.flatnonzero(done[:, 0])
-
-
 class TestPixelListCache:
     """The frame's cached list of point pixels above lambda_point: NaN pixels,
     thresholds and frame lifetimes, each against the reference matcher."""
@@ -525,50 +512,69 @@ class TestPixelListCache:
                 channels[0, 0, 0] = 1.0
 
 
+def half_frame(k):
+    """A frame whose point pixels are all 0.5, so every one is listed."""
+    return HeatmapFrame(np.zeros((3, k.height, k.width), np.float32), np.full((4, k.height, k.width), 0.5, np.float32))
+
+
+def list_bytes(pixels):
+    return [a.tobytes() for a in pixels[:-1]] + [pixels.shape]
+
+
 class TestPeakMemo:
-    """The refined peaks memoised beside a frame's pixel list."""
+    """The sub-pixel peaks that a frame's pixel list holds: one per listed
+    pixel, refined when the list is built, read-only and never written again."""
 
     def test_memo_equals_refinement(self, scene):
-        skeleton, subdivided, k, pose, cfg = scene
+        skeleton, _, k, pose, cfg = scene
         clean = render(skeleton, pose, k)
-        frames = (clean, degrade_measurements([clean], 0.1, 5.0, seed=7)[0], with_nan_pixels(skeleton, pose, k, clean))
+        frames = (
+            clean,
+            degrade_measurements([clean], 0.1, 5.0, seed=7)[0],
+            with_nan_pixels(skeleton, pose, k, clean),
+            half_frame(k),
+        )
         rng = np.random.default_rng(31)
-        estimates = [pose] + [perturbed(pose, rng, s, 2.0 * s * DEG) for s in (0.1, 0.5, 1.5) for _ in range(3)]
         for frame in frames:
-            for estimate in estimates:
-                match_frame_arrays(skeleton, subdivided, estimate, k, frame, cfg)
             pixels = frame.point_pixels_above(cfg.lambda_point)
-            done = filled(pixels)
-            assert done.size > 0
-            _, h, w = pixels.shape
-            centres = np.stack([pixels.cols[done], pixels.rows[done]], axis=1)
-            want = _refine_peaks(frame.point_channels, pixels.index[done] // (h * w), centres)
-            assert np.array_equal(pixels.peaks[done], want)
+            assert pixels.index.size > 0 and pixels.peaks.shape == (pixels.index.size, 2)
+            c, y, x = np.unravel_index(pixels.index, pixels.shape)
+            assert np.array_equal(pixels.rows, y) and np.array_equal(pixels.cols, x)
+            centres = np.stack([x, y], axis=1).astype(float)
+            assert np.array_equal(pixels.peaks, _refine_peaks(frame.point_channels, c, centres))
+            # a row's peak does not depend on the other rows refined with it
+            some = rng.choice(pixels.index.size, 40)
+            assert np.array_equal(pixels.peaks[some], _refine_peaks(frame.point_channels, c[some], centres[some]))
 
     def test_one_memo_per_threshold(self, scene):
-        skeleton, subdivided, k, pose, _ = scene
-        frame = render(skeleton, pose, k)
-        for lam in (0.3, 0.6):
-            match_frame_arrays(skeleton, subdivided, pose, k, frame, MatchConfig(lambda_point=lam))
+        skeleton, _, k, pose, _ = scene
+        frame = degrade_measurements([render(skeleton, pose, k)], 0.1, 5.0, seed=7)[0]
         low, high = frame.point_pixels_above(0.3), frame.point_pixels_above(0.6)
-        assert low.index.size > high.index.size
-        assert filled(low).size == filled(high).size == 6
-        # the same winners, memoised in each list at its own positions
-        assert np.array_equal(low.peaks[filled(low)], high.peaks[filled(high)])
+        assert low.index.size > high.index.size > 0
+        # the same pixel has the same peak in each list
+        common = np.isin(low.index, high.index)
+        assert np.array_equal(low.index[common], high.index)
+        assert np.array_equal(low.peaks[common], high.peaks)
 
-    def test_fills_one_entry_per_found_row(self, scene):
-        # every point pixel is listed and ties at 0.5, so each found row wins
-        # a pixel that no other row wins
+    def test_arrays_read_only(self, scene):
+        skeleton, _, k, pose, cfg = scene
+        pixels = render(skeleton, pose, k).point_pixels_above(cfg.lambda_point)
+        for array in pixels[:-1]:
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+    def test_a_match_leaves_the_list_unchanged(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
-        frame = HeatmapFrame(np.zeros((3, k.height, k.width), np.float32), np.full((4, k.height, k.width), 0.5, np.float32))
-        pixels = frame.point_pixels_above(cfg.lambda_point)
-        assert pixels.index.size == 4 * k.height * k.width and filled(pixels).size == 0
-        m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        assert m.n_points == 6
-        assert filled(pixels).size == m.n_points
-        # past the last-match memo, which would serve this call
-        matching._match_frame(skeleton, subdivided, pose, k, frame, cfg)
-        assert filled(pixels).size == m.n_points
+        clean = render(skeleton, pose, k)
+        rng = np.random.default_rng(37)
+        estimates = [pose] + [perturbed(pose, rng, s, 2.0 * s * DEG) for s in (0.1, 0.5, 1.5)]
+        for frame in (clean, with_nan_pixels(skeleton, pose, k, clean), half_frame(k)):
+            pixels = frame.point_pixels_above(cfg.lambda_point)
+            before = list_bytes(pixels)
+            for estimate in estimates:
+                assert match_frame_arrays(skeleton, subdivided, estimate, k, frame, cfg).n_points > 0
+            assert frame.point_pixels_above(cfg.lambda_point) is pixels
+            assert list_bytes(pixels) == before
 
 
 def same_matches(a, b):
@@ -590,35 +596,47 @@ def ulp_off(pose, attr):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The frames that reach the computing function behind the memo, in call order."""
-    frames = []
-    compute = matching._match_frame
+    """(frame, result) of each matcher call the pose graph makes, in call order."""
+    calls = []
 
     def spy(*args):
-        frames.append(args[4])
-        return compute(*args)
+        m = match_frame_arrays(*args)
+        calls.append((args[4], m))
+        return m
 
-    monkeypatch.setattr(matching, "_match_frame", spy)
-    return frames
+    monkeypatch.setattr(posegraph, "match_frame_arrays", spy)
+    return calls
+
+
+def match_at(graph, *poses):
+    """`graph._match` with the keyframes at `poses`."""
+    return graph._match(np.array([p.t for p in poses]), np.array([p.q for p in poses]))
 
 
 class TestMatchMemo:
-    """Each frame keeps its last match; a call that repeats it is served from it."""
+    """Matches are kept in one place: `PoseGraph._match` keeps each
+    keyframe's last match, keyed on its frame and the bytes of its pose.  The
+    matcher keeps nothing, so each call to it computes."""
 
     def test_same_pose_returns_the_stored_object(self, scene, computed):
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
-        first = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        graph = PoseGraph(skeleton, subdivided, k, match_cfg=cfg)
+        graph.add_keyframe(pose, frame)
+        first = match_at(graph, pose)
         # a distinct Pose with the same bytes is the same key
         twin = Pose(pose.t.copy(), pose.q.copy())
         assert twin is not pose and twin.t.tobytes() == pose.t.tobytes() and twin.q.tobytes() == pose.q.tobytes()
-        assert match_frame_arrays(skeleton, subdivided, twin, k, frame, cfg) is first
-        assert computed == [frame]
-        fresh = match_frame_arrays(skeleton, subdivided, pose, k, copy_of(frame), cfg)
-        assert fresh is not first and len(first) > 0 and same_matches(first, fresh)
+        second = match_at(graph, twin)
+        assert [f for f, _ in computed] == [frame]
+        assert graph.keyframes[0].last_match[1] is computed[0][1]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        # the matcher itself computes again
+        fresh = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        assert fresh is not computed[0][1] and len(fresh) > 0 and same_matches(fresh, computed[0][1])
 
     @pytest.mark.parametrize("change", ["t", "q", "cfg", "subdivided", "skeleton", "camera"])
-    def test_any_other_argument_computes_anew(self, scene, computed, change):
+    def test_any_other_argument_computes_anew(self, scene, change):
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
         args = dict(skeleton=skeleton, subdivided=subdivided, pose_estimate=pose, k=k, frame=frame, cfg=cfg)
@@ -636,20 +654,26 @@ class TestMatchMemo:
             assert value is not args[name]
             args[name] = value
         second = match_frame_arrays(**args)
-        assert computed == [frame, frame] and second is not first
+        assert second is not first
         if change not in ("t", "q"):
             assert same_matches(first, second)
-        # the memo now holds the second call
-        assert match_frame_arrays(**args) is second and len(computed) == 2
+        # no call is served from an earlier one, and none assigns on the frame
+        again = match_frame_arrays(**args)
+        assert again is not second and same_matches(again, second)
+        assert set(vars(frame)) == {"line_channels", "point_channels", "_point_pixels"}
+        assert list(frame._point_pixels) == [cfg.lambda_point]
 
     def test_one_entry(self, scene, computed):
         skeleton, subdivided, k, pose, cfg = scene
         frame = render(skeleton, pose, k)
-        other = ulp_off(pose, "t")
-        a = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        match_frame_arrays(skeleton, subdivided, other, k, frame, cfg)
-        again = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
-        assert computed == [frame] * 3
+        graph = PoseGraph(skeleton, subdivided, k, match_cfg=cfg)
+        graph.add_keyframe(pose, frame)
+        # a 1 ulp move of t or of q is another key, and replaces the entry
+        poses = [pose, ulp_off(pose, "t"), pose, ulp_off(pose, "q"), pose]
+        for p in poses:
+            match_at(graph, p)
+        assert [f for f, _ in computed] == [frame] * 5
+        a, again = computed[0][1], computed[-1][1]
         assert again is not a and same_matches(a, again)
 
     def test_results_are_frozen(self, scene):

@@ -21,7 +21,7 @@ from turbloc.geometry import (
     world_to_camera,
 )
 from turbloc.heatmap import HeatmapFrame, render
-from turbloc import matching, posegraph
+from turbloc import posegraph
 from turbloc.matching import CorrespondenceKind, FrameMatches, MatchConfig, match_frame_arrays
 from turbloc.posegraph import (
     GraphWeights,
@@ -107,6 +107,26 @@ def outlier_on_second_call(monkeypatch):
     monkeypatch.setattr(posegraph, "match_frame_arrays", matcher)
     monkeypatch.setattr(PoseGraph, "_objective", spy)
     return calls, cost0s
+
+
+def matcher_calls_per_pass(monkeypatch):
+    """Record, per `PoseGraph._match` pass, the frames handed to the matcher."""
+    calls, passes = [], []
+    match = PoseGraph._match
+
+    def counted(*args):
+        calls.append(args[4])
+        return match_frame_arrays(*args)
+
+    def per_pass(self, t, q):
+        before = len(calls)
+        rows = match(self, t, q)
+        passes.append(calls[before:])
+        return rows
+
+    monkeypatch.setattr(posegraph, "match_frame_arrays", counted)
+    monkeypatch.setattr(PoseGraph, "_match", per_pass)
+    return passes
 
 
 DELTA = np.array([0.15, -0.1, 0.1, 0.01, 0.02, -0.01])
@@ -457,38 +477,44 @@ class TestOptimize:
 
     def test_first_pass_after_a_stall_reuses_the_old_keyframes_matches(self, scene, monkeypatch):
         # a stalled call leaves every keyframe at the pose of its last match,
-        # so the next call's first pass computes only the new keyframe's
+        # so the next call's first pass calls the matcher for the new keyframe only
         skeleton, subdivided, k, cfg = scene
         truth = generate_orbit_trajectory(skeleton, 30.0, 6)
         noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
-        computed, served = [], []  # frames computed; per posegraph call, whether served from the memo
-        compute = matching._match_frame
-
-        def spy(*args):
-            computed.append(args[4])
-            return compute(*args)
-
-        def counted(*args):
-            before = len(computed)
-            m = match_frame_arrays(*args)
-            served.append(len(computed) == before)
-            return m
-
-        monkeypatch.setattr(matching, "_match_frame", spy)
-        monkeypatch.setattr(posegraph, "match_frame_arrays", counted)
+        passes = matcher_calls_per_pass(monkeypatch)
         graph = PoseGraph(skeleton, subdivided, k, GraphWeights(), cfg)
         after_stall = 0
         stalled = False
         for pose, frame in zip(noisy.poses, simulate_measurements(truth, skeleton, k)):
             graph.add_keyframe(pose, frame)
-            first = len(served)
+            first = len(passes)
             report = graph.optimize(SolverConfig())
-            first_pass = served[first : first + len(graph)]
+            frames = [kf.frame for kf in graph.keyframes]
             if stalled:
-                assert first_pass == [True] * (len(graph) - 1) + [False]
+                assert passes[first] == [frame]
                 after_stall += 1
+            else:
+                assert passes[first] == frames
+            # later passes match every keyframe at its new estimate
+            assert all(calls == frames for calls in passes[first + 1 :])
             stalled = report.termination == "stalled"
         assert after_stall >= 2
+
+    def test_a_replaced_frame_or_estimate_is_matched_anew(self, scene, monkeypatch):
+        # blank frames: the call stops as rank_deficient after one pass, with
+        # every keyframe at the pose it was matched at
+        graph, _ = truth_graph(scene, [0.2, 0.5], blank={0, 1})
+        passes = matcher_calls_per_pass(monkeypatch)
+        kf0, kf1 = graph.keyframes
+        old = kf0.frame
+        new = HeatmapFrame(old.line_channels, old.point_channels)
+        for change in ("none", "none", "frame", "estimate", "none"):
+            if change == "frame":
+                kf0.frame = new
+            elif change == "estimate":
+                kf1.estimate = compose(kf1.estimate, Pose(np.array([0.0, 0.0, 1e-9]), np.array([1.0, 0.0, 0.0, 0.0])))
+            assert graph.optimize(SolverConfig()).termination == "rank_deficient"
+        assert passes == [[old, kf1.frame], [], [new], [kf1.frame], []]
 
     @pytest.mark.parametrize("scale, stalls", [(1e-4, True), (1.0, False)])
     def test_stall_needs_a_small_step(self, scene, monkeypatch, scale, stalls):

@@ -38,6 +38,12 @@ def attributes():
     return {(owner.__name__, name): value for owner in OWNERS for name, value in vars(owner).items()}
 
 
+# terminations whose last pass took no step, so the keyframes stay at the
+# poses of their last match and the pose graph serves the next call's first
+# pass of every older keyframe without calling the matcher
+NO_STEP = ("stalled", "no_descent", "solve_failure", "rank_deficient")
+
+
 def passes(info):
     """Matching passes of one optimize call, as the tracer's metrics count them."""
     if info["termination"] == "max_iterations":
@@ -83,7 +89,10 @@ def test_traced_flight(tmp_path):
     optimize = [span["info"] for span in tracer.spans if span["name"] == "posegraph.optimize"]
     assert [info["keyframes"] for info in optimize] == [1, 2, 3]
     assert {"stalled", "max_iterations"} <= {info["termination"] for info in optimize}
-    assert names.count("matching.match_frame_arrays") == sum(info["keyframes"] * passes(info) for info in optimize)
+    visits = sum(info["keyframes"] * passes(info) for info in optimize)
+    served = sum(before["keyframes"] for before in optimize[:-1] if before["termination"] in NO_STEP)
+    assert served > 0
+    assert names.count("matching.match_frame_arrays") == visits - served
     for name, count in (
         ("posegraph.add_keyframe", 3),
         ("heatmap.write_frame", 3),
@@ -96,7 +105,7 @@ def test_traced_flight(tmp_path):
     ):
         assert names.count(name) == count, name
     assert metrics["matching.calls"] == names.count("matching.match_frame_arrays")
-    assert metrics["posegraph.rematch_ratio"] == 1.0
+    assert metrics["posegraph.rematch_ratio"] == (visits - served) / visits
     assert metrics["matching.points_per_call"] > 0 and metrics["matching.lines_per_call"] > 0
     assert metrics["geometry.calls"] > 0
 
