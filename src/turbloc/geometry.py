@@ -228,10 +228,6 @@ class Pose:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
     def inverse(self) -> "Pose":
         q_inv = quat_conjugate(self.q)
         return Pose(-quat_rotate(q_inv, self.t), q_inv)

@@ -39,18 +39,6 @@ class FrameFormatError(ValueError):
     """A frame file that cannot be decoded."""
 
 
-class FrameHeaderError(FrameFormatError):
-    """Missing or malformed file header."""
-
-
-class FrameChannelCountError(FrameFormatError):
-    """Header declares a channel count other than the expected 7."""
-
-
-class FramePayloadError(FrameFormatError):
-    """Pixel payload shorter or longer than the header promises."""
-
-
 class PixelList(NamedTuple):
     """Pixels of a (channels, H, W) stack whose value exceeds a threshold or
     is NaN, in row-major order of the stack, with the sub-pixel peak around
@@ -296,19 +284,19 @@ def read_frame(path) -> HeatmapFrame:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
-        raise FrameHeaderError(f"{path}: file too short for a frame header")
+        raise FrameFormatError(f"{path}: file too short for a frame header")
     magic, version, width, height, channels = _HEADER.unpack_from(blob)
     if magic != MAGIC:
-        raise FrameHeaderError(f"{path}: bad magic bytes {magic!r}")
+        raise FrameFormatError(f"{path}: bad magic bytes {magic!r}")
     if version != FORMAT_VERSION:
-        raise FrameHeaderError(f"{path}: unsupported format version {version}")
+        raise FrameFormatError(f"{path}: unsupported format version {version}")
     if width == 0 or height == 0:
-        raise FrameHeaderError(f"{path}: header declares an empty {width}x{height} image")
+        raise FrameFormatError(f"{path}: header declares an empty {width}x{height} image")
     if channels != N_CHANNELS:
-        raise FrameChannelCountError(f"{path}: expected {N_CHANNELS} channels, header says {channels}")
+        raise FrameFormatError(f"{path}: expected {N_CHANNELS} channels, header says {channels}")
     expected = N_CHANNELS * width * height * 4
     payload = blob[_HEADER.size :]
     if len(payload) != expected:
-        raise FramePayloadError(f"{path}: payload is {len(payload)} bytes, the header promises {expected}")
+        raise FrameFormatError(f"{path}: payload is {len(payload)} bytes, the header promises {expected}")
     planes = np.frombuffer(payload, dtype="<f4").reshape(N_CHANNELS, height, width)
     return HeatmapFrame(planes[:N_LINE_CHANNELS], planes[N_LINE_CHANNELS:])

@@ -59,9 +59,10 @@ What is left per call is the pose-dependent work: projection, the
 window and line searches and the guard, each a fixed number of array passes
 over 6-40 rows.  At that size most of a pass's cost is numpy's per-call
 dispatch, not arithmetic, so the passes call array methods and ufuncs
-(`nonzero`, `searchsorted`, `argsort`, `argmin`, `argmax`, `any`, `repeat`,
-`np.add.reduce`) rather than the Python-level functions that wrap them
-(`np.flatnonzero`, `np.searchsorted`, ..., `np.linalg.norm`), and
+(`nonzero`, `searchsorted`, `argsort`, `argmin`, `argmax`, `any`, `repeat`)
+rather than the Python-level functions that wrap them (`np.flatnonzero`,
+`np.searchsorted`, ...), a point-to-segment distance adds its two squares
+itself rather than reducing over a length-2 axis, and
 `clip_segments_to_front` returns at once when no line end is behind the
 camera, as on every match of the locbench flights.  On the 816 matches of a
 48-keyframe flight a call then costs about 0.3 ms on one core of a
@@ -306,9 +307,7 @@ def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     short = denom < 1e-18  # a point-like segment: distance to a
     t = np.where(short[:, None], 0.0, _clip(along / np.where(short, 1.0, denom)[:, None], 0.0, 1.0))
     d = points[None, :, :] - (a[:, None, :] + t[:, :, None] * ab[:, None, :])
-    # np.linalg.norm(d, axis=-1) without its Python-level wrapper: the same
-    # squares and the same reduction
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,7 +62,7 @@ The graph is single-writer: callers must serialize add_keyframe/optimize.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -152,9 +152,6 @@ class OptimizeReport:
     termination: str
     costs: list = field(default_factory=list)  # initial cost, then per accepted iteration
     n_correspondences: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

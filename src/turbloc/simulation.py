@@ -20,7 +20,6 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -40,10 +39,6 @@ from .posegraph import GraphWeights, OptimizeReport, PoseGraph, SolverConfig
 from .turbine import TurbineSkeleton, subdivide
 
 NORMAL_TERMINATIONS = ("step_tolerance", "cost_tolerance", "stalled")
-
-
-class TrajectoryFormatError(ValueError):
-    """A trajectory file that cannot be parsed."""
 
 
 @dataclass(frozen=True)
@@ -95,23 +90,12 @@ class ErrorReport:
     mean_translation_error: float
     mean_rotation_error: float
 
-    def as_dict(self) -> dict:
-        return {
-            "translation_errors": self.translation_errors.tolist(),
-            "rotation_errors": self.rotation_errors.tolist(),
-            "mean_translation_error": self.mean_translation_error,
-            "mean_rotation_error": self.mean_rotation_error,
-        }
 
-
-def generate_orbit_trajectory(
-    skeleton: TurbineSkeleton, radius: float, n_keyframes: int, hz: float = 1.0
-) -> Trajectory:
-    """Circular inspection orbit around the blade centre, camera aimed at it."""
+def generate_orbit_trajectory(skeleton: TurbineSkeleton, radius: float, n_keyframes: int) -> Trajectory:
+    """Circular inspection orbit around the blade centre, camera aimed at it,
+    sampled at one keyframe per second."""
     if not (np.isfinite(radius) and radius > float(np.linalg.norm(skeleton.points[3] - skeleton.points[2]))):
         raise ValueError("orbit radius must be finite and exceed the blade length")
-    if not (np.isfinite(hz) and hz > 0.0):
-        raise ValueError("hz must be finite and positive")
     if not isinstance(n_keyframes, (int, np.integer)) or isinstance(n_keyframes, bool):
         raise ValueError("n_keyframes must be an integer")
     if n_keyframes < 2:
@@ -122,7 +106,7 @@ def generate_orbit_trajectory(
         angle = 2.0 * np.pi * i / n_keyframes
         eye = centre + radius * np.array([np.cos(angle), np.sin(angle), 0.0])
         poses.append(look_at_pose(eye, centre))
-    return Trajectory(np.arange(n_keyframes, dtype=float) / hz, tuple(poses))
+    return Trajectory(np.arange(n_keyframes, dtype=float), tuple(poses))
 
 
 def inject_noise(truth: Trajectory, spec: NoiseSpec) -> Trajectory:
@@ -328,45 +312,3 @@ def run_sweep(
         flags = sorted({r.termination for r in reports} - set(NORMAL_TERMINATIONS))
         cells.append(SweepCell(sigma_t, sigma_r, pre, post, iterations, "ok" if not flags else ";".join(flags)))
     return SweepReport(cells)
-
-
-# ---------------------------------------------------------------------------
-# trajectory files: one record per line,
-# timestamp,t.x,t.y,t.z,q.w,q.x,q.y,q.z  (9 significant digits)
-# ---------------------------------------------------------------------------
-
-def save_trajectory(trajectory: Trajectory, path) -> None:
-    lines = []
-    for ts, pose in zip(trajectory.timestamps, trajectory.poses):
-        fields = [ts, *pose.t, *pose.q]
-        lines.append(",".join("%.9g" % f for f in fields))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    timestamps, poses = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != 8:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: expected 8 comma-separated fields, got {len(parts)}"
-                )
-            try:
-                values = [float(p) for p in parts]
-                pose = Pose(np.array(values[1:4]), np.array(values[4:8]))
-            except ValueError as exc:  # unparsable, non-finite or zero-quaternion fields
-                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not np.isfinite(values[0]):
-                raise TrajectoryFormatError(f"{path}:{lineno}: non-finite timestamp")
-            timestamps.append(values[0])
-            poses.append(pose)
-    if len(poses) < 2:
-        raise TrajectoryFormatError(f"{path}: a trajectory needs at least 2 records")
-    try:
-        return Trajectory(np.array(timestamps), tuple(poses))
-    except ValueError as exc:
-        raise TrajectoryFormatError(f"{path}: {exc}") from exc

@@ -28,6 +28,8 @@ from turbloc.geometry import (
 from turbloc.posegraph import GraphWeights, _relative_forward
 import reference_posegraph
 
+IDENTITY = Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
+
 
 def random_pose(rng, scale=10.0):
     q = rng.standard_normal(4)
@@ -331,8 +333,8 @@ class TestCompose:
     def test_identity(self):
         rng = np.random.default_rng(0)
         p = random_pose(rng)
-        assert pose_close(compose(Pose.identity(), p), p)
-        assert pose_close(compose(p, Pose.identity()), p)
+        assert pose_close(compose(IDENTITY, p), p)
+        assert pose_close(compose(p, IDENTITY), p)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -358,7 +360,7 @@ class TestRelativePose:
         assert quat_angle(rel.q) < 1e-12
 
     def test_identity_orientation(self):
-        current = Pose.identity()
+        current = IDENTITY
         previous = Pose(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0, 0, 0]))
         rel = relative_pose(current, previous)
         assert np.allclose(rel.t, [1.0, 2.0, 3.0])
@@ -424,8 +426,6 @@ class TestPoseResidual:
     relative_pose(current, previous) against the measured one.  Each call is
     one row of `_relative_forward`, over the keyframes (previous, current)."""
 
-    IDENTITY = Pose.identity()
-
     def test_zero_for_equal(self):
         rng = np.random.default_rng(1)
         cur, prev = random_pose(rng), random_pose(rng)
@@ -438,14 +438,14 @@ class TestPoseResidual:
     def test_translation_only(self):
         # previous at x = 0.1; current and measurement are the identity
         t = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        q = np.tile(self.IDENTITY.q, (2, 1))
+        q = np.tile(IDENTITY.q, (2, 1))
         r, _, _ = _relative_forward(t, q, np.zeros((1, 3)), q[:1], 1.0, 1.0, False)
         assert np.allclose(r[0], [0.1, 0, 0, 0, 0, 0], atol=1e-15)
 
     def test_small_rotation_about_z(self):
         # quaternion-product oracle: 2*vec approximates axis-angle for small angles
         half = 0.005
-        q = np.array([Pose([0, 0, 0], [np.cos(half), 0, 0, np.sin(half)]).q, self.IDENTITY.q])
+        q = np.array([Pose([0, 0, 0], [np.cos(half), 0, 0, np.sin(half)]).q, IDENTITY.q])
         r, _, _ = _relative_forward(np.zeros((2, 3)), q, np.zeros((1, 3)), q[1:], 1.0, 1.0, False)
         r = r[0]
         assert np.allclose(r[:3], 0.0, atol=1e-15)
@@ -461,7 +461,7 @@ class TestPoseResidual:
         # the residual must not change
         rng = np.random.default_rng(seed)
         cur, prev, moved = random_pose(rng), random_pose(rng), random_pose(rng)
-        error = Pose(0.1 * rng.standard_normal(3), quaternion_boxplus(self.IDENTITY.q, 0.1 * rng.standard_normal(3)))
+        error = Pose(0.1 * rng.standard_normal(3), quaternion_boxplus(IDENTITY.q, 0.1 * rng.standard_normal(3)))
         meas = compose(relative_pose(cur, prev), error)
         rows = []
         for a, b in ((prev, cur), (compose(moved, prev), compose(moved, cur))):
@@ -472,10 +472,10 @@ class TestPoseResidual:
         assert np.allclose(rows[1], rows[0], atol=1e-9)
 
     def test_weights_applied(self):
-        prev = Pose([0.2, 0.0, 0.0], quaternion_boxplus(self.IDENTITY.q, [0.0, 0.0, 0.01]))
-        t = np.stack([prev.t, self.IDENTITY.t])
-        q = np.stack([prev.q, self.IDENTITY.q])
-        r, _, _ = _relative_forward(t, q, np.zeros((1, 3)), self.IDENTITY.q[None], 10.0, 3.0, False)
+        prev = Pose([0.2, 0.0, 0.0], quaternion_boxplus(IDENTITY.q, [0.0, 0.0, 0.01]))
+        t = np.stack([prev.t, IDENTITY.t])
+        q = np.stack([prev.q, IDENTITY.q])
+        r, _, _ = _relative_forward(t, q, np.zeros((1, 3)), IDENTITY.q[None], 10.0, 3.0, False)
         assert np.isclose(r[0, 0], 2.0)
         assert np.isclose(r[0, 5], 3.0 * 2.0 * np.sin(0.005))
 
@@ -489,12 +489,12 @@ class TestPoseResidual:
 class TestProjection:
     def test_optical_axis(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
-        uv = pinhole(k, world_to_camera(Pose.identity(), np.array([0.0, 0.0, 1.0])))
+        uv = pinhole(k, world_to_camera(IDENTITY, np.array([0.0, 0.0, 1.0])))
         assert np.allclose(uv, [50.0, 50.0])
 
     def test_pinhole_equation(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 200, 200)
-        uv = pinhole(k, world_to_camera(Pose.identity(), np.array([1.0, 0.0, 2.0])))
+        uv = pinhole(k, world_to_camera(IDENTITY, np.array([1.0, 0.0, 2.0])))
         assert np.allclose(uv, [100.0, 50.0])
 
     def test_matches_matrix_projection(self):
@@ -565,7 +565,7 @@ class TestProjection:
 
     def test_outside_bounds(self):
         k = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 100, 100)
-        uv = pinhole(k, world_to_camera(Pose.identity(), np.array([5.0, 0.0, 1.0])))
+        uv = pinhole(k, world_to_camera(IDENTITY, np.array([5.0, 0.0, 1.0])))
         assert np.all(np.isfinite(uv)) and not in_view(k, uv)
 
     @given(st.integers(0, 10_000))
@@ -608,6 +608,6 @@ class TestInvariants:
         assert abs(np.linalg.norm(p.q) - 1.0) < 1e-9
 
     def test_pose_immutable(self):
-        p = Pose.identity()
+        p = IDENTITY
         with pytest.raises(ValueError):
             p.t[0] = 1.0

@@ -7,9 +7,7 @@ import pytest
 from oracles import blank_frame, is_blank
 from turbloc.geometry import CameraIntrinsics, in_view, look_at_pose, pinhole, world_to_camera
 from turbloc.heatmap import (
-    FrameChannelCountError,
-    FrameHeaderError,
-    FramePayloadError,
+    FrameFormatError,
     HeatmapFrame,
     MEASUREMENT_SIGMA,
     read_frame,
@@ -175,34 +173,34 @@ class TestFrameIO:
     def test_empty_file_header_error(self, tmp_path):
         path = tmp_path / "empty.tmbt"
         path.write_bytes(b"")
-        with pytest.raises(FrameHeaderError):
+        with pytest.raises(FrameFormatError, match="too short for a frame header"):
             read_frame(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tmbt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FrameHeaderError):
+        with pytest.raises(FrameFormatError, match="bad magic bytes b'NOPE'"):
             read_frame(path)
 
     def test_wrong_channel_count(self, tmp_path):
         path = tmp_path / "nine.tmbt"
         header = struct.pack("<4sIIII", b"TMBT", 1, 4, 4, 9)
         path.write_bytes(header + b"\x00" * (9 * 4 * 4 * 4))
-        with pytest.raises(FrameChannelCountError):
+        with pytest.raises(FrameFormatError, match="expected 7 channels, header says 9"):
             read_frame(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.tmbt"
         header = struct.pack("<4sIIII", b"TMBT", 1, 8, 8, 7)
         path.write_bytes(header + b"\x00" * 100)
-        with pytest.raises(FramePayloadError):
+        with pytest.raises(FrameFormatError, match="payload is 100 bytes, the header promises 1792"):
             read_frame(path)
 
     @pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (3, 0)])
     def test_empty_image(self, tmp_path, width, height):
         path = tmp_path / "empty.tmbt"
         path.write_bytes(struct.pack("<4sIIII", b"TMBT", 1, width, height, 7))
-        with pytest.raises(FrameHeaderError):
+        with pytest.raises(FrameFormatError, match=f"empty {width}x{height} image"):
             read_frame(path)
 
     @pytest.mark.parametrize("height, width", [(0, 0), (5, 0), (0, 3)])
@@ -214,13 +212,13 @@ class TestFrameIO:
         path = tmp_path / "long.tmbt"
         header = struct.pack("<4sIIII", b"TMBT", 1, 8, 8, 7)
         path.write_bytes(header + b"\x00" * (7 * 8 * 8 * 4 + 1))
-        with pytest.raises(FramePayloadError):
+        with pytest.raises(FrameFormatError, match="payload is 1793 bytes, the header promises 1792"):
             read_frame(path)
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v2.tmbt"
         path.write_bytes(struct.pack("<4sIIII", b"TMBT", 2, 4, 4, 7) + b"\x00" * (7 * 64))
-        with pytest.raises(FrameHeaderError):
+        with pytest.raises(FrameFormatError, match="unsupported format version 2"):
             read_frame(path)
 
 

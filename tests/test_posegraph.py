@@ -1,8 +1,10 @@
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from oracles import blank_frame
 from turbloc.geometry import (
@@ -500,6 +502,34 @@ class TestOptimize:
             stalled = report.termination == "stalled"
         assert after_stall >= 2
 
+    @pytest.mark.parametrize("termination", ["no_descent", "solve_failure"])
+    def test_a_call_without_a_step_keeps_the_estimates_and_hands_over(self, scene, monkeypatch, termination):
+        # every trial fails: the solve raises, or its 1e3 step raises the cost
+        if termination == "solve_failure":
+
+            def solve(*args, **kwargs):
+                raise LinAlgError("not positive definite")
+
+            monkeypatch.setattr(posegraph, "solveh_banded", solve)
+        else:
+            step = staticmethod(lambda h_diag, *_: np.full((len(h_diag), 6), 1e3))
+            monkeypatch.setattr(PoseGraph, "_solve_banded", step)
+        skeleton, _, k, _ = scene
+        graph, _ = truth_graph(scene, [0.2, 0.5], perturb={1: DELTA})
+        passes = matcher_calls_per_pass(monkeypatch)
+        before = [kf.estimate for kf in graph.keyframes]
+        report = graph.optimize(SolverConfig())
+        assert report.termination == termination
+        assert report.iterations == 0 and report.costs == [report.initial_cost]
+        assert all(kf.estimate is pose for kf, pose in zip(graph.keyframes, before))
+        # the next call's first pass matches the new keyframe only
+        pose = orbit_pose(skeleton, 0.8)
+        frame = render(skeleton, pose, k)
+        graph.add_keyframe(pose, frame)
+        first = len(passes)
+        graph.optimize(SolverConfig())
+        assert passes[first] == [frame]
+
     def test_a_replaced_frame_or_estimate_is_matched_anew(self, scene, monkeypatch):
         # blank frames: the call stops as rank_deficient after one pass, with
         # every keyframe at the pose it was matched at
@@ -574,7 +604,7 @@ class TestOptimize:
     def test_report_serializable(self, scene):
         graph, _ = truth_graph(scene, [0.2])
         report = graph.optimize(SolverConfig())
-        d = report.as_dict()
+        d = asdict(report)
         assert set(d) >= {"iterations", "initial_cost", "final_cost", "termination", "costs"}
         assert isinstance(report, OptimizeReport)
 
@@ -595,7 +625,7 @@ class TestFlightMatchesReference:
 
         def fly():
             graph, reports = build_and_optimize(noisy, frames, skeleton, k, GraphWeights(), cfg, solver)
-            return graph.estimates(), [r.as_dict() for r in reports]
+            return graph.estimates(), [asdict(r) for r in reports]
 
         estimates, reports = fly()
         monkeypatch.setattr(posegraph, "match_frame_arrays", reference_match_frame_arrays)
@@ -719,7 +749,7 @@ class TestFlightGraphSideMatchesReference:
 
         def fly():
             graph, reports = build_and_optimize(noisy, frames, skeleton, k, GraphWeights(), cfg, SolverConfig())
-            return graph.estimates(), [r.as_dict() for r in reports]
+            return graph.estimates(), [asdict(r) for r in reports]
 
         estimates, reports = fly()
         reference_calls = []

@@ -23,20 +23,19 @@ from turbloc.simulation import (
     NoiseSpec,
     SweepReport,
     Trajectory,
-    TrajectoryFormatError,
+    build_and_optimize,
     cell_seed,
     degrade_measurements,
     evaluate,
     generate_orbit_trajectory,
     inject_noise,
-    load_trajectory,
     run_sweep,
-    save_trajectory,
     simulate_measurements,
 )
 from turbloc.turbine import TurbineParams, build_skeleton, subdivide
 
 DEG = math.pi / 180.0
+IDENTITY = Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +97,7 @@ class TestOrbit:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("radius", math.inf), ("radius", math.nan), ("hz", 0.0), ("hz", -1.0), ("hz", math.inf), ("hz", math.nan)]
-        + [("n_keyframes", 4.5), ("n_keyframes", 4.0), ("n_keyframes", True)],
+        [("radius", math.inf), ("radius", math.nan), ("n_keyframes", 4.5), ("n_keyframes", 4.0), ("n_keyframes", True)],
     )
     def test_rejects_bad_inputs(self, skeleton, name, value):
         with pytest.raises(ValueError, match=name):
@@ -335,78 +333,82 @@ class TestSweep:
             run_sweep(truth, skeleton, camera, [], [1.0], seed=0)
 
 
-class TestTrajectoryIO:
-    def test_round_trip(self, skeleton, tmp_path):
-        truth = generate_orbit_trajectory(skeleton, 30.0, 9)
-        path = tmp_path / "truth.csv"
-        save_trajectory(truth, path)
-        back = load_trajectory(path)
-        assert len(back) == len(truth)
-        for a, b in zip(back.poses, truth.poses):
-            assert np.allclose(a.t, b.t, atol=1e-7)
-            assert geodesic_angle(a.q, b.q) < 1e-7
+SITE_OFFSET, SITE_HEADING = np.array([37.0, -12.0, 0.0]), 0.6
 
-    def test_nine_significant_digits(self, skeleton, tmp_path):
-        truth = generate_orbit_trajectory(skeleton, 30.0, 3)
-        path = tmp_path / "t.csv"
-        save_trajectory(truth, path)
-        first = path.read_text().splitlines()[0]
-        assert len(first.split(",")) == 8
 
-    def test_malformed_column_count(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1,2,3\n")
-        with pytest.raises(TrajectoryFormatError):
-            load_trajectory(path)
-
-    def test_malformed_float(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1,2,3,1,0,0,zzz\n1,1,2,3,1,0,0,0\n")
-        with pytest.raises(TrajectoryFormatError):
-            load_trajectory(path)
-
-    # the last record's fields are finite but its quaternion's norm is not: a
-    # format error, not numpy's overflow warning
-    @pytest.mark.parametrize(
-        "record", ["1,1,nan,3,1,0,0,0", "nan,1,2,3,1,0,0,0", "1,1,2,3,1,0,inf,0", "0,0,0,0,1e200,0,0,0"]
+@pytest.fixture(scope="module")
+def moved_site(skeleton):
+    """The baseline site moved by one rigid motion: its skeleton, and the motion."""
+    site = Pose(SITE_OFFSET, np.array([math.cos(SITE_HEADING / 2), 0.0, 0.0, math.sin(SITE_HEADING / 2)]))
+    moved = build_skeleton(
+        TurbineParams(
+            base_position=SITE_OFFSET,
+            heading=SITE_HEADING,
+            tower_height=10.0,
+            hub_offset=1.0,
+            blade_length=5.0,
+            blade_azimuths=np.array([90.0, 210.0, 330.0]) * DEG,
+        )
     )
-    def test_non_finite_field(self, tmp_path, record):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"0,1,2,3,1,0,0,0\n{record}\n")
-        with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:2: "):
-            load_trajectory(path)
+    assert np.allclose(moved.points, [compose(site, Pose(p, [1.0, 0.0, 0.0, 0.0])).t for p in skeleton.points])
+    return moved, site
 
-    def test_zero_quaternion(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1,2,3,0,0,0,0\n1,1,2,3,1,0,0,0\n")
-        with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:1: "):
-            load_trajectory(path)
 
-    def test_too_short(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,1,2,3,1,0,0,0\n")
-        with pytest.raises(TrajectoryFormatError):
-            load_trajectory(path)
+class TestSiteSymmetry:
+    """Moving the whole site, turbine and flight, by one rigid motion is an
+    exact symmetry: the frames are the same images, and GPS/IMU enters the
+    graph only as relative steps.  The inputs agree to round-off.  The fused
+    errors agree to round-off on clean noise seeds 123 and 125 (about 1e-15
+    relative) but not on 124: there the 1 px search offset of one blade
+    sample flips on the round-off of the second keyframe's first match, and
+    the errors move by 0.23% (translation) and 0.32% (rotation).  The errors
+    are therefore bounded at 1%; the inputs check the symmetry itself."""
 
-    def test_non_increasing_timestamps(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,1,2,3,1,0,0,0\n1,1,2,3,1,0,0,0\n")
-        with pytest.raises(TrajectoryFormatError):
-            load_trajectory(path)
+    BOUND = 0.01  # relative difference of the mean post errors
+
+    def test_inputs_agree_to_round_off(self, skeleton, camera, moved_site):
+        moved, site = moved_site
+        truth = generate_orbit_trajectory(skeleton, 30.0, 12)
+        moved_truth = Trajectory(truth.timestamps, tuple(compose(site, pose) for pose in truth.poses))
+        frames = zip(simulate_measurements(truth, skeleton, camera), simulate_measurements(moved_truth, moved, camera))
+        for a, b in frames:
+            assert np.array_equal(a.line_channels, b.line_channels)
+            assert np.array_equal(a.point_channels, b.point_channels)
+        spec = NoiseSpec(0.08, 6.0 * DEG, 124)
+        for a, b in zip(inject_noise(truth, spec).poses, inject_noise(moved_truth, spec).poses):
+            a = compose(site, a)
+            assert np.abs(a.t - b.t).max() < 1e-12 and geodesic_angle(a.q, b.q) < 1e-12
+
+    @pytest.mark.parametrize("seed", [123, 124, 125])
+    def test_moved_site_gives_the_same_errors(self, skeleton, camera, moved_site, seed):
+        moved, site = moved_site
+        truth = generate_orbit_trajectory(skeleton, 30.0, 12)
+        moved_truth = Trajectory(truth.timestamps, tuple(compose(site, pose) for pose in truth.poses))
+
+        def post_errors(skeleton, truth):
+            frames = simulate_measurements(truth, skeleton, camera)
+            noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed))
+            graph, _ = build_and_optimize(
+                noisy, frames, skeleton, camera, GraphWeights(), MatchConfig(), SolverConfig()
+            )
+            report = evaluate(Trajectory(truth.timestamps, tuple(graph.estimates())), truth)
+            return np.array([report.mean_translation_error, report.mean_rotation_error])
+
+        here, there = post_errors(skeleton, truth), post_errors(moved, moved_truth)
+        assert np.all(np.abs(here - there) <= self.BOUND * here)
 
 
 class TestTrajectoryType:
     def test_invariants(self, skeleton):
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0]), (Pose.identity(),))
+            Trajectory(np.array([0.0]), (IDENTITY,))
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), (Pose.identity(), Pose.identity()))
+            Trajectory(np.array([0.0, 0.0]), (IDENTITY, IDENTITY))
 
     @pytest.mark.parametrize("last", [math.inf, math.nan])
     def test_rejects_non_finite_timestamps(self, last):
-        # save_trajectory would write them, and load_trajectory reject the file
         with pytest.raises(ValueError, match="finite"):
-            Trajectory(np.array([0.0, 1.0, last]), (Pose.identity(),) * 3)
+            Trajectory(np.array([0.0, 1.0, last]), (IDENTITY,) * 3)
 
     def test_noise_spec_invariants(self):
         with pytest.raises(ValueError):
