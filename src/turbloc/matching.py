@@ -14,15 +14,27 @@ Point searches land on pixel centres; a log-quadratic fit around the
 winning pixel then recovers the continuous peak, which is exact for the
 analytically rendered Gaussians.
 
-`match_frame_arrays` matches a frame in a few array passes, with no loop over
-points, lines or line pairs:
+Matching runs in two stages, with no loop over points, lines or line pairs:
 
-- projection: one `world_to_camera` and one `pinhole` over the 6 skeleton
-  points, the subdivided points and the clipped line ends, in that row order.
-  Whether a point is behind the camera is decided there: `pinhole` projects
-  it to NaN, which `in_view` rejects, and `clip_segments_to_front` clips the
-  lines;
-- point search: only a pixel above lambda_point can win a window, so each
+- the pose stage, `project_model`, does everything that depends on the
+  pose and not on the frame, for many poses in one array pass.  One
+  `world_to_camera` and one `pinhole` over (poses, rows, 3) project the 6
+  skeleton points, the subdivided points and the clipped line ends, in that
+  row order.  Whether a point is behind the camera is decided there:
+  `pinhole` projects it to NaN, which `in_view` rejects, and
+  `clip_segments_to_front` clips the lines (when one pose has a line end
+  behind, the whole batch takes the clip path, which leaves the other rows'
+  ends as they are).  Then, over the rows of every pose at once: each
+  visible point's search window; the lines' normals and the parallel-line
+  guard, one (lines, lines) near-parallel mask per pose and, only for the
+  poses where some line has a near-parallel same-class partner, one
+  (lines, samples) point-to-segment distance matrix; and, for the kept
+  samples in line order, the k_line search positions across each, in
+  tie-break order, with their bilinear corners, weights and on-raster mask.
+  Unseen samples are never computed on: their positions are NaN.  It returns
+  one read-only `ProjectedModel` per pose, which lives for one pass;
+- the frame stage, `match_frame_arrays` given such a view, does the rest.
+  Point search: only a pixel above lambda_point can win a window, so each
   frame keeps a sorted list of its point-channel pixels above the threshold
   (NaN pixels included, so that NaN in a window still means "not found"),
   built on the first match and cached on the frame.  The listed pixels of a
@@ -32,49 +44,54 @@ points, lines or line pairs:
   heatmaps being sparse: on rendered and degraded frames about 0.5% of
   point-channel pixels exceed the threshold.  A window's work is bounded by
   the listed pixels of its rows, so a dense frame costs a few times the
-  dense box scan, not more;
-- peak refinement: a gather from `PixelList.peaks`.  A peak depends only on
-  the frame's point channels and the winning pixel, never on the pose, so
-  the list refines the peak around every listed pixel once, when it is
-  built, and every match reads the stored peaks;
-- parallel-line guard: one (lines, lines) near-parallel mask and, when some
-  line has a near-parallel same-class partner, one (lines, samples)
-  point-to-segment distance matrix;
-- line search: the x and the y of all (sample, offset) positions, each of
-  shape (m, k_line), interpolated at once from the flattened line-channel
-  stack, with the offsets in tie-break order so that the first maximum wins.
+  dense box scan, not more.  Peak refinement is a gather from
+  `PixelList.peaks`: a peak depends only on the frame's point channels and
+  the winning pixel, never on the pose, so the list refines the peak around
+  every listed pixel once, when it is built.  Line search is one gather of
+  every sample's four corners from the flattened line-channel stack, the
+  weighted sum and one `argmax` per sample, whose first maximum wins.
+
+Given a `Pose`, `match_frame_arrays` runs the pose stage on one row itself,
+so a single match and a batched one compute the same bits.
 
 The matcher keeps no state of its own: a call reads its arguments, builds
 the frame's pixel list if the frame has none for lambda_point yet, and
 computes.  Building the list, peaks included, is the one cost that the first
 match of a frame pays: on one core of a 2-core VM the first match of a
-rendered or degraded 256x256 frame takes 0.8-1.1 ms, a later one 0.4-0.6 ms.
-On a dense frame, where every point pixel exceeds lambda_point, the first
-match takes about 55 ms, nearly all of it building the list and refining its
-262,144 peaks; no rendered or degraded frame comes near that.  Repeated calls
-at one pose are the caller's to avoid: `PoseGraph._match` keeps each
-keyframe's last match.
+rendered or degraded 256x256 frame from a `Pose` takes 0.7-1.3 ms, a later
+one 0.4-0.7 ms.  On a dense frame, where every point pixel
+exceeds lambda_point, the first match takes about 55 ms, nearly all of it
+building the list and refining its 262,144 peaks; no rendered or degraded
+frame comes near that.  Repeated calls at one pose are the caller's to
+avoid: `PoseGraph._match` keeps each keyframe's last match.
 
-What is left per call is the pose-dependent work: projection, the
-window and line searches and the guard, each a fixed number of array passes
-over 6-40 rows.  At that size most of a pass's cost is numpy's per-call
-dispatch, not arithmetic, so the passes call array methods and ufuncs
-(`nonzero`, `searchsorted`, `argsort`, `argmin`, `argmax`, `any`, `repeat`)
-rather than the Python-level functions that wrap them (`np.flatnonzero`,
-`np.searchsorted`, ...), a point-to-segment distance adds its two squares
-itself rather than reducing over a length-2 axis, and
-`clip_segments_to_front` returns at once when no line end is behind the
-camera, as on every match of the locbench flights.  On the 816 matches of a
-48-keyframe flight a call then costs about 0.3 ms on one core of a
-2-core VM: the line search about 30% (most of it the bilinear gathers), the
-point search 25-30%, the guard 15% and projection 15%.
+Each stage is a fixed number of array passes over a few dozen rows per pose.
+At that size most of a pass's cost is numpy's per-call dispatch, not
+arithmetic, which is why the pose stage runs once for all poses of a pass,
+and why the passes call array methods and ufuncs (`nonzero`, `searchsorted`,
+`argsort`, `argmin`, `argmax`, `any`, `repeat`) rather than the
+Python-level functions that wrap them (`np.flatnonzero`, `np.searchsorted`,
+...), a point-to-segment distance adds its two squares itself rather than
+reducing over a length-2 axis, and `clip_segments_to_front` returns at once
+when no line end is behind the camera, as on every match of the locbench
+flights.  On the 816 matches of a 48-keyframe flight, replayed on one core
+of a 2-core VM that other work loaded, the pose stage costs about 70 us per
+keyframe when a pass projects its keyframes together and the frame stage
+about 170 us (of it the point search about 70 us and the line-channel gather
+and sum about 30 us): together about 0.65 of what one match cost when each
+call projected its own pose (0.45-0.69 over 9 rounds).  A match from a
+`Pose` projects one row and pays the pose stage's fixed cost alone, about
+1.3 times that old per-call cost, so a caller with many poses projects them
+together.
 
 The topology is fixed, so the same-class pair mask is a module constant
 derived from `turbine.LINES`; the ordered offsets and the guard's sine
 depend only on the MatchConfig and are cached on it.
 
 Tie-breaks and outputs are unchanged from the per-feature loop these passes
-replaced, to the last bit; the loop is kept as the test reference in
+replaced, to the last bit, and the frame stage keeps that loop's order of
+arithmetic (`value * gx * gy` left to right: precomputing `gx * gy` would
+change the bits); the loop is kept as the test reference in
 tests/reference_matching.py.  Two-term dot products go through `np.vecdot` or
 `np.matmul`, which round like the 1-D `np.linalg.norm` and the (m, 2) @ (2,)
 product of that loop; `np.linalg.norm(axis=-1)` and `np.einsum` differ in the
@@ -86,10 +103,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, clip_segments_to_front, in_view, pinhole, world_to_camera
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    clip_segments_to_front,
+    in_view,
+    pinhole,
+    quat_normalize,
+    world_to_camera,
+)
 from .heatmap import HeatmapFrame, PixelList
 from .turbine import LINES, POINT_CLASSES, SubdividedModel, TurbineSkeleton
 
@@ -181,10 +207,224 @@ def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _search_points(
-    pixels: PixelList, class_ids: np.ndarray, predicted: np.ndarray, cfg: MatchConfig
+# ---------------------------------------------------------------------------
+# pose stage
+# ---------------------------------------------------------------------------
+
+def _point_windows(
+    h: int, w: int, class_ids: np.ndarray, predicted: np.ndarray, cfg: MatchConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Point search for finite rows of `predicted` (n, 2) in channels[class_ids].
+    """Search windows of finite rows of `predicted` (n, 2) on an h x w raster.
+
+    Returns each window [ceil(c - r), floor(c + r)] per axis as (x0, y0, x1,
+    y1), clipped to the raster, and the flat indices of its (y0, x0) and
+    (y1, x1) in the class_ids' channels of a (channels, h, w) stack.  An empty
+    window keeps lo > hi, at most one pixel beyond it.
+    """
+    r = cfg.r_point
+    box = np.concatenate([np.ceil(predicted - r), np.floor(predicted + r)], axis=1)
+    box = _clip(box, (0.0, 0.0, -1.0, -1.0), (w, h, w - 1.0, h - 1.0))
+    # exact, the terms are small integers
+    ends = (box.reshape(-1, 2, 2) @ (1.0, w) + (class_ids * (h * w))[:, None]).astype(np.int64)
+    return box, ends
+
+
+def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normals, unit directions and non-degeneracy of segments a -> b (..., 2).
+
+    Each normal's sign is canonicalized so its first nonzero component is
+    positive; the search spans both sides symmetrically, so only determinism
+    matters.  Segments shorter than 1e-9 are flagged false, and their normal
+    and direction are not unit vectors.
+    """
+    d = b - a
+    # vecdot sums like the 1-D np.linalg.norm, to the bit; norm(axis=-1) does not
+    n = np.sqrt(np.vecdot(d, d))
+    ok = ~(n < 1e-9)
+    d = d / np.where(ok, n, 1.0)[..., None]
+    p = d[..., ::-1] * _QUARTER_TURN
+    flip = (p[..., 0] < 0.0) | ((p[..., 0] == 0.0) & (p[..., 1] < 0.0))
+    return np.where(flip[..., None], -p, p), d, ok
+
+
+def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from every point (..., s, 2) to every segment a -> b (..., l, 2),
+    shape (..., l, s)."""
+    ab = b - a
+    denom = np.vecdot(ab, ab)
+    # one (s, 2) @ (2,) product per segment, the same BLAS call a single segment makes
+    along = np.matmul(points[..., None, :, :] - a[..., None, :], ab[..., None])[..., 0]
+    short = denom < 1e-18  # a point-like segment: distance to a
+    t = np.where(short[..., None], 0.0, _clip(along / np.where(short, 1.0, denom)[..., None], 0.0, 1.0))
+    d = points[..., None, :, :] - (a[..., None, :] + t[..., None] * ab[..., None, :])
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+
+
+def _line_positions(uv: np.ndarray, perp: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y (m, k_line) of the k_line samples spanning a_line
+    across each row of `uv` (m, 2) along unit `perp` (m, 2), in tie-break
+    order: the smallest |offset| first, the negative side before the
+    positive."""
+    offsets = cfg._offsets_by_preference
+    return uv[:, 0, None] + offsets * perp[:, 0, None], uv[:, 1, None] + offsets * perp[:, 1, None]
+
+
+def _bilinear_corners(
+    h: int, w: int, class_ids: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where `_interpolate` reads positions (x, y), finite, in the class_ids'
+    channels of a (channels, h, w) stack; class_ids, x and y broadcast together.
+
+    Returns the flat indices of each position's four corners (4, ...), in the
+    order (x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1); the weights
+    fx, fy, gx = 1 - fx and gy = 1 - fy (4, ...); and whether the position
+    lies on the raster.
+    """
+    xs = _clip(x, 0.0, w - 1.0)
+    ys = _clip(y, 0.0, h - 1.0)
+    x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(ys.astype(np.int64), max(h - 2, 0))
+    weights = np.empty((4,) + xs.shape)
+    np.subtract(xs, x0, out=weights[0])
+    np.subtract(ys, y0, out=weights[1])
+    np.subtract(1.0, weights[:2], out=weights[2:])
+    # steps to the +1 neighbours, which stay on a 1 px wide or high raster,
+    # where their weight is 0
+    dx, dy = min(w - 1, 1), min(h - 1, 1) * w
+    corners = class_ids * (h * w) + y0 * w + x0 + np.array([0, dx, dy, dy + dx]).reshape((4,) + (1,) * xs.ndim)
+    # a position is on the raster where clipping left it unchanged
+    return corners, weights, (xs == x) & (ys == y)
+
+
+class ProjectedModel(NamedTuple):
+    """The pose's half of one match: everything `match_frame_arrays` needs
+    that depends on the pose and not on the frame.  Built by `project_model`
+    for one skeleton, subdivided model, camera and config (`source`), and
+    valid with those only.  Every array is read-only."""
+
+    t: np.ndarray  # (3,) position, as `Pose` stores it
+    q: np.ndarray  # (4,) orientation, normalised as `Pose` normalises it
+    source: tuple  # (skeleton, subdivided, camera, config) it was projected for
+    # visible skeleton points, in skeleton order
+    p_points: np.ndarray  # (p, 3)
+    p_cls: np.ndarray  # (p,) point class
+    p_uv: np.ndarray  # (p, 2) projection
+    p_box: np.ndarray  # (p, 4) window, see `_point_windows`
+    p_ends: np.ndarray  # (p, 2) flat indices of the window's (y0, x0) and (y1, x1)
+    # kept line samples, grouped by skeleton line in subdivided order
+    s_points: np.ndarray  # (s, 3)
+    s_cls: np.ndarray  # (s,) line class
+    s_lid: np.ndarray  # (s,) skeleton line
+    s_uv: np.ndarray  # (s, 2) projection
+    s_perp: np.ndarray  # (s, 2) unit normal of the sample's projected line
+    # the k_line search positions of each sample, in tie-break order, see `_bilinear_corners`
+    corners: np.ndarray  # (4, s, k_line)
+    weights: np.ndarray  # (4, s, k_line) fx, fy, gx, gy
+    on_raster: np.ndarray  # (s, k_line)
+
+
+def project_model(
+    skeleton: TurbineSkeleton,
+    subdivided: SubdividedModel,
+    t: np.ndarray,
+    q: np.ndarray,
+    k: CameraIntrinsics,
+    cfg: MatchConfig,
+) -> list[ProjectedModel]:
+    """The pose stage of matching at each pose (t[i], q[i]), in one array pass.
+
+    t (n, 3) must be finite; q (n, 4) is normalised as `Pose` normalises it,
+    and a zero or non-finite row raises ValueError.  Returns one view per
+    pose, for `match_frame_arrays`.
+    """
+    t = np.array(t, dtype=float)
+    q = quat_normalize(q)
+    if t.ndim != 2 or t.shape[1] != 3 or q.shape != (t.shape[0], 4):
+        raise ValueError("t and q must be rows of shape (n, 3) and (n, 4)")
+    if not np.isfinite(t).all():
+        raise ValueError("non-finite vector")
+    return _project(skeleton, subdivided, t, q, k, cfg)
+
+
+class _Poses(NamedTuple):
+    """Poses as rows, for `world_to_camera`, which reads only t and q."""
+
+    t: np.ndarray  # (n, 1, 3)
+    q: np.ndarray  # (n, 1, 4)
+
+
+def _split(array: np.ndarray, bounds: list, axis: int = 0) -> list[np.ndarray]:
+    """Read-only slices of `array` between consecutive `bounds` along `axis`."""
+    array.flags.writeable = False
+    head = (slice(None),) * axis
+    return [array[head + (slice(a, b),)] for a, b in zip(bounds, bounds[1:])]
+
+
+def _project(skeleton, subdivided, t, q, k, cfg) -> list[ProjectedModel]:
+    """`project_model` on rows already checked and normalised."""
+    n = t.shape[0]
+    n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
+
+    # projection: skeleton points, subdivided points, then clipped line ends
+    cam = world_to_camera(_Poses(t[:, None], q[:, None]), np.concatenate([skeleton.points, subdivided.points]))
+    ends_a, ends_b, projected = clip_segments_to_front(cam[:, LINES[:, 0]], cam[:, LINES[:, 1]])
+    uv = pinhole(k, np.concatenate([cam, ends_a, ends_b], axis=1))
+    seen = in_view(k, uv)  # false behind the camera, where uv is nan
+    uv_sub = uv[:, n_pts : n_pts + n_sub]
+    a2, b2 = uv[:, n_pts + n_sub :].reshape(n, 2, -1, 2).transpose(1, 0, 2, 3)
+
+    # point windows of every visible skeleton point, pose by pose
+    p_pose, p_idx = seen[:, :n_pts].nonzero()
+    p_uv = uv[p_pose, p_idx]
+    p_cls = POINT_CLASSES[p_idx]
+    p_box, p_ends = _point_windows(k.height, k.width, p_cls, p_uv, cfg)
+
+    # parallel-line guard: drop samples whose search would run along another
+    # same-class line projecting nearly parallel within search range
+    perp, direction, usable = _perpendiculars(a2, b2)
+    usable &= projected
+    cross = direction[:, :, None, 0] * direction[:, None, :, 1] - direction[:, :, None, 1] * direction[:, None, :, 0]
+    near_parallel = _SAME_CLASS_PAIRS & usable[:, :, None] & usable[:, None, :] & ~(np.abs(cross) >= cfg._sin_guard)
+    lid = subdivided.line_ids
+    keep = seen[:, n_pts : n_pts + n_sub] & usable[:, lid]
+    guarded = near_parallel.any(axis=(1, 2)).nonzero()[0]
+    if guarded.size:
+        close = _segment_distances(uv_sub[guarded], a2[guarded], b2[guarded]) <= cfg.a_line
+        keep[guarded] &= ~(near_parallel[guarded][:, lid].transpose(0, 2, 1) & close).any(axis=1)
+
+    # search positions of every kept sample, grouped by line
+    by_line = lid.argsort(kind="stable")
+    s_pose, s_col = keep[:, by_line].nonzero()
+    samples = by_line[s_col]
+    s_lid = lid[samples]
+    s_cls = LINES[s_lid, 2]
+    s_uv = uv_sub[s_pose, samples]
+    s_perp = perp[s_pose, s_lid]
+    x, y = _line_positions(s_uv, s_perp, cfg)
+    corners, weights, on_raster = _bilinear_corners(k.height, k.width, s_cls[:, None], x, y)
+
+    p_bounds = [0, *np.bincount(p_pose, minlength=n).cumsum().tolist()]
+    s_bounds = [0, *np.bincount(s_pose, minlength=n).cumsum().tolist()]
+    t.flags.writeable = q.flags.writeable = False
+    per_point = [_split(a, p_bounds) for a in (skeleton.points[p_idx], p_cls, p_uv, p_box, p_ends)]
+    per_sample = [
+        *(_split(a, s_bounds) for a in (subdivided.points[samples], s_cls, s_lid, s_uv, s_perp)),
+        _split(corners, s_bounds, 1),
+        _split(weights, s_bounds, 1),
+        _split(on_raster, s_bounds),
+    ]
+    source = (skeleton, subdivided, k, cfg)
+    return [ProjectedModel(t[i], q[i], source, *row) for i, row in enumerate(zip(*per_point, *per_sample))]
+
+
+# ---------------------------------------------------------------------------
+# frame stage
+# ---------------------------------------------------------------------------
+
+def _search_windows(
+    pixels: PixelList, box: np.ndarray, ends: np.ndarray, predicted: np.ndarray, cfg: MatchConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Point search in the windows (`_point_windows`) of rows of `predicted` (n, 2).
 
     `pixels` lists the channels' pixels above lambda_point (NaN included).
     Each row's winner is the pixel with the largest value within r_point of
@@ -196,14 +436,7 @@ def _search_points(
     list (n,)); a row that is not found has an arbitrary centre and position.
     """
     n = predicted.shape[0]
-    _, h, w = pixels.shape
     r = cfg.r_point
-    # window [ceil(c - r), floor(c + r)] per axis as (x0, y0, x1, y1), clipped
-    # to the raster; an empty window keeps lo > hi, at most one pixel beyond it
-    box = np.concatenate([np.ceil(predicted - r), np.floor(predicted + r)], axis=1)
-    box = _clip(box, (0.0, 0.0, -1.0, -1.0), (w, h, w - 1.0, h - 1.0))
-    # flat indices of (y0, x0) and (y1, x1); exact, the terms are small integers
-    ends = (box.reshape(n, 2, 2) @ (1.0, w) + (class_ids * (h * w))[:, None]).astype(np.int64)
     start = pixels.index.searchsorted(ends[:, 0])
     length = pixels.index.searchsorted(ends[:, 1], side="right") - start
     longest = length.max(initial=0)
@@ -226,88 +459,29 @@ def _search_points(
     return np.array([xs.take(pick), ys.take(pick)]).T, best > cfg.lambda_point, at.take(pick)
 
 
-def _perpendiculars(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit normals, unit directions and non-degeneracy of segments a -> b (n, 2).
-
-    Each normal's sign is canonicalized so its first nonzero component is
-    positive; the search spans both sides symmetrically, so only determinism
-    matters.  Segments shorter than 1e-9 are flagged false, and their normal
-    and direction are not unit vectors.
-    """
-    d = b - a
-    # vecdot sums like the 1-D np.linalg.norm, to the bit; norm(axis=-1) does not
-    n = np.sqrt(np.vecdot(d, d))
-    ok = ~(n < 1e-9)
-    d = d / np.where(ok, n, 1.0)[:, None]
-    p = d[:, ::-1] * _QUARTER_TURN
-    flip = (p[:, 0] < 0.0) | ((p[:, 0] == 0.0) & (p[:, 1] < 0.0))
-    return np.where(flip[:, None], -p, p), d, ok
+def _interpolate(channels: np.ndarray, corners: np.ndarray, weights: np.ndarray, on_raster: np.ndarray) -> np.ndarray:
+    """Bilinear values of `channels` at the positions `_bilinear_corners`
+    describes, -inf off the raster."""
+    fx, fy, gx, gy = weights
+    c = channels.reshape(-1).take(corners)
+    vals = c[0] * gx * gy + c[1] * fx * gy + c[2] * gx * fy + c[3] * fx * fy
+    return np.where(on_raster, vals, -np.inf)
 
 
-def _bilinear(channels: np.ndarray, class_ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Interpolated values at positions (x, y) in channels[class_ids], -inf off the raster.
-
-    class_ids, x and y broadcast together; corners are gathered from the
-    flattened channel stack.
-    """
-    _, h, w = channels.shape
-    xs = _clip(x, 0.0, w - 1.0)
-    ys = _clip(y, 0.0, h - 1.0)
-    x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(ys.astype(np.int64), max(h - 2, 0))
-    fx = xs - x0
-    fy = ys - y0
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    # steps to the +1 neighbours, which stay on a 1 px wide or high raster,
-    # where their weight is 0
-    dx, dy = min(w - 1, 1), min(h - 1, 1) * w
-    flat = channels.reshape(-1)
-    corner = class_ids * (h * w) + y0 * w + x0
-    vals = (
-        flat.take(corner) * gx * gy
-        + flat.take(corner + dx) * fx * gy
-        + flat.take(corner + dy) * gx * fy
-        + flat.take(corner + dy + dx) * fx * fy
-    )
-    # a position is on the raster where clipping left it unchanged (NaN is not)
-    return np.where((xs == x) & (ys == y), vals, -np.inf)
-
-
-def _search_lines(
-    channels: np.ndarray,
-    class_ids: np.ndarray,
-    predicted: np.ndarray,
-    perp: np.ndarray,
-    cfg: MatchConfig,
+def _best_samples(
+    values: np.ndarray, uv: np.ndarray, perp: np.ndarray, cfg: MatchConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Perpendicular search for rows of `predicted` (m, 2) along unit `perp` (m, 2).
+    """Line search's pick among the `_line_positions` of each row of `uv`,
+    given their `_interpolate`d values (m, k_line).
 
-    Each row's match is the best of the k_line samples spanning a_line
-    across the prediction, ties going to the smallest |offset|, negative side
-    first; found is false when no sample on the raster exceeds lambda_line.
-    Returns (matched (m, 2), found (m,)).
+    Each row's match is its best sample, ties going to the first in
+    tie-break order; found is false when no sample on the raster exceeds
+    lambda_line.  Returns (matched (m, 2), found (m,)).
     """
-    offsets = cfg._offsets_by_preference
-    x = predicted[:, 0, None] + offsets * perp[:, 0, None]
-    y = predicted[:, 1, None] + offsets * perp[:, 1, None]
-    values = _bilinear(channels, class_ids[:, None], x, y)
     # the samples run in tie-break order, so argmax's first maximum wins
     j = values.argmax(axis=1)
     found = values[np.arange(j.size), j] > cfg.lambda_line
-    return predicted + offsets[j][:, None] * perp, found
-
-
-def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from every point (s, 2) to every segment a -> b (l, 2), shape (l, s)."""
-    ab = b - a
-    denom = np.vecdot(ab, ab)
-    # one (s, 2) @ (2,) product per segment, the same BLAS call a single segment makes
-    along = np.matmul(points[None, :, :] - a[:, None, :], ab[:, :, None])[..., 0]
-    short = denom < 1e-18  # a point-like segment: distance to a
-    t = np.where(short[:, None], 0.0, _clip(along / np.where(short, 1.0, denom)[:, None], 0.0, 1.0))
-    d = points[None, :, :] - (a[:, None, :] + t[:, :, None] * ab[:, None, :])
-    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+    return uv + cfg._offsets_by_preference[j][:, None] * perp, found
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,9 +489,10 @@ class FrameMatches:
     """Array view of one frame's correspondences, ready for stacking.
 
     The arrays passed in are made read-only in place, not copied:
-    `match_frame_arrays` builds them fresh, and the pose graph hands one
-    object to every pass at the same pose, so no reader may change what a
-    later one reads.
+    `match_frame_arrays` builds them fresh, by indexing and concatenation,
+    so none shares memory with the pass's `ProjectedModel` views, which are
+    freed when the pass ends; and the pose graph hands one object to every
+    pass at the same pose, so no reader may change what a later one reads.
     """
 
     points3d: np.ndarray  # (m, 3)
@@ -345,62 +520,49 @@ class FrameMatches:
 def match_frame_arrays(
     skeleton: TurbineSkeleton,
     subdivided: SubdividedModel,
-    pose_estimate: Pose,
+    pose_estimate: Pose | ProjectedModel,
     k: CameraIntrinsics,
     frame: HeatmapFrame,
     cfg: MatchConfig,
 ) -> FrameMatches:
     """Establish all point and line correspondences for one frame.
 
-    Rows list point matches in skeleton order, then line-sample matches
-    grouped by skeleton line, each group in subdivided order.  Every call
-    computes its result from its arguments alone and assigns nothing; the
-    frame's first match builds the frame's pixel list (module docstring).
+    `pose_estimate` is a `Pose`, which this call projects, or a view that
+    `project_model` built for the same skeleton, subdivided model, camera and
+    config (the same objects; another raises ValueError).  Rows list point
+    matches in skeleton order, then line-sample matches grouped by skeleton
+    line, each group in subdivided order.  Every call computes its result
+    from its arguments alone and assigns nothing; the frame's first match
+    builds the frame's pixel list (module docstring).
     """
-    n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
-
-    # projection: skeleton points, subdivided points, then clipped line ends
-    cam = world_to_camera(pose_estimate, np.concatenate([skeleton.points, subdivided.points]))
-    ends_a, ends_b, projected = clip_segments_to_front(cam[LINES[:, 0]], cam[LINES[:, 1]])
-    uv = pinhole(k, np.concatenate([cam, ends_a, ends_b]))
-    seen = in_view(k, uv)  # false behind the camera, where uv is nan
-    uv_sub = uv[n_pts : n_pts + n_sub]
-    a2, b2 = uv[n_pts + n_sub :].reshape(2, -1, 2)
+    if isinstance(pose_estimate, Pose):
+        view = _project(skeleton, subdivided, pose_estimate.t[None], pose_estimate.q[None], k, cfg)[0]
+    else:
+        view = pose_estimate
+        if any(a is not b for a, b in zip(view.source, (skeleton, subdivided, k, cfg))):
+            raise ValueError("the view was projected for another skeleton, subdivided model, camera or config")
+    if (frame.width, frame.height) != (k.width, k.height):
+        raise ValueError(f"frame is {frame.width}x{frame.height}, the camera {k.width}x{k.height}")
 
     # point search over every visible skeleton point
-    p_idx = seen[:n_pts].nonzero()[0]
-    p_cls = POINT_CLASSES[p_idx]
     pixels = frame.point_pixels_above(cfg.lambda_point)
-    p_match, found, win = _search_points(pixels, p_cls, uv[p_idx], cfg)
-    p_idx, p_cls, p_match, win = p_idx[found], p_cls[found], p_match[found], win[found]
+    p_match, p_found, win = _search_windows(pixels, view.p_box, view.p_ends, view.p_uv, cfg)
+    p_match, win = p_match[p_found], win[p_found]
     refined = pixels.peaks[win]
-    shift = refined - uv[p_idx]
+    shift = refined - view.p_uv[p_found]
     # vecdot sums like the 1-D np.linalg.norm, to the bit
     p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)
 
-    # parallel-line guard: drop samples whose search would run along another
-    # same-class line projecting nearly parallel within search range
-    perp, direction, usable = _perpendiculars(a2, b2)
-    usable &= projected
-    cross = direction[:, None, 0] * direction[None, :, 1] - direction[:, None, 1] * direction[None, :, 0]
-    near_parallel = _SAME_CLASS_PAIRS & usable[:, None] & usable[None, :] & ~(np.abs(cross) >= cfg._sin_guard)
-    lid = subdivided.line_ids
-    keep = seen[n_pts : n_pts + n_sub] & usable[lid]
-    if near_parallel.any():
-        keep &= ~(near_parallel[lid].T & (_segment_distances(uv_sub, a2, b2) <= cfg.a_line)).any(axis=0)
+    # line search over every kept sample
+    values = _interpolate(frame.line_channels, view.corners, view.weights, view.on_raster)
+    l_match, l_found = _best_samples(values, view.s_uv, view.s_perp, cfg)
+    l_match = l_match[l_found]
 
-    # line search over every visible, unguarded sample
-    samples = keep.nonzero()[0]
-    samples = samples[lid[samples].argsort(kind="stable")]
-    s_cls = LINES[lid[samples], 2]
-    l_match, found = _search_lines(frame.line_channels, s_cls, uv_sub[samples], perp[lid[samples]], cfg)
-    samples, s_cls, l_match = samples[found], s_cls[found], l_match[found]
-
-    n_p, n_l = p_idx.size, samples.size
+    n_p, n_l = p_match.shape[0], l_match.shape[0]
     return FrameMatches(
-        np.concatenate([skeleton.points[p_idx], subdivided.points[samples]]),
+        np.concatenate([view.p_points[p_found], view.s_points[l_found]]),
         np.concatenate([p_match, l_match]),
         _KINDS.repeat((n_p, n_l)),
-        np.concatenate([p_cls, s_cls]),
-        np.concatenate([_NO_LINE[:n_p], lid[samples]]),
+        np.concatenate([view.p_cls[p_found], view.s_cls[l_found]]),
+        np.concatenate([_NO_LINE[:n_p], view.s_lid[l_found]]),
     )

@@ -25,9 +25,12 @@ does not increase (Levenberg-style diagonal damping, never below
 `DAMPING_FLOOR`).  No correspondence outlives its iteration, so `optimize`
 depends only on the keyframes' estimates, measurements and frames.
 
-A pass's time splits into matching, one `match_frame_arrays` call per
-keyframe not at its last matched pose (about two thirds of `optimize` on
-the 12-keyframe flights, more on large graphs), and the graph side:
+A pass's time splits into matching and the graph side.  Matching is one
+`project_model` call over the keyframes not at their last matched pose (the
+pose stage, for all of them in one array pass), then one
+`match_frame_arrays` call per such keyframe with its view (the frame stage).
+It takes about 87% of `optimize` on a 48-keyframe batch flight and 65% on
+the 12-keyframe incremental ones.  The graph side is
 `_objective` with and without the system, `_solve_banded`,
 `quaternion_boxplus` and `_median_motion`, written for few numpy calls.  The
 graph side keeps the rounding of its first form, einsums over dense
@@ -76,6 +79,7 @@ from .geometry import (
     compose,
     quat_conjugate,
     quat_multiply,
+    quat_normalize,
     quat_to_matrix,
     quaternion_boxplus,
     relative_pose,
@@ -83,7 +87,7 @@ from .geometry import (
     skew,
 )
 from .heatmap import HeatmapFrame
-from .matching import CorrespondenceKind, MatchConfig, match_frame_arrays
+from .matching import CorrespondenceKind, MatchConfig, match_frame_arrays, project_model
 from .turbine import SubdividedModel, TurbineSkeleton
 
 DAMPING_FLOOR = 1e-6  # minimal diagonal damping
@@ -344,24 +348,29 @@ class PoseGraph:
         """Match every keyframe at the estimates (t, q) and stack the rows.
 
         Each keyframe keeps its last match, keyed on its frame and the bytes
-        of the pose it was matched at, and the matcher is called only when
-        the key changes.  The key leaves out the skeleton, the subdivided
+        of the pose it was matched at: t and q normalised, all rows by one
+        `quat_normalize`, which normalises as `Pose` does, to the bit.  The
+        keyframes whose key changed are projected by one `project_model`
+        call and each is matched with its view; the others are served.  The key leaves out the skeleton, the subdivided
         model, the camera and the match config: they are the graph's own and
         stay fixed for its life.  A call that stops without a step on its
         last pass (`stalled`, `no_descent`, `solve_failure`,
         `rank_deficient`) leaves every keyframe at the pose of its last
         match, so the next call's first pass matches only the new keyframes.
         """
-        found = []
-        for i, kf in enumerate(self.keyframes):
-            pose = Pose(t[i], q[i])
-            key = (kf.frame, pose.t.tobytes(), pose.q.tobytes())
-            if kf.last_match is None or kf.last_match[0] != key:
+        t = np.asarray(t, dtype=float)
+        unit = quat_normalize(q)
+        keys = [(kf.frame, t[i].tobytes(), unit[i].tobytes()) for i, kf in enumerate(self.keyframes)]
+        missed = [i for i, kf in enumerate(self.keyframes) if kf.last_match is None or kf.last_match[0] != keys[i]]
+        if missed:
+            views = project_model(self.skeleton, self.subdivided, t[missed], q[missed], self.camera, self.match_cfg)
+            for i, view in zip(missed, views):
+                kf = self.keyframes[i]
                 # through the module global, which tests and tracing wrap
-                kf.last_match = key, match_frame_arrays(
-                    self.skeleton, self.subdivided, pose, self.camera, kf.frame, self.match_cfg
+                kf.last_match = keys[i], match_frame_arrays(
+                    self.skeleton, self.subdivided, view, self.camera, kf.frame, self.match_cfg
                 )
-            found.append(kf.last_match[1])
+        found = [kf.last_match[1] for kf in self.keyframes]
         kinds = np.concatenate([m.kinds for m in found])
         return _Rows(
             np.repeat(np.arange(len(found)), [len(m) for m in found]),

@@ -19,18 +19,23 @@ from turbloc.geometry import (
     quat_from_rotvec,
     world_to_camera,
 )
-from turbloc import posegraph
+from turbloc import matching, posegraph
 from turbloc.heatmap import HeatmapFrame, _refine_peaks, pixels_above, render
 from turbloc.matching import (
     _SAME_CLASS_PAIRS,
-    _bilinear,
+    _best_samples,
+    _bilinear_corners,
+    _interpolate,
+    _line_positions,
     _perpendiculars,
-    _search_lines,
-    _search_points,
+    _point_windows,
+    _search_windows,
     _segment_distances,
     CorrespondenceKind,
     MatchConfig,
+    ProjectedModel,
     match_frame_arrays,
+    project_model,
 )
 from turbloc.posegraph import PoseGraph
 from turbloc.simulation import NoiseSpec, degrade_measurements, generate_orbit_trajectory, inject_noise
@@ -71,12 +76,29 @@ FIRST = np.zeros(1, np.int64)
 
 
 def search_points(channels, class_ids, predicted, cfg):
-    """`_search_points` on a bare channel stack, through its pixel list."""
-    return _search_points(pixels_above(channels, cfg.lambda_point), class_ids, predicted, cfg)[:2]
+    """The point search on a bare channel stack, through its pixel list:
+    `_point_windows` (the pose stage) then `_search_windows` (the frame stage)."""
+    _, h, w = channels.shape
+    windows = _point_windows(h, w, class_ids, predicted, cfg)
+    return _search_windows(pixels_above(channels, cfg.lambda_point), *windows, predicted, cfg)[:2]
+
+
+def bilinear(channels, class_ids, x, y):
+    """Interpolated values at (x, y) in channels[class_ids], -inf off the
+    raster: `_bilinear_corners` (the pose stage) then `_interpolate`."""
+    _, h, w = channels.shape
+    return _interpolate(channels, *_bilinear_corners(h, w, class_ids, x, y))
+
+
+def search_lines(channels, class_ids, predicted, perp, cfg):
+    """The perpendicular search across rows of `predicted` along `perp`,
+    from `_line_positions` to `_best_samples`; returns (matched, found)."""
+    values = bilinear(channels, class_ids[:, None], *_line_positions(predicted, perp, cfg))
+    return _best_samples(values, predicted, perp, cfg)
 
 
 class TestMatchPoint:
-    """`_search_points`: the largest value within r_point of each prediction."""
+    """The point search: the largest value within r_point of each prediction."""
 
     def test_peak_at_prediction(self):
         channel = gaussian_channel(100, 100, 50, 60)
@@ -151,7 +173,7 @@ class TestPerpendicularDirection:
 
 
 class TestMatchLineSample:
-    """`_search_lines`: the best of k_line samples across each prediction."""
+    """The line search: the best of k_line samples across each prediction."""
 
     def make_vertical_ridge(self, w=80, h=80, x_line=40.0, sigma=5.0):
         xs = np.arange(w, dtype=float)
@@ -161,13 +183,13 @@ class TestMatchLineSample:
     def test_centered_feature(self):
         channel = self.make_vertical_ridge()
         predicted, perp = np.array([[40.0, 40.0]]), np.array([[1.0, 0.0]])
-        matched, found = _search_lines(channel[None], FIRST, predicted, perp, MatchConfig())
+        matched, found = search_lines(channel[None], FIRST, predicted, perp, MatchConfig())
         assert found[0]
         assert np.allclose(matched[0], [40.0, 40.0])
 
     def test_threshold_reject(self):
         channel = np.full((60, 60), 0.1, dtype=np.float32)
-        _, found = _search_lines(channel[None], FIRST, np.array([[30.0, 30.0]]), np.array([[1.0, 0.0]]), MatchConfig())
+        _, found = search_lines(channel[None], FIRST, np.array([[30.0, 30.0]]), np.array([[1.0, 0.0]]), MatchConfig())
         assert not found[0]
 
     def test_offset_ridge_matches_brute_force(self):
@@ -175,7 +197,7 @@ class TestMatchLineSample:
         channel = self.make_vertical_ridge(x_line=43.0)  # 3 px offset
         predicted = np.array([40.0, 40.0])
         perp = np.array([1.0, 0.0])
-        matched, found = _search_lines(channel[None], FIRST, predicted[None], perp[None], cfg)
+        matched, found = search_lines(channel[None], FIRST, predicted[None], perp[None], cfg)
         oracle = brute_force_line_sample(channel, predicted, perp, cfg.a_line, cfg.k_line, cfg.lambda_line)
         assert found[0]
         assert np.array_equal(matched[0], oracle)
@@ -184,7 +206,7 @@ class TestMatchLineSample:
     def test_constant_channel_ties_resolve_to_centre(self):
         channel = np.full((60, 60), 0.8, dtype=np.float32)
         predicted, perp = np.array([[30.0, 25.0]]), np.array([[0.0, 1.0]])
-        matched, found = _search_lines(channel[None], FIRST, predicted, perp, MatchConfig())
+        matched, found = search_lines(channel[None], FIRST, predicted, perp, MatchConfig())
         assert found[0]
         assert np.array_equal(matched[0], [30.0, 25.0])
 
@@ -197,14 +219,14 @@ class TestMatchLineSample:
             (profile.reshape(1, 5, 1), np.stack([np.zeros(5), along], axis=1)),
             (profile.reshape(1, 1, 5), np.stack([along, np.zeros(5)], axis=1)),
         ):
-            values = _bilinear(channels, FIRST, xy[:, 0], xy[:, 1])
+            values = bilinear(channels, FIRST, xy[:, 0], xy[:, 1])
             assert np.allclose(values, np.interp(along, np.arange(5), profile), rtol=0.0, atol=1e-7)
-            off = _bilinear(channels, FIRST, xy[:1, 0] + 0.5, xy[:1, 1] + 0.5)  # beyond the single column or row
+            off = bilinear(channels, FIRST, xy[:1, 0] + 0.5, xy[:1, 1] + 0.5)  # beyond the single column or row
             assert off[0] == -np.inf
 
     def test_one_pixel_rasters_match_the_oracles(self):
         # the brute-force oracle and the reference matcher read (5, 1) and
-        # (1, 5) channels as `_search_lines` does
+        # (1, 5) channels as the line search does
         profile = np.array([0.1, 0.4, 0.9, 0.6, 0.2], dtype=np.float32)
         cfg = MatchConfig(a_line=4.0, k_line=9)
         along = np.array([0.0, 1.3, 2.5, 3.6, 4.0])
@@ -212,7 +234,7 @@ class TestMatchLineSample:
             (profile.reshape(5, 1), np.stack([np.zeros(5), along], axis=1), np.array([0.0, 1.0])),
             (profile.reshape(1, 5), np.stack([along, np.zeros(5)], axis=1), np.array([1.0, 0.0])),
         ):
-            matched, found = _search_lines(channel[None], np.zeros(5, np.int64), predicted, np.tile(perp, (5, 1)), cfg)
+            matched, found = search_lines(channel[None], np.zeros(5, np.int64), predicted, np.tile(perp, (5, 1)), cfg)
             want, want_found = reference_matching._match_line_rows(channel, predicted, perp, cfg)
             assert found.all() and np.array_equal(want_found, found)
             assert np.array_equal(want, matched)
@@ -229,7 +251,7 @@ class TestMatchLineSample:
             predicted = rng.uniform(0, [w - 1, h - 1], (60, 2))
             angle = rng.uniform(0, 2 * np.pi, 60)
             perp = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-            matched, found = _search_lines(channels, np.arange(60), predicted, perp, cfg)
+            matched, found = search_lines(channels, np.arange(60), predicted, perp, cfg)
             for i in range(60):
                 want = brute_force_line_sample(
                     channels[i], predicted[i], perp[i], cfg.a_line, cfg.k_line, cfg.lambda_line
@@ -684,6 +706,185 @@ class TestMatchMemo:
                 getattr(m, name)[:1] = 0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(m, name, getattr(m, name).copy())
+
+
+def pose_stage_batch(skeleton):
+    """Poses (t rows, raw q rows) that cover the pose stage's branches in one
+    batch: a line end behind the camera (so the whole batch takes the clip
+    path), orbit views whose parallel guard fires beside views whose guard
+    does not, and a view with no skeleton point in it.  The quaternions are
+    scaled off unit length and some negated, as raw rows may come."""
+    orbit = generate_orbit_trajectory(skeleton, 30.0, 12).poses
+    poses = [
+        look_at_pose(np.array([3.0, 0.0, 8.0]), np.zeros(3)),  # the tower top behind the camera
+        orbit[0],
+        orbit[2],  # guarded
+        orbit[1],
+        look_at_pose(np.array([0.0, -30.0, 5.0]), np.array([0.0, -60.0, 5.0])),  # facing away
+        orbit[8],  # guarded
+    ]
+    rng = np.random.default_rng(41)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, len(poses)) * np.where(np.arange(len(poses)) % 2, -1.0, 1.0)
+    return np.array([p.t for p in poses]), np.array([p.q for p in poses]) * scale[:, None]
+
+
+def view_bytes(view):
+    return [(a.dtype, a.shape, a.tobytes()) for a in view if isinstance(a, np.ndarray)]
+
+
+class TestPoseStage:
+    """`project_model` projects many poses in one array pass; each view it
+    returns matches a frame exactly as a `Pose` would, to the bit."""
+
+    def test_batch_equals_one_pose_at_a_time(self, scene, monkeypatch):
+        skeleton, subdivided, k, _, cfg = scene
+        t, q = pose_stage_batch(skeleton)
+        n = t.shape[0]
+        guarded = []
+        distances = matching._segment_distances
+
+        def spy(points, a, b):
+            guarded.append(points.shape[:-2])
+            return distances(points, a, b)
+
+        monkeypatch.setattr(matching, "_segment_distances", spy)
+        views = project_model(skeleton, subdivided, t, q, k, cfg)
+        # the guard's distances only for the guarded poses, in one call
+        assert guarded == [(2,)]
+        depth = world_to_camera(Pose(t[0], q[0]), skeleton.points)[:, 2]
+        assert depth.min() <= EPS_DEPTH < depth.max()
+        assert views[4].p_points.shape == (0, 3)
+        assert len(views) == n and all(isinstance(v, ProjectedModel) for v in views)
+        for i, view in enumerate(views):
+            (single,) = project_model(skeleton, subdivided, t[i : i + 1], q[i : i + 1], k, cfg)
+            assert view_bytes(view) == view_bytes(single)
+            assert view.source == single.source == (skeleton, subdivided, k, cfg)
+            pose = Pose(t[i], q[i])
+            assert view.t.tobytes() == pose.t.tobytes() and view.q.tobytes() == pose.q.tobytes()
+            assert all(not a.flags.writeable for a in view if isinstance(a, np.ndarray))
+
+        # one frame of each kind, and each pose's own view rendered from near it
+        clean = render(skeleton, generate_orbit_trajectory(skeleton, 30.0, 12).poses[1], k)
+        frames = [
+            clean,
+            degrade_measurements([clean], 0.1, 5.0, seed=7)[0],
+            blank_frame(k.width, k.height),
+            with_nan_pixels(skeleton, generate_orbit_trajectory(skeleton, 30.0, 12).poses[1], k, clean),
+        ]
+        rng = np.random.default_rng(43)
+        found = 0
+        for i, view in enumerate(views):
+            pose = Pose(t[i], q[i])
+            own = render(skeleton, perturbed(pose, rng, 0.2, 1.0 * DEG), k)
+            for frame in frames + [own, degrade_measurements([own], 0.1, 5.0, seed=i)[0]]:
+                got = match_frame_arrays(skeleton, subdivided, view, k, frame, cfg)
+                want = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+                assert same_matches(got, want)
+                for name in MATCH_FIELDS:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert same_matches(got, reference_match_frame_arrays(skeleton, subdivided, view, k, frame, cfg))
+                found += len(got)
+        assert found > 0
+
+    def test_match_keys_equal_pose_normalisation(self, scene, computed):
+        # the row bytes that `_match` keys on, and the views it hands over,
+        # are those of `Pose(t[i], q[i])`
+        skeleton, subdivided, k, pose, cfg = scene
+        rng = np.random.default_rng(47)
+        n = 400
+        t = rng.normal(0.0, 30.0, (n, 3))
+        q = rng.normal(0.0, 1.0, (n, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        q[: n // 2, 0] = -np.abs(q[: n // 2, 0])
+        graph = PoseGraph(skeleton, subdivided, k, match_cfg=cfg)
+        frame = blank_frame(k.width, k.height)
+        for _ in range(n):
+            graph.add_keyframe(pose, frame)
+        graph._match(t, q)
+        assert len(computed) == n
+        for i, kf in enumerate(graph.keyframes):
+            want = Pose(t[i], q[i])
+            assert kf.last_match[0][1:] == (want.t.tobytes(), want.q.tobytes())
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """Rows (t bytes) of each `project_model` call and the number of
+        `world_to_camera` calls in matching, as they happen."""
+        rows, projected = [], [0]
+        project, to_camera = matching.project_model, matching.world_to_camera
+
+        def counted_project(skeleton, subdivided, t, q, k, cfg):
+            rows.append(t.tobytes())
+            return project(skeleton, subdivided, t, q, k, cfg)
+
+        def counted_to_camera(*args):
+            projected[0] += 1
+            return to_camera(*args)
+
+        for module in (matching, posegraph):
+            monkeypatch.setattr(module, "project_model", counted_project)
+        monkeypatch.setattr(matching, "world_to_camera", counted_to_camera)
+        return rows, projected
+
+    def test_one_projection_per_pass(self, scene, computed, projections):
+        skeleton, subdivided, k, _, cfg = scene
+        rows, projected = projections
+        poses = generate_orbit_trajectory(skeleton, 30.0, 4).poses
+        graph = PoseGraph(skeleton, subdivided, k, match_cfg=cfg)
+        for p in poses:
+            graph.add_keyframe(p, render(skeleton, p, k))
+        t, q = np.array([p.t for p in poses]), np.array([p.q for p in poses])
+        graph._match(t, q)
+        assert rows == [t.tobytes()] and projected[0] == 1 and len(computed) == 4
+        graph._match(t, q)  # served in full by the hand-over
+        assert rows == [t.tobytes()] and projected[0] == 1 and len(computed) == 4
+        moved = t.copy()
+        moved[[1, 3], 0] = np.nextafter(moved[[1, 3], 0], np.inf)
+        graph._match(moved, q)
+        assert rows == [t.tobytes(), moved[[1, 3]].tobytes()] and projected[0] == 2
+        assert [f for f, _ in computed[4:]] == [graph.keyframes[1].frame, graph.keyframes[3].frame]
+
+    def test_one_projection_per_pass_of_a_flight(self, scene, computed, projections, monkeypatch):
+        skeleton, subdivided, k, _, cfg = scene
+        rows, projected = projections
+        passes = []  # (keyframes, matcher calls, world_to_camera calls) per pass
+        match = PoseGraph._match
+
+        def per_pass(self, t, q):
+            before = len(computed), projected[0]
+            out = match(self, t, q)
+            passes.append((len(t), len(computed) - before[0], projected[0] - before[1]))
+            return out
+
+        monkeypatch.setattr(PoseGraph, "_match", per_pass)
+        truth = generate_orbit_trajectory(skeleton, 30.0, 4)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        graph = PoseGraph(skeleton, subdivided, k, match_cfg=cfg)
+        for true_pose, noisy_pose in zip(truth.poses, noisy.poses):
+            graph.add_keyframe(noisy_pose, render(skeleton, true_pose, k))
+            graph.optimize()
+        # one projection in each pass that computes a match, over its missed rows
+        assert [w for _, c, w in passes] == [int(c > 0) for _, c, _ in passes]
+        assert [len(r) // 24 for r in rows] == [c for _, c, _ in passes if c]
+        assert sum(n for n, _, _ in passes) > len(computed) > len(passes) > 1
+
+    @pytest.mark.parametrize("change", ["skeleton", "subdivided", "camera", "cfg", "frame"])
+    def test_a_view_for_other_arguments_raises(self, scene, change):
+        skeleton, subdivided, k, pose, cfg = scene
+        (view,) = project_model(skeleton, subdivided, pose.t[None], pose.q[None], k, cfg)
+        frame = render(skeleton, pose, k)
+        args = dict(skeleton=skeleton, subdivided=subdivided, pose_estimate=view, k=k, frame=frame, cfg=cfg)
+        assert len(match_frame_arrays(**args)) > 0
+        # an equal but distinct object, or a frame of another size
+        name, value = {
+            "skeleton": ("skeleton", TurbineSkeleton(skeleton.points)),
+            "subdivided": ("subdivided", subdivide(skeleton, cfg.s_tower, cfg.s_hub, cfg.s_blade)),
+            "camera": ("k", dataclasses.replace(k)),
+            "cfg": ("cfg", MatchConfig()),
+            "frame": ("frame", blank_frame(k.width + 1, k.height)),
+        }[change]
+        args[name] = value
+        with pytest.raises(ValueError):
+            match_frame_arrays(**args)
 
 
 class TestKernelsMatchReference:
