@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,14 +55,13 @@ def _stack_last(parts) -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion with non-negative scalar part.
-
-    `Pose` does the same arithmetic on Python floats for its one quaternion;
-    the two must stay alike to the bit.
-    """
+    """Unit quaternion with non-negative scalar part; a zero or non-finite q
+    (squares that overflow included) raises ValueError."""
     q = np.asarray(q, dtype=float)
-    # np.linalg.norm's own arithmetic: the squares summed in order, then sqrt
-    n = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    # np.linalg.norm's own arithmetic: the squares summed in order, then sqrt;
+    # squares that overflow make n inf, which is rejected below
+    with np.errstate(over="ignore"):
+        n = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
     if not (np.isfinite(n).all() and n.all()):
         raise ValueError("cannot normalize a zero or non-finite quaternion")
     q = q / n
@@ -202,29 +200,17 @@ class Pose:
     """World-from-camera rigid transform: position t and orientation q.
 
     Both are stored as read-only float copies.  t must be finite; q is
-    normalised exactly as `quat_normalize` does it, to the bit, and a zero
-    or non-finite q (squares that overflow included) raises ValueError.
+    normalised by `quat_normalize`, which rejects a zero or non-finite q.
     """
 
     t: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        # quat_normalize's arithmetic on Python floats, a few times cheaper
-        # than numpy's on one row: np.linalg.norm sums the four squares in
-        # order, and sqrt and division round alike in both
-        t = np.asarray(self.t, dtype=float).reshape(3).tolist()
-        if not all(map(math.isfinite, t)):
+        t = np.array(np.reshape(self.t, 3), dtype=float)
+        if not np.isfinite(t).all():
             raise ValueError("non-finite vector")
-        w, x, y, z = np.asarray(self.q, dtype=float).reshape(4).tolist()
-        n = math.sqrt(((w * w + x * x) + y * y) + z * z)
-        if not (math.isfinite(n) and n):
-            raise ValueError("cannot normalize a zero or non-finite quaternion")
-        q = [w / n, x / n, y / n, z / n]
-        if q[0] < 0.0:
-            q = [-c for c in q]
-        for name, values in (("t", t), ("q", q)):
-            a = np.array(values)
+        for name, a in (("t", t), ("q", quat_normalize(np.reshape(self.q, 4)))):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -285,20 +271,6 @@ class CameraIntrinsics:
         if not (0.0 <= self.cx < self.width) or not (0.0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(fx, fy), (cx, cy) and the raster's upper bounds (width - 0.5,
-        height - 0.5), for `pinhole` and `in_view` to treat u and v at once;
-        read-only, like the camera itself."""
-        columns = (
-            np.array([self.fx, self.fy], dtype=float),
-            np.array([self.cx, self.cy], dtype=float),
-            np.array([self.width - 0.5, self.height - 0.5]),
-        )
-        for column in columns:
-            column.flags.writeable = False
-        return columns
-
 
 def world_to_camera(pose: Pose, points: np.ndarray) -> np.ndarray:
     """World points into the camera frame: R^T (p - t)."""
@@ -309,15 +281,15 @@ def pinhole(k: CameraIntrinsics, points_cam: np.ndarray) -> np.ndarray:
     """Pinhole projection of camera-frame points; NaN for a point behind the
     camera (depth at most EPS_DEPTH).  Off-image points are not checked."""
     p = np.asarray(points_cam, dtype=float)
-    focal, centre, _ = k._columns
     z = p[..., 2:]
-    return focal * p[..., :2] / np.where(z > EPS_DEPTH, z, np.nan) + centre
+    # u and v at once, each with its own focal length and centre
+    return np.array([k.fx, k.fy]) * p[..., :2] / np.where(z > EPS_DEPTH, z, np.nan) + np.array([k.cx, k.cy])
 
 
 def in_view(k: CameraIntrinsics, uv: np.ndarray) -> np.ndarray:
     """Whether pixel coordinates fall on the image raster; false for NaN."""
     uv = np.asarray(uv, dtype=float)
-    inside = (uv >= -0.5) & (uv < k._columns[2])
+    inside = (uv >= -0.5) & (uv < np.array([k.width - 0.5, k.height - 0.5]))
     return inside[..., 0] & inside[..., 1]
 
 
@@ -325,18 +297,17 @@ def clip_segments_to_front(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, 
     """Clip camera-frame segments, ends pa and pb of one shape (..., 3), to
     depth > EPS_DEPTH.
 
-    Returns the clipped endpoints and whether any part of each segment lies in
-    front.  An endpoint behind the camera moves onto the near plane, strictly
-    in front; segments entirely behind keep their endpoints.  When no end is
-    behind, the endpoints returned are the input arrays themselves (as float
-    arrays), so callers must not write into them.
+    Returns the clipped endpoints, new arrays, and whether any part of each
+    segment lies in front.  An endpoint behind the camera moves onto the near
+    plane, strictly in front; segments entirely behind keep their endpoints.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
     za, zb = pa[..., 2], pb[..., 2]
     behind_a, behind_b = za <= EPS_DEPTH, zb <= EPS_DEPTH
     if not (behind_a.any() or behind_b.any()):
-        return pa, pb, np.ones(za.shape, dtype=bool)
+        # nothing to move, as on every match of a flight around the turbine
+        return pa.copy(), pb.copy(), np.ones(za.shape, dtype=bool)
     crosses = behind_a ^ behind_b
     t = (EPS_DEPTH - za) / np.where(crosses, zb - za, 1.0)
     crossing = pa + t[..., None] * (pb - pa)

@@ -49,7 +49,6 @@ class PixelList(NamedTuple):
     rows: np.ndarray  # (m,) float pixel row
     cols: np.ndarray  # (m,) float pixel column
     peaks: np.ndarray  # (m, 2) float64 (x, y), `_refine_peaks` around each pixel
-    shape: tuple  # (channels, H, W)
 
 
 # positions in a row-major 3x3 neighbourhood of the horizontal, then the
@@ -92,10 +91,10 @@ def pixels_above(channels: np.ndarray, threshold: float) -> PixelList:
     """The PixelList of a (channels, H, W) stack for `threshold`.
 
     Every listed pixel's peak is refined here, whether or not a match ever
-    reads it.  On rendered and degraded 256x256 frames at threshold 0.3 that
-    is 1,100-1,600 pixels, and the list takes about 0.25 ms; a dense
-    4x256x256 stack, every pixel above the threshold, takes about 46 ms (one
-    core of a 2-core VM).
+    reads it, so the list costs in proportion to the pixels above the
+    threshold: few on rendered and degraded frames (BENCH_pixel_list.json
+    counts them), every pixel on a dense stack (BENCH_stateless_matcher.json
+    times both).
     """
     _, h, w = channels.shape
     index = np.flatnonzero(~(channels <= threshold))
@@ -103,8 +102,8 @@ def pixels_above(channels: np.ndarray, threshold: float) -> PixelList:
     rows, cols = np.divmod(flat, w)
     rows, cols = rows.astype(float), cols.astype(float)
     peaks = _refine_peaks(channels, class_ids, np.stack([cols, rows], axis=1))
-    pixels = PixelList(index, channels.reshape(-1)[index], rows, cols, peaks, channels.shape)
-    for array in pixels[:-1]:
+    pixels = PixelList(index, channels.reshape(-1)[index], rows, cols, peaks)
+    for array in pixels:
         array.flags.writeable = False
     return pixels
 

@@ -22,17 +22,15 @@ Matching runs in two stages, with no loop over points, lines or line pairs:
   skeleton points, the subdivided points and the clipped line ends, in that
   row order.  Whether a point is behind the camera is decided there:
   `pinhole` projects it to NaN, which `in_view` rejects, and
-  `clip_segments_to_front` clips the lines (when one pose has a line end
-  behind, the whole batch takes the clip path, which leaves the other rows'
-  ends as they are).  Then, over the rows of every pose at once: each
-  visible point's search window; the lines' normals and the parallel-line
-  guard, one (lines, lines) near-parallel mask per pose and, only for the
-  poses where some line has a near-parallel same-class partner, one
-  (lines, samples) point-to-segment distance matrix; and, for the kept
-  samples in line order, the k_line search positions across each, in
-  tie-break order, with their bilinear corners, weights and on-raster mask.
-  Unseen samples are never computed on: their positions are NaN.  It returns
-  one read-only `ProjectedModel` per pose, which lives for one pass;
+  `clip_segments_to_front` clips the lines.  Then, over the rows of every
+  pose at once: each visible point's search window; the lines' normals and
+  the parallel-line guard, one (lines, lines) near-parallel mask per pose
+  and, only for the poses where some line has a near-parallel same-class
+  partner, one (lines, samples) point-to-segment distance matrix; and, for
+  the kept samples in line order, the k_line search positions across each,
+  in tie-break order, with their bilinear corners, weights and on-raster
+  mask.  Unseen samples are never computed on: their positions are NaN.  It
+  returns one read-only `ProjectedModel` per pose, which lives for one pass;
 - the frame stage, `match_frame_arrays` given such a view, does the rest.
   Point search: only a pixel above lambda_point can win a window, so each
   frame keeps a sorted list of its point-channel pixels above the threshold
@@ -41,29 +39,27 @@ Matching runs in two stages, with no loop over points, lines or line pairs:
   window's rows are one contiguous run of that list, found by two binary
   searches; the box, disk, maximum and tie-break tests run on those runs,
   padded to an (n_points, longest run) array.  The gain rests on the
-  heatmaps being sparse: on rendered and degraded frames about 0.5% of
-  point-channel pixels exceed the threshold.  A window's work is bounded by
-  the listed pixels of its rows, so a dense frame costs a few times the
-  dense box scan, not more.  Peak refinement is a gather from
-  `PixelList.peaks`: a peak depends only on the frame's point channels and
-  the winning pixel, never on the pose, so the list refines the peak around
-  every listed pixel once, when it is built.  Line search is one gather of
-  every sample's four corners from the flattened line-channel stack, the
-  weighted sum and one `argmax` per sample, whose first maximum wins.
+  heatmaps being sparse (BENCH_pixel_list.json measures the share of listed
+  pixels); a window's work is bounded by the listed pixels of its rows, so
+  a dense frame costs a few times the dense box scan, not more.  Peak
+  refinement is a gather from `PixelList.peaks`: a peak depends only on the
+  frame's point channels and the winning pixel, never on the pose, so the
+  list refines the peak around every listed pixel once, when it is built.
+  Line search is one gather of every sample's four corners from the
+  flattened line-channel stack, the weighted sum and one `argmax` per
+  sample, whose first maximum wins.
 
 Given a `Pose`, `match_frame_arrays` runs the pose stage on one row itself,
-so a single match and a batched one compute the same bits.
+so a single match and a batched one compute the same bits; a caller with
+many poses projects them together, because the pose stage's fixed cost is
+shared by its rows.
 
 The matcher keeps no state of its own: a call reads its arguments, builds
 the frame's pixel list if the frame has none for lambda_point yet, and
 computes.  Building the list, peaks included, is the one cost that the first
-match of a frame pays: on one core of a 2-core VM the first match of a
-rendered or degraded 256x256 frame from a `Pose` takes 0.7-1.3 ms, a later
-one 0.4-0.7 ms.  On a dense frame, where every point pixel
-exceeds lambda_point, the first match takes about 55 ms, nearly all of it
-building the list and refining its 262,144 peaks; no rendered or degraded
-frame comes near that.  Repeated calls at one pose are the caller's to
-avoid: `PoseGraph._match` keeps each keyframe's last match.
+match of a frame pays (BENCH_stateless_matcher.json times it).  Repeated
+calls at one pose are the caller's to avoid: `PoseGraph._match` keeps each
+keyframe's last match.
 
 Each stage is a fixed number of array passes over a few dozen rows per pose.
 At that size most of a pass's cost is numpy's per-call dispatch, not
@@ -71,18 +67,9 @@ arithmetic, which is why the pose stage runs once for all poses of a pass,
 and why the passes call array methods and ufuncs (`nonzero`, `searchsorted`,
 `argsort`, `argmin`, `argmax`, `any`, `repeat`) rather than the
 Python-level functions that wrap them (`np.flatnonzero`, `np.searchsorted`,
-...), a point-to-segment distance adds its two squares itself rather than
-reducing over a length-2 axis, and `clip_segments_to_front` returns at once
-when no line end is behind the camera, as on every match of the locbench
-flights.  On the 816 matches of a 48-keyframe flight, replayed on one core
-of a 2-core VM that other work loaded, the pose stage costs about 70 us per
-keyframe when a pass projects its keyframes together and the frame stage
-about 170 us (of it the point search about 70 us and the line-channel gather
-and sum about 30 us): together about 0.65 of what one match cost when each
-call projected its own pose (0.45-0.69 over 9 rounds).  A match from a
-`Pose` projects one row and pays the pose stage's fixed cost alone, about
-1.3 times that old per-call cost, so a caller with many poses projects them
-together.
+...), and a point-to-segment distance adds its two squares itself rather
+than reducing over a length-2 axis.  BENCH_pose_stage.json times each stage
+(`stages`) and the flights.
 
 The topology is fixed, so the same-class pair mask is a module constant
 derived from `turbine.LINES`; the ordered offsets and the guard's sine
@@ -95,7 +82,9 @@ change the bits); the loop is kept as the test reference in
 tests/reference_matching.py.  Two-term dot products go through `np.vecdot` or
 `np.matmul`, which round like the 1-D `np.linalg.norm` and the (m, 2) @ (2,)
 product of that loop; `np.linalg.norm(axis=-1)` and `np.einsum` differ in the
-last bit.
+last bit.  `np.clip` keeps the sign of a zero it leaves in range, so a view's
+window bound or bilinear weight can be -0.0 where the loop had +0.0; a
+match only compares, casts and sums such values, where -0.0 acts as +0.0.
 """
 
 from __future__ import annotations
@@ -134,13 +123,9 @@ class CorrespondenceKind(IntEnum):
     LINE = 1
 
 
-# FrameMatches columns: the kind of a point and of a line row, repeated per
-# row, and the line id of point rows (a frame has at most one point row per
-# skeleton point)
+# the FrameMatches kind of a point and of a line row, repeated per row
 _KINDS = np.array([CorrespondenceKind.POINT, CorrespondenceKind.LINE], dtype=np.int64)
 _KINDS.flags.writeable = False
-_NO_LINE = np.full(len(POINT_CLASSES), -1, dtype=np.int64)
-_NO_LINE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -201,12 +186,6 @@ class MatchConfig:
         return np.sin(np.radians(self.parallel_guard_deg))
 
 
-def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
-    """np.clip without its per-call dispatch, which outweighs the arithmetic
-    on arrays this small."""
-    return np.minimum(np.maximum(x, lo), hi)
-
-
 # ---------------------------------------------------------------------------
 # pose stage
 # ---------------------------------------------------------------------------
@@ -223,7 +202,7 @@ def _point_windows(
     """
     r = cfg.r_point
     box = np.concatenate([np.ceil(predicted - r), np.floor(predicted + r)], axis=1)
-    box = _clip(box, (0.0, 0.0, -1.0, -1.0), (w, h, w - 1.0, h - 1.0))
+    box = np.clip(box, (0.0, 0.0, -1.0, -1.0), (w, h, w - 1.0, h - 1.0))
     # exact, the terms are small integers
     ends = (box.reshape(-1, 2, 2) @ (1.0, w) + (class_ids * (h * w))[:, None]).astype(np.int64)
     return box, ends
@@ -255,7 +234,7 @@ def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     # one (s, 2) @ (2,) product per segment, the same BLAS call a single segment makes
     along = np.matmul(points[..., None, :, :] - a[..., None, :], ab[..., None])[..., 0]
     short = denom < 1e-18  # a point-like segment: distance to a
-    t = np.where(short[..., None], 0.0, _clip(along / np.where(short, 1.0, denom)[..., None], 0.0, 1.0))
+    t = np.where(short[..., None], 0.0, np.clip(along / np.where(short, 1.0, denom)[..., None], 0.0, 1.0))
     d = points[..., None, :, :] - (a[..., None, :] + t[..., None] * ab[..., None, :])
     return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
 
@@ -280,8 +259,8 @@ def _bilinear_corners(
     fx, fy, gx = 1 - fx and gy = 1 - fy (4, ...); and whether the position
     lies on the raster.
     """
-    xs = _clip(x, 0.0, w - 1.0)
-    ys = _clip(y, 0.0, h - 1.0)
+    xs = np.clip(x, 0.0, w - 1.0)
+    ys = np.clip(y, 0.0, h - 1.0)
     x0 = np.minimum(xs.astype(np.int64), max(w - 2, 0))
     y0 = np.minimum(ys.astype(np.int64), max(h - 2, 0))
     weights = np.empty((4,) + xs.shape)
@@ -302,8 +281,6 @@ class ProjectedModel(NamedTuple):
     for one skeleton, subdivided model, camera and config (`source`), and
     valid with those only.  Every array is read-only."""
 
-    t: np.ndarray  # (3,) position, as `Pose` stores it
-    q: np.ndarray  # (4,) orientation, normalised as `Pose` normalises it
     source: tuple  # (skeleton, subdivided, camera, config) it was projected for
     # visible skeleton points, in skeleton order
     p_points: np.ndarray  # (p, 3)
@@ -314,7 +291,6 @@ class ProjectedModel(NamedTuple):
     # kept line samples, grouped by skeleton line in subdivided order
     s_points: np.ndarray  # (s, 3)
     s_cls: np.ndarray  # (s,) line class
-    s_lid: np.ndarray  # (s,) skeleton line
     s_uv: np.ndarray  # (s, 2) projection
     s_perp: np.ndarray  # (s, 2) unit normal of the sample's projected line
     # the k_line search positions of each sample, in tie-break order, see `_bilinear_corners`
@@ -333,11 +309,11 @@ def project_model(
 ) -> list[ProjectedModel]:
     """The pose stage of matching at each pose (t[i], q[i]), in one array pass.
 
-    t (n, 3) must be finite; q (n, 4) is normalised as `Pose` normalises it,
-    and a zero or non-finite row raises ValueError.  Returns one view per
-    pose, for `match_frame_arrays`.
+    t (n, 3) must be finite; q (n, 4) is normalised by `quat_normalize`,
+    which rejects a zero or non-finite row with ValueError.  Returns one view
+    per pose, for `match_frame_arrays`.
     """
-    t = np.array(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     q = quat_normalize(q)
     if t.ndim != 2 or t.shape[1] != 3 or q.shape != (t.shape[0], 4):
         raise ValueError("t and q must be rows of shape (n, 3) and (n, 4)")
@@ -405,16 +381,15 @@ def _project(skeleton, subdivided, t, q, k, cfg) -> list[ProjectedModel]:
 
     p_bounds = [0, *np.bincount(p_pose, minlength=n).cumsum().tolist()]
     s_bounds = [0, *np.bincount(s_pose, minlength=n).cumsum().tolist()]
-    t.flags.writeable = q.flags.writeable = False
     per_point = [_split(a, p_bounds) for a in (skeleton.points[p_idx], p_cls, p_uv, p_box, p_ends)]
     per_sample = [
-        *(_split(a, s_bounds) for a in (subdivided.points[samples], s_cls, s_lid, s_uv, s_perp)),
+        *(_split(a, s_bounds) for a in (subdivided.points[samples], s_cls, s_uv, s_perp)),
         _split(corners, s_bounds, 1),
         _split(weights, s_bounds, 1),
         _split(on_raster, s_bounds),
     ]
     source = (skeleton, subdivided, k, cfg)
-    return [ProjectedModel(t[i], q[i], source, *row) for i, row in enumerate(zip(*per_point, *per_sample))]
+    return [ProjectedModel(source, *row) for row in zip(*per_point, *per_sample)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +474,9 @@ class FrameMatches:
     matched: np.ndarray  # (m, 2)
     kinds: np.ndarray  # (m,) CorrespondenceKind values
     class_ids: np.ndarray  # (m,)
-    line_ids: np.ndarray  # (m,)
 
     def __post_init__(self):
-        for array in (self.points3d, self.matched, self.kinds, self.class_ids, self.line_ids):
+        for array in (self.points3d, self.matched, self.kinds, self.class_ids):
             array.setflags(write=False)
 
     def __len__(self):
@@ -564,5 +538,4 @@ def match_frame_arrays(
         np.concatenate([p_match, l_match]),
         _KINDS.repeat((n_p, n_l)),
         np.concatenate([view.p_cls[p_found], view.s_cls[l_found]]),
-        np.concatenate([_NO_LINE[:n_p], view.s_lid[l_found]]),
     )

@@ -28,10 +28,9 @@ depends only on the keyframes' estimates, measurements and frames.
 A pass's time splits into matching and the graph side.  Matching is one
 `project_model` call over the keyframes not at their last matched pose (the
 pose stage, for all of them in one array pass), then one
-`match_frame_arrays` call per such keyframe with its view (the frame stage).
-It takes about 87% of `optimize` on a 48-keyframe batch flight and 65% on
-the 12-keyframe incremental ones.  The graph side is
-`_objective` with and without the system, `_solve_banded`,
+`match_frame_arrays` call per such keyframe with its view (the frame
+stage); it is most of the time of `optimize` (BENCH_pose_stage.json).  The
+graph side is `_objective` with and without the system, `_solve_banded`,
 `quaternion_boxplus` and `_median_motion`, written for few numpy calls.  The
 graph side keeps the rounding of its first form, einsums over dense
 Jacobians, to the bit, because the flights are chaotic in round-off: where
@@ -65,6 +64,7 @@ The graph is single-writer: callers must serialize add_keyframe/optimize.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -138,7 +138,8 @@ class Keyframe:
     relative_measurement: Pose | None  # previous pose in this one's frame; None iff id == 0
     frame: HeatmapFrame
     estimate: Pose
-    # ((frame, t bytes, q bytes), FrameMatches) of the last match, see PoseGraph._match
+    # ((frame, t bytes, q bytes), FrameMatches, (skeleton, subdivided, camera,
+    # config)) of the last match, see PoseGraph._match
     last_match: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -292,6 +293,12 @@ def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int,
     return layout
 
 
+def _served(last_match: tuple | None, key: tuple, source: tuple) -> bool:
+    """Whether a keyframe's last match was made at `key` with the objects of
+    `source`, compared by identity (`==` on a skeleton would compare arrays)."""
+    return last_match is not None and last_match[0] == key and all(map(operator.is_, last_match[2], source))
+
+
 class _Rows(NamedTuple):
     """One pass's correspondences, stacked in `_image_forward`'s argument order."""
 
@@ -347,29 +354,32 @@ class PoseGraph:
     def _match(self, t: np.ndarray, q: np.ndarray) -> _Rows:
         """Match every keyframe at the estimates (t, q) and stack the rows.
 
-        Each keyframe keeps its last match, keyed on its frame and the bytes
-        of the pose it was matched at: t and q normalised, all rows by one
-        `quat_normalize`, which normalises as `Pose` does, to the bit.  The
-        keyframes whose key changed are projected by one `project_model`
-        call and each is matched with its view; the others are served.  The key leaves out the skeleton, the subdivided
-        model, the camera and the match config: they are the graph's own and
-        stay fixed for its life.  A call that stops without a step on its
-        last pass (`stalled`, `no_descent`, `solve_failure`,
-        `rank_deficient`) leaves every keyframe at the pose of its last
-        match, so the next call's first pass matches only the new keyframes.
+        Each keyframe keeps its last match, keyed on its frame, the bytes of
+        the pose it was matched at (t and q normalised, all rows by one
+        `quat_normalize`, as `Pose` normalises) and the graph's skeleton,
+        subdivided model, camera and match config, compared by identity.
+        The keyframes whose key changed are projected by one `project_model`
+        call and each is matched with its view; the others are served.  A
+        call that stops without a step on its last pass (`stalled`,
+        `no_descent`, `solve_failure`, `rank_deficient`) leaves every
+        keyframe at the pose of its last match, so the next call's first pass
+        matches only the new keyframes, unless one of those four attributes
+        was reassigned in between.
         """
         t = np.asarray(t, dtype=float)
         unit = quat_normalize(q)
+        source = (self.skeleton, self.subdivided, self.camera, self.match_cfg)
         keys = [(kf.frame, t[i].tobytes(), unit[i].tobytes()) for i, kf in enumerate(self.keyframes)]
-        missed = [i for i, kf in enumerate(self.keyframes) if kf.last_match is None or kf.last_match[0] != keys[i]]
+        missed = [i for i, kf in enumerate(self.keyframes) if not _served(kf.last_match, keys[i], source)]
         if missed:
             views = project_model(self.skeleton, self.subdivided, t[missed], q[missed], self.camera, self.match_cfg)
             for i, view in zip(missed, views):
                 kf = self.keyframes[i]
                 # through the module global, which tests and tracing wrap
-                kf.last_match = keys[i], match_frame_arrays(
+                matches = match_frame_arrays(
                     self.skeleton, self.subdivided, view, self.camera, kf.frame, self.match_cfg
                 )
+                kf.last_match = keys[i], matches, source
         found = [kf.last_match[1] for kf in self.keyframes]
         kinds = np.concatenate([m.kinds for m in found])
         return _Rows(

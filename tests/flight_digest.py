@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Digests of whole flights, for checking that a change keeps outputs to the bit.
+
+    python3 tests/flight_digest.py
+
+Prints two SHA-256 digests: one over the `dataclasses.asdict` form of every
+`OptimizeReport` and the final estimates' bytes of the flights below, and
+one of the CSV of a 2x2 `run_sweep`.  Two trees whose digests are equal fly
+those flights to the same bits.  The script imports turbloc from the `src/`
+beside it; pytest does not collect it (its name does not start with test_).
+
+The scene is the baseline one: a 10 m tower with 5 m blades, a 256x256
+camera with f=200 on an orbit of radius 30 m, GPS/IMU noise of 0.08 m and
+6 deg per step.  "Degraded" frames are `degrade_measurements(frames, 0.1,
+5.0, seed=7)`; "batch" adds every keyframe and then optimizes once.
+
+- 12 keyframes, noise seeds 123-125: clean incremental, degraded
+  incremental and degraded batch flights;
+- 24 keyframes, noise seed 123: a degraded incremental flight;
+- 48 keyframes, noise seed 123: a clean batch flight;
+- the sweep: the 24-keyframe orbit at sigma_t {0.03, 0.08} m and sigma_r
+  {2, 6} deg, root seed 9.
+"""
+
+import hashlib
+import math
+import sys
+import time
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from turbloc.geometry import CameraIntrinsics  # noqa: E402
+from turbloc.matching import MatchConfig  # noqa: E402
+from turbloc.posegraph import GraphWeights, PoseGraph, SolverConfig  # noqa: E402
+from turbloc.simulation import (  # noqa: E402
+    NoiseSpec,
+    build_and_optimize,
+    degrade_measurements,
+    generate_orbit_trajectory,
+    inject_noise,
+    run_sweep,
+    simulate_measurements,
+)
+from turbloc.turbine import TurbineParams, build_skeleton, subdivide  # noqa: E402
+
+DEG = math.pi / 180.0
+CAMERA = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
+SKELETON = build_skeleton(
+    TurbineParams(np.zeros(3), 0.0, 10.0, 1.0, 5.0, np.array([90.0, 210.0, 330.0]) * DEG)
+)
+
+
+def batch(noisy, frames):
+    """Add every keyframe, then optimize once."""
+    cfg = MatchConfig()
+    graph = PoseGraph(SKELETON, subdivide(SKELETON, cfg.s_tower, cfg.s_hub, cfg.s_blade), CAMERA)
+    for pose, frame in zip(noisy.poses, frames):
+        graph.add_keyframe(pose, frame)
+    return graph, [graph.optimize()]
+
+
+def incremental(noisy, frames):
+    return build_and_optimize(noisy, frames, SKELETON, CAMERA, GraphWeights(), MatchConfig(), SolverConfig())
+
+
+def flights():
+    """(name, fly, keyframes, degraded, noise seed) of each flight."""
+    for seed in (123, 124, 125):
+        yield "clean incremental", incremental, 12, False, seed
+        yield "degraded incremental", incremental, 12, True, seed
+        yield "degraded batch", batch, 12, True, seed
+    yield "degraded incremental", incremental, 24, True, 123
+    yield "clean batch", batch, 48, False, 123
+
+
+def main():
+    digest = hashlib.sha256()
+    for name, fly, n, degraded, seed in flights():
+        start = time.perf_counter()
+        truth = generate_orbit_trajectory(SKELETON, 30.0, n)
+        frames = simulate_measurements(truth, SKELETON, CAMERA)
+        if degraded:
+            frames = degrade_measurements(frames, 0.1, 5.0, seed=7)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed))
+        graph, reports = fly(noisy, frames)
+        for report in reports:
+            digest.update(repr(asdict(report)).encode())
+        for pose in graph.estimates():
+            digest.update(pose.t.tobytes() + pose.q.tobytes())
+        print(f"{name}, {n} keyframes, seed {seed}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+    truth = generate_orbit_trajectory(SKELETON, 30.0, 24)
+    csv = run_sweep(truth, SKELETON, CAMERA, [0.03, 0.08], [2.0 * DEG, 6.0 * DEG], seed=9).to_csv()
+    print(f"flights {digest.hexdigest()}")
+    print(f"sweep   {hashlib.sha256(csv.encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -147,12 +147,12 @@ def _ambiguous_samples(uv, line_id, line_class, projected_lines, sin_guard, reac
 def empty_matches():
     return FrameMatches(
         np.zeros((0, 3)), np.zeros((0, 2)),
-        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64),
+        np.zeros(0, np.int64), np.zeros(0, np.int64),
     )
 
 
 def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, cfg):
-    rows_p3d, rows_match, rows_kind, rows_cls, rows_line = [], [], [], [], []
+    rows_p3d, rows_match, rows_kind, rows_cls = [], [], [], []
 
     cam_points = world_to_camera(pose_estimate, skeleton.points)
     for idx, cls in enumerate(POINT_CLASSES):
@@ -173,7 +173,6 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
         rows_match.append(matched)
         rows_kind.append(int(CorrespondenceKind.POINT))
         rows_cls.append(int(cls))
-        rows_line.append(-1)
 
     cam_sub = world_to_camera(pose_estimate, subdivided.points)
     projected_lines = {}
@@ -213,7 +212,6 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
             rows_match.append(matched[local])
             rows_kind.append(int(CorrespondenceKind.LINE))
             rows_cls.append(int(line_class))
-            rows_line.append(line_id)
 
     if not rows_p3d:
         return empty_matches()
@@ -222,5 +220,4 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
         np.asarray(rows_match, dtype=float),
         np.asarray(rows_kind, dtype=np.int64),
         np.asarray(rows_cls, dtype=np.int64),
-        np.asarray(rows_line, dtype=np.int64),
     )

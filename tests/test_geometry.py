@@ -59,6 +59,13 @@ class TestQuaternions:
         with pytest.raises(ValueError):
             quat_normalize([0.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("q", [[1e200, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.3e154, 1.3e154]]])
+    def test_normalize_rejects_overflowing_squares_without_a_warning(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                quat_normalize(q)
+
     def test_multiply_matches_scipy(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -106,8 +113,8 @@ def cross_quat_rotate(q, v):
 
 
 def reference_clip_segments_to_front(pa, pb):
-    # clip_segments_to_front as it was before its early return for segments
-    # wholly in front
+    # clip_segments_to_front's formulas, kept apart so that a rewrite of the
+    # clip is checked against them to the bit
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
     za, zb = pa[..., 2], pb[..., 2]
@@ -200,8 +207,8 @@ class TestBoxplusMatchesReference:
 
 
 class TestPoseConstruction:
-    """Pose normalises its one quaternion on Python floats, exactly as
-    quat_normalize does on arrays."""
+    """Pose normalises its quaternion with quat_normalize: one row at a time
+    gives the bits of all rows at once."""
 
     def test_equals_quat_normalize_to_the_bit(self):
         rng = np.random.default_rng(41)
@@ -321,6 +328,8 @@ class TestClipSegmentsToFront:
             (pa, pb)[behind].reshape(-1, 3)[-1, 2] = -1.0
         a, b, front = clip_segments_to_front(pa, pb)
         assert a.shape == b.shape == shape and np.shape(front) == shape[:-1]
+        # the ends are new arrays, also when no end is behind, so a caller may write into them
+        assert not any(np.shares_memory(end, given) for end in (a, b) for given in (pa, pb))
         want = reference_clip_segments_to_front(pa, pb)
         assert all(same_bits(g, w) for g, w in zip((a, b, np.asarray(front)), want))
         # and row by row as a flat batch
@@ -537,11 +546,6 @@ class TestProjection:
         u, v = want.T
         seen = (u >= -0.5) & (u < k.width - 0.5) & (v >= -0.5) & (v < k.height - 0.5)
         assert 0 < seen.sum() < seen.size and np.array_equal(in_view(k, uv), seen)
-
-    def test_columns_read_only(self):
-        for column in CameraIntrinsics(300.0, 280.0, 320.0, 240.0, 640, 480)._columns:
-            with pytest.raises(ValueError):
-                column[0] = 1.0
 
     def test_behind_camera(self):
         # depth -1, 0 and exactly EPS_DEPTH are behind: NaN, without a

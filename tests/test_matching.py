@@ -327,7 +327,11 @@ class TestMatchFrame:
         assert tips.sum() == 3
         blade_lines = (m.kinds == CorrespondenceKind.LINE) & (m.class_ids == int(LineClass.BLADE))
         assert blade_lines.sum() == 3 * cfg.s_blade
-        assert set(m.line_ids[blade_lines].tolist()) == {2, 3, 4}
+        # every sample matched, in subdivided order, so each line row's
+        # skeleton line is that of the subdivided sample in its place
+        lines = m.kinds == CorrespondenceKind.LINE
+        assert np.array_equal(m.points3d[lines], subdivided.points)
+        assert set(subdivided.line_ids[blade_lines[lines]].tolist()) == {2, 3, 4}
 
     def test_displacement_field_oracle(self, scene):
         # frame rendered from a 0.2 m shifted pose; matched displacements must
@@ -343,14 +347,14 @@ class TestMatchFrame:
         moved = pinhole(k, world_to_camera(true_pose, m.points3d)) - pinhole(k, world_to_camera(pose, m.points3d))
         assert np.all(np.isfinite(moved))
         checked = 0
-        rows = zip(predictions(k, pose, m), m.matched, m.kinds, m.line_ids, moved)
-        for predicted, matched, kind, line_id, expected in rows:
+        rows = zip(predictions(k, pose, m), m.matched, m.kinds, m.class_ids, moved)
+        for predicted, matched, kind, class_id, expected in rows:
             got = matched - predicted
             if kind == CorrespondenceKind.POINT:
                 assert np.linalg.norm(got - expected) <= 1.0
                 checked += 1
             else:
-                if line_id >= 2 and np.linalg.norm(predicted - centre_uv) < 15.0:
+                if class_id == LineClass.BLADE and np.linalg.norm(predicted - centre_uv) < 15.0:
                     continue  # blade ridges overlap near the centre; ambiguous by design
                 # line search only observes the perpendicular component
                 perp = got / (np.linalg.norm(got) + 1e-12)
@@ -377,7 +381,7 @@ class TestMatchFrame:
         assert np.all(dist[~is_point] <= cfg.a_line / 2 + 1e-9)
 
 
-MATCH_FIELDS = ("points3d", "matched", "kinds", "class_ids", "line_ids")
+MATCH_FIELDS = ("points3d", "matched", "kinds", "class_ids")
 REFERENCE_CONFIGS = [
     MatchConfig(),
     MatchConfig(r_point=24.0, a_line=16.0, k_line=9, s_tower=4, s_hub=2, s_blade=5),
@@ -540,7 +544,7 @@ def half_frame(k):
 
 
 def list_bytes(pixels):
-    return [a.tobytes() for a in pixels[:-1]] + [pixels.shape]
+    return [a.tobytes() for a in pixels]
 
 
 class TestPeakMemo:
@@ -560,7 +564,7 @@ class TestPeakMemo:
         for frame in frames:
             pixels = frame.point_pixels_above(cfg.lambda_point)
             assert pixels.index.size > 0 and pixels.peaks.shape == (pixels.index.size, 2)
-            c, y, x = np.unravel_index(pixels.index, pixels.shape)
+            c, y, x = np.unravel_index(pixels.index, frame.point_channels.shape)
             assert np.array_equal(pixels.rows, y) and np.array_equal(pixels.cols, x)
             centres = np.stack([x, y], axis=1).astype(float)
             assert np.array_equal(pixels.peaks, _refine_peaks(frame.point_channels, c, centres))
@@ -581,7 +585,7 @@ class TestPeakMemo:
     def test_arrays_read_only(self, scene):
         skeleton, _, k, pose, cfg = scene
         pixels = render(skeleton, pose, k).point_pixels_above(cfg.lambda_point)
-        for array in pixels[:-1]:
+        for array in pixels:
             with pytest.raises(ValueError):
                 array[:1] = 0
 
@@ -698,6 +702,40 @@ class TestMatchMemo:
         a, again = computed[0][1], computed[-1][1]
         assert again is not a and same_matches(a, again)
 
+    @pytest.mark.parametrize("change", ["match_cfg", "subdivided", "skeleton", "camera"])
+    def test_a_reassigned_graph_attribute_matches_anew(self, scene, computed, change):
+        # the graph's skeleton, subdivided model, camera and config are in
+        # the key, by identity: after one is reassigned, every keyframe is
+        # matched again, as a fresh graph with the new objects matches it
+        skeleton, subdivided, k, _, cfg = scene
+        poses = generate_orbit_trajectory(skeleton, 30.0, 4).poses
+        graph = PoseGraph(skeleton, subdivided, k, match_cfg=cfg)
+        for p in poses:
+            graph.add_keyframe(p, render(skeleton, p, k))
+        # estimates off the truth, so that the line search's grid shows
+        t = np.array([p.t for p in poses]) + (0.2, -0.1, 0.1)
+        q = np.array([p.q for p in poses])
+        first = graph._match(t, q)
+        assert len(computed) == 4
+        value = {
+            "match_cfg": MatchConfig(k_line=21),
+            "subdivided": subdivide(skeleton, 4, 2, 5),
+            "skeleton": TurbineSkeleton(skeleton.points),  # equal, but another object
+            "camera": CameraIntrinsics(220.0, 220.0, k.cx, k.cy, k.width, k.height),
+        }[change]
+        setattr(graph, change, value)
+        rows = graph._match(t, q)
+        assert [f for f, _ in computed[4:]] == [kf.frame for kf in graph.keyframes]
+        if change != "skeleton":
+            assert [a.tobytes() for a in rows] != [a.tobytes() for a in first]
+        # the next pass at the same estimates is served again
+        graph._match(t, q)
+        assert len(computed) == 8
+        fresh = PoseGraph(graph.skeleton, graph.subdivided, graph.camera, match_cfg=graph.match_cfg)
+        for kf in graph.keyframes:
+            fresh.add_keyframe(kf.measured_pose, kf.frame)
+        assert [a.tobytes() for a in rows] == [a.tobytes() for a in fresh._match(t, q)]
+
     def test_results_are_frozen(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
         m = match_frame_arrays(skeleton, subdivided, pose, k, render(skeleton, pose, k), cfg)
@@ -759,8 +797,10 @@ class TestPoseStage:
             (single,) = project_model(skeleton, subdivided, t[i : i + 1], q[i : i + 1], k, cfg)
             assert view_bytes(view) == view_bytes(single)
             assert view.source == single.source == (skeleton, subdivided, k, cfg)
+            # the view projects its points as `Pose(t[i], q[i])` does, to the bit
             pose = Pose(t[i], q[i])
-            assert view.t.tobytes() == pose.t.tobytes() and view.q.tobytes() == pose.q.tobytes()
+            for points, uv in ((view.p_points, view.p_uv), (view.s_points, view.s_uv)):
+                assert pinhole(k, world_to_camera(pose, points)).tobytes() == uv.tobytes()
             assert all(not a.flags.writeable for a in view if isinstance(a, np.ndarray))
 
         # one frame of each kind, and each pose's own view rendered from near it
@@ -782,7 +822,7 @@ class TestPoseStage:
                 assert same_matches(got, want)
                 for name in MATCH_FIELDS:
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-                assert same_matches(got, reference_match_frame_arrays(skeleton, subdivided, view, k, frame, cfg))
+                assert same_matches(got, reference_match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg))
                 found += len(got)
         assert found > 0
 
