@@ -30,8 +30,12 @@ Matching runs in two stages, with no loop over points, lines or line pairs:
   the kept samples in line order, the k_line search positions across each,
   in tie-break order, with their bilinear corners, weights and on-raster
   mask.  Unseen samples are never computed on: their positions are NaN.  It
-  returns one read-only `ProjectedModel` per pose, which lives for one pass;
-- the frame stage, `match_frame_arrays` given such a view, does the rest.
+  returns one read-only `ProjectedModel` for all the poses, flat arrays with
+  each pose's row ranges, which lives for one pass.  It projects q as given:
+  the pose graph normalises each row once, for its key, and hands those
+  rows over; a row that is not normalised is rejected;
+- the frame stage, `match_frame_arrays` given pose i of such a view, reads
+  that pose's rows by offset and does the rest.
   Point search: only a pixel above lambda_point can win a window, so each
   frame keeps a sorted list of its point-channel pixels above the threshold
   (NaN pixels included, so that NaN in a window still means "not found"),
@@ -89,6 +93,7 @@ match only compares, casts and sums such values, where -0.0 acts as +0.0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -102,7 +107,6 @@ from .geometry import (
     clip_segments_to_front,
     in_view,
     pinhole,
-    quat_normalize,
     world_to_camera,
 )
 from .heatmap import HeatmapFrame, PixelList
@@ -276,12 +280,17 @@ def _bilinear_corners(
 
 
 class ProjectedModel(NamedTuple):
-    """The pose's half of one match: everything `match_frame_arrays` needs
-    that depends on the pose and not on the frame.  Built by `project_model`
-    for one skeleton, subdivided model, camera and config (`source`), and
-    valid with those only.  Every array is read-only."""
+    """The poses' half of matching: everything `match_frame_arrays` needs
+    that depends on the poses and not on the frame, for every pose of one
+    `project_model` call in flat arrays, pose after pose.  Pose i owns the
+    point rows p_start[i]:p_start[i + 1] and the sample rows
+    s_start[i]:s_start[i + 1] (axis 1 of corners and weights).  Built for one
+    skeleton, subdivided model, camera and config (`source`), and valid with
+    those only.  Every array is read-only."""
 
     source: tuple  # (skeleton, subdivided, camera, config) it was projected for
+    p_start: tuple  # (n + 1,) ints: first point row of each pose, then the row count
+    s_start: tuple  # (n + 1,) ints: first sample row of each pose, then the row count
     # visible skeleton points, in skeleton order
     p_points: np.ndarray  # (p, 3)
     p_cls: np.ndarray  # (p,) point class
@@ -306,19 +315,23 @@ def project_model(
     q: np.ndarray,
     k: CameraIntrinsics,
     cfg: MatchConfig,
-) -> list[ProjectedModel]:
+) -> ProjectedModel:
     """The pose stage of matching at each pose (t[i], q[i]), in one array pass.
 
-    t (n, 3) must be finite; q (n, 4) is normalised by `quat_normalize`,
-    which rejects a zero or non-finite row with ValueError.  Returns one view
-    per pose, for `match_frame_arrays`.
+    t (n, 3) must be finite and q (n, 4) unit quaternions with a
+    non-negative scalar part, as `quat_normalize` returns them; q is
+    projected as given, not normalised again, and a row that is not unit
+    (to 1e-12 in its squared norm) raises ValueError.  Returns the view of
+    all n poses, for `match_frame_arrays`.
     """
-    t = np.asarray(t, dtype=float)
-    q = quat_normalize(q)
+    t, q = np.asarray(t, dtype=float), np.asarray(q, dtype=float)
     if t.ndim != 2 or t.shape[1] != 3 or q.shape != (t.shape[0], 4):
         raise ValueError("t and q must be rows of shape (n, 3) and (n, 4)")
     if not np.isfinite(t).all():
         raise ValueError("non-finite vector")
+    # a NaN row fails the comparison too
+    if not ((np.abs(np.vecdot(q, q) - 1.0) <= 1e-12).all() and (q[:, 0] >= 0.0).all()):
+        raise ValueError("q must be unit quaternions with a non-negative scalar part")
     return _project(skeleton, subdivided, t, q, k, cfg)
 
 
@@ -329,14 +342,7 @@ class _Poses(NamedTuple):
     q: np.ndarray  # (n, 1, 4)
 
 
-def _split(array: np.ndarray, bounds: list, axis: int = 0) -> list[np.ndarray]:
-    """Read-only slices of `array` between consecutive `bounds` along `axis`."""
-    array.flags.writeable = False
-    head = (slice(None),) * axis
-    return [array[head + (slice(a, b),)] for a, b in zip(bounds, bounds[1:])]
-
-
-def _project(skeleton, subdivided, t, q, k, cfg) -> list[ProjectedModel]:
+def _project(skeleton, subdivided, t, q, k, cfg) -> ProjectedModel:
     """`project_model` on rows already checked and normalised."""
     n = t.shape[0]
     n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
@@ -379,17 +385,19 @@ def _project(skeleton, subdivided, t, q, k, cfg) -> list[ProjectedModel]:
     x, y = _line_positions(s_uv, s_perp, cfg)
     corners, weights, on_raster = _bilinear_corners(k.height, k.width, s_cls[:, None], x, y)
 
-    p_bounds = [0, *np.bincount(p_pose, minlength=n).cumsum().tolist()]
-    s_bounds = [0, *np.bincount(s_pose, minlength=n).cumsum().tolist()]
-    per_point = [_split(a, p_bounds) for a in (skeleton.points[p_idx], p_cls, p_uv, p_box, p_ends)]
-    per_sample = [
-        *(_split(a, s_bounds) for a in (subdivided.points[samples], s_cls, s_uv, s_perp)),
-        _split(corners, s_bounds, 1),
-        _split(weights, s_bounds, 1),
-        _split(on_raster, s_bounds),
-    ]
-    source = (skeleton, subdivided, k, cfg)
-    return [ProjectedModel(source, *row) for row in zip(*per_point, *per_sample)]
+    # rows run pose after pose, so each pose's rows start where the sorted
+    # pose indices first reach it
+    poses = np.arange(n + 1)
+    arrays = (skeleton.points[p_idx], p_cls, p_uv, p_box, p_ends)
+    arrays += (subdivided.points[samples], s_cls, s_uv, s_perp, corners, weights, on_raster)
+    for array in arrays:
+        array.flags.writeable = False
+    return ProjectedModel(
+        (skeleton, subdivided, k, cfg),
+        tuple(p_pose.searchsorted(poses).tolist()),
+        tuple(s_pose.searchsorted(poses).tolist()),
+        *arrays,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +473,8 @@ class FrameMatches:
 
     The arrays passed in are made read-only in place, not copied:
     `match_frame_arrays` builds them fresh, by indexing and concatenation,
-    so none shares memory with the pass's `ProjectedModel` views, which are
-    freed when the pass ends; and the pose graph hands one object to every
+    so none shares memory with the pass's `ProjectedModel`, which is freed
+    when the pass ends; and the pose graph hands one object to every
     pass at the same pose, so no reader may change what a later one reads.
     """
 
@@ -494,48 +502,52 @@ class FrameMatches:
 def match_frame_arrays(
     skeleton: TurbineSkeleton,
     subdivided: SubdividedModel,
-    pose_estimate: Pose | ProjectedModel,
+    pose_estimate: Pose | tuple[ProjectedModel, int],
     k: CameraIntrinsics,
     frame: HeatmapFrame,
     cfg: MatchConfig,
 ) -> FrameMatches:
     """Establish all point and line correspondences for one frame.
 
-    `pose_estimate` is a `Pose`, which this call projects, or a view that
-    `project_model` built for the same skeleton, subdivided model, camera and
-    config (the same objects; another raises ValueError).  Rows list point
-    matches in skeleton order, then line-sample matches grouped by skeleton
-    line, each group in subdivided order.  Every call computes its result
-    from its arguments alone and assigns nothing; the frame's first match
-    builds the frame's pixel list (module docstring).
+    `pose_estimate` is a `Pose`, which this call projects, or a pair (view,
+    i): pose i of a view that `project_model` built for the same skeleton,
+    subdivided model, camera and config (the same objects; another raises
+    ValueError).  Rows list point matches in skeleton order, then
+    line-sample matches grouped by skeleton line, each group in subdivided
+    order.  Every call computes its result from its arguments alone and
+    assigns nothing; the frame's first match builds the frame's pixel list
+    (module docstring).
     """
     if isinstance(pose_estimate, Pose):
-        view = _project(skeleton, subdivided, pose_estimate.t[None], pose_estimate.q[None], k, cfg)[0]
+        view, i = _project(skeleton, subdivided, pose_estimate.t[None], pose_estimate.q[None], k, cfg), 0
     else:
-        view = pose_estimate
-        if any(a is not b for a, b in zip(view.source, (skeleton, subdivided, k, cfg))):
+        view, i = pose_estimate
+        if not all(map(operator.is_, view.source, (skeleton, subdivided, k, cfg))):
             raise ValueError("the view was projected for another skeleton, subdivided model, camera or config")
     if (frame.width, frame.height) != (k.width, k.height):
         raise ValueError(f"frame is {frame.width}x{frame.height}, the camera {k.width}x{k.height}")
+    p = slice(view.p_start[i], view.p_start[i + 1])
+    s = slice(view.s_start[i], view.s_start[i + 1])
 
     # point search over every visible skeleton point
     pixels = frame.point_pixels_above(cfg.lambda_point)
-    p_match, p_found, win = _search_windows(pixels, view.p_box, view.p_ends, view.p_uv, cfg)
+    p_uv = view.p_uv[p]
+    p_match, p_found, win = _search_windows(pixels, view.p_box[p], view.p_ends[p], p_uv, cfg)
     p_match, win = p_match[p_found], win[p_found]
     refined = pixels.peaks[win]
-    shift = refined - view.p_uv[p_found]
+    shift = refined - p_uv[p_found]
     # vecdot sums like the 1-D np.linalg.norm, to the bit
     p_match = np.where((np.sqrt(np.vecdot(shift, shift)) <= cfg.r_point)[:, None], refined, p_match)
 
     # line search over every kept sample
-    values = _interpolate(frame.line_channels, view.corners, view.weights, view.on_raster)
-    l_match, l_found = _best_samples(values, view.s_uv, view.s_perp, cfg)
+    values = _interpolate(frame.line_channels, view.corners[:, s], view.weights[:, s], view.on_raster[s])
+    l_match, l_found = _best_samples(values, view.s_uv[s], view.s_perp[s], cfg)
     l_match = l_match[l_found]
 
     n_p, n_l = p_match.shape[0], l_match.shape[0]
     return FrameMatches(
-        np.concatenate([view.p_points[p_found], view.s_points[l_found]]),
+        np.concatenate([view.p_points[p][p_found], view.s_points[s][l_found]]),
         np.concatenate([p_match, l_match]),
         _KINDS.repeat((n_p, n_l)),
-        np.concatenate([view.p_cls[p_found], view.s_cls[l_found]]),
+        np.concatenate([view.p_cls[p][p_found], view.s_cls[s][l_found]]),
     )

@@ -11,33 +11,47 @@ total objective is a sum of squared residuals:
 - per correspondence, the 2-vector reprojection residual weighted by
   sqrt(beta_p) or sqrt(beta_line).
 
-One function, `PoseGraph._objective`, evaluates it for `optimize`: the
-cost, the weighted image residuals and, on request, the normal equations.
-A row behind its camera makes the cost inf; rows are matched in view, so
-only a trial step can do that, and it is rejected.
+`optimize` evaluates it in three steps, and computes each term once:
+
+- `_pose_terms`, what depends on the estimates (t, q) alone: each
+  keyframe's world-to-camera rotation, and the relative poses with their
+  residuals and what their Jacobians need;
+- `PoseGraph._residuals`, what a pass's correspondences add: the cost and
+  the weighted image residuals, with the camera-frame points and depths
+  their Jacobian needs.  A row behind its camera makes the cost inf; rows
+  are matched in view, so only a trial step can do that, and it is
+  rejected;
+- `PoseGraph._system`, the normal equations of those residuals, from
+  analytic Jacobians with respect to each keyframe's local 6-DoF
+  parameterization (translation plus quaternion boxplus).
 
 Each outer iteration (pass) re-establishes correspondences at the current
-estimates (ICP-style), builds the normal equations from analytic Jacobians
-with respect to each keyframe's local 6-DoF parameterization (translation
-plus quaternion boxplus), solves the block-tridiagonal system in banded
-form, and accepts the step only if the cost on the fixed correspondences
-does not increase (Levenberg-style diagonal damping, never below
-`DAMPING_FLOOR`).  No correspondence outlives its iteration, so `optimize`
-depends only on the keyframes' estimates, measurements and frames.
+estimates (ICP-style) and computes their residuals.  The stall test (below)
+reads only their cost, so a pass that stalls ends there, with no system
+built.  A pass that goes on builds the system, solves it in banded form
+(block-tridiagonal), and accepts the step only if the cost on the fixed
+correspondences does not increase (Levenberg-style diagonal damping, never
+below `DAMPING_FLOOR`).  Each trial pose gets its own pose terms, and those
+of the accepted trial are carried to the next pass, which computes only its
+image residuals afresh.  No correspondence outlives its iteration, so
+`optimize` depends only on the keyframes' estimates, measurements and
+frames.
 
 A pass's time splits into matching and the graph side.  Matching is one
 `project_model` call over the keyframes not at their last matched pose (the
 pose stage, for all of them in one array pass), then one
-`match_frame_arrays` call per such keyframe with its view (the frame
-stage); it is most of the time of `optimize` (BENCH_pose_stage.json).  The
-graph side is `_objective` with and without the system, `_solve_banded`,
-`quaternion_boxplus` and `_median_motion`, written for few numpy calls.  The
-graph side keeps the rounding of its first form, einsums over dense
-Jacobians, to the bit, because the flights are chaotic in round-off: where
-explicit products replace an einsum, they sum its terms in the einsum's
-order (sequentially, in index order; `matmul` rounds differently).  Only the
-sign of an exact zero Jacobian entry can differ, and the sums of H and g,
-which start at +0, do not see it.
+`match_frame_arrays` call per such keyframe with its rows of that view (the
+frame stage); it is most of the time of `optimize` (BENCH_pose_stage.json,
+BENCH_pass_cost.json).  The graph side is the three steps above,
+`_solve_banded`, `quaternion_boxplus` and `_median_motion`, written for few
+numpy calls.  The graph side keeps the rounding of its first form, einsums
+over dense Jacobians, to the bit, because the flights are chaotic in
+round-off: where explicit products replace an einsum, they sum its terms in
+the einsum's order (sequentially, in index order; `matmul` rounds
+differently).  Only the sign of an exact zero Jacobian entry can differ, and
+the sums of H and g, which start at +0, do not see it.  The image rows' part
+of H is summed on the lower triangle of each block only and mirrored: the
+products commute exactly, so the mirror equals the einsum's upper triangle.
 
 `OptimizeReport.termination` says why `optimize` stopped:
 
@@ -163,30 +177,76 @@ class OptimizeReport:
 # residual blocks
 # ---------------------------------------------------------------------------
 
-def _image_forward(
-    t: np.ndarray,
-    q: np.ndarray,
-    kf_idx: np.ndarray,
-    points3d: np.ndarray,
-    matched: np.ndarray,
-    w: np.ndarray,
-    k: CameraIntrinsics,
-    with_jacobian: bool,
-):
-    """Weighted reprojection residuals (m, 2) and optional Jacobians (m, 2, 6),
-    the latter a view of a (2, 6, m) array: rows run along the last axis."""
-    n, m = t.shape[0], kf_idx.shape[0]
-    # world-to-camera rotation of each row, rt[i, j] = R[j, i]
-    rt = quat_to_matrix(q).T.reshape(9, n).take(kf_idx, axis=1).reshape(3, 3, m)
-    d = (points3d - t.take(kf_idx, axis=0)).T
+class _Rows(NamedTuple):
+    """One pass's correspondences, stacked over the keyframes."""
+
+    kf_idx: np.ndarray  # (m,) keyframe of each row
+    points3d: np.ndarray  # (m, 3)
+    matched: np.ndarray  # (m, 2)
+    weights: np.ndarray  # (m,) sqrt(beta_p) or sqrt(beta_line)
+
+
+class _PoseTerms(NamedTuple):
+    """The terms of the objective that depend on the estimates alone, at one
+    pose (t, q) of the graph: computed once for each pose `optimize` visits
+    and, when a trial step is accepted, carried to the next pass."""
+
+    t: np.ndarray  # (n, 3)
+    q: np.ndarray  # (n, 4)
+    rt: np.ndarray  # (9, n) world-to-camera rotation of each keyframe, rt[3 i + j] = R[j, i]
+    rot_hat: np.ndarray  # (n - 1, 3, 3) rotation of each relative pose
+    t_hat: np.ndarray  # (n - 1, 3) each previous keyframe in its current one's frame
+    q_err: np.ndarray  # (n - 1, 4) relative rotation error, scalar part >= 0
+    r_rel: np.ndarray  # (n - 1, 6) weighted relative-pose residuals
+
+
+def _pose_terms(t, q, meas_t, meas_q_inv, sqrt_bt, sqrt_br) -> _PoseTerms:
+    """`_PoseTerms` at (t, q) against the relative measurements (meas_t,
+    conjugate of meas_q); row i of the relative terms couples keyframes
+    (i, i+1)."""
+    n = t.shape[0]
+    t_hat, q_hat = relative_rows(t[1:], q[1:], t[:-1], q[:-1])
+    q_err = quat_multiply(q_hat, meas_q_inv)
+    flip = np.where(q_err[:, :1] < 0.0, -1.0, 1.0)
+    q_err = q_err * flip
+    r_rel = np.concatenate([sqrt_bt * (t_hat - meas_t), sqrt_br * 2.0 * q_err[:, 1:]], axis=1)
+    # the keyframes' rotations and the relative ones in one call; the
+    # keyframes' are transposed and flattened, for each row to gather its own
+    rot = quat_to_matrix(np.concatenate([q, q_hat]))
+    return _PoseTerms(t, q, rot[:n].T.reshape(9, n), rot[n:], t_hat, q_err, r_rel)
+
+
+class _ImageTerms(NamedTuple):
+    """The weighted reprojection residuals of a pass's rows at one pose, and
+    what their Jacobian needs; every (m,) array runs over the rows."""
+
+    r: np.ndarray  # (m, 2)
+    ok: np.ndarray  # (m,) in front of the camera
+    rt: np.ndarray  # (3, 3, m) world-to-camera rotation of each row's keyframe
+    x: np.ndarray  # camera-frame point
+    y: np.ndarray
+    z: np.ndarray
+    safe_z: np.ndarray  # z, or 1 behind the camera
+
+
+def _image_residuals(pose: _PoseTerms, rows: _Rows, k: CameraIntrinsics) -> _ImageTerms:
+    """`_ImageTerms` of `rows` at `pose`."""
+    m = rows.kf_idx.shape[0]
+    rt = pose.rt.take(rows.kf_idx, axis=1).reshape(3, 3, m)
+    d = (rows.points3d - pose.t.take(rows.kf_idx, axis=0)).T
     x, y, z = np.einsum("ijm,jm->im", rt, d)
     ok = z > EPS_DEPTH
     safe_z = np.where(ok, z, 1.0)
     u = k.fx * x / safe_z + k.cx
     v = k.fy * y / safe_z + k.cy
-    r = w[:, None] * (np.stack([u, v], axis=1) - matched)
-    if not with_jacobian:
-        return r, ok, None
+    r = rows.weights[:, None] * (np.stack([u, v], axis=1) - rows.matched)
+    return _ImageTerms(r, ok, rt, x, y, z, safe_z)
+
+
+def _image_jacobian(img: _ImageTerms, w: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """Jacobian (2, 6, m) of the weighted residuals `img` with weights w (m,):
+    rows run along the last axis."""
+    rt, x, y, z, safe_z = img[2:]
     # d(u, v)/d(p_c) = [[a, 0, cz], [0, b, dz]] times -R^T (translation) and
     # skew(p_c) (rotation), written out without the zero terms, each entry
     # summed in the order an einsum over the full matrices sums it
@@ -195,7 +255,7 @@ def _image_forward(
     b = k.fy / safe_z
     dz = -k.fy * y / safe_z**2
     nrt = -rt
-    jac = np.empty((2, 6, m))
+    jac = np.empty((2, 6, x.shape[0]))
     jac[0, :3] = a * nrt[0] + cz * nrt[2]
     jac[1, :3] = b * nrt[1] + dz * nrt[2]
     jac[0, 3] = cz * -y
@@ -205,35 +265,17 @@ def _image_forward(
     jac[1, 4] = dz * x
     jac[1, 5] = b * -x
     jac *= w
-    return r, ok, jac.transpose(2, 0, 1)
+    return jac
 
 
-def _relative_forward(
-    t: np.ndarray,
-    q: np.ndarray,
-    meas_t: np.ndarray,
-    meas_q: np.ndarray,
-    sqrt_bt: float,
-    sqrt_br: float,
-    with_jacobian: bool,
-):
-    """Relative-pose residuals (n-1, 6) and optional Jacobian blocks.
-
-    Row i couples keyframes (i, i+1); J_cur differentiates with respect to
-    the later (current) keyframe, J_prev with respect to the earlier one.
-    """
-    t_hat, q_hat = relative_rows(t[1:], q[1:], t[:-1], q[:-1])
-    q_err = quat_multiply(q_hat, quat_conjugate(meas_q))
-    flip = np.where(q_err[:, :1] < 0.0, -1.0, 1.0)
-    q_err = q_err * flip
-    w_e, v_e = q_err[:, 0], q_err[:, 1:]
-    r = np.concatenate([sqrt_bt * (t_hat - meas_t), sqrt_br * 2.0 * v_e], axis=1)
-    if not with_jacobian:
-        return r, None, None
-    n1 = t_hat.shape[0]
-    rot = quat_to_matrix(np.concatenate([q[1:], q_hat]))
-    rot_cur_t, rot_hat = np.swapaxes(rot[:n1], -1, -2), rot[n1:]
-    sk = skew(np.concatenate([t_hat, v_e]))
+def _relative_jacobians(pose: _PoseTerms, sqrt_bt: float, sqrt_br: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian blocks (n-1, 6, 6) of `pose.r_rel`: J_cur differentiates row i
+    with respect to the later (current) keyframe i+1, J_prev with respect to
+    the earlier one."""
+    n1 = pose.t_hat.shape[0]
+    rot_cur_t = pose.rt.reshape(3, 3, -1)[..., 1:].transpose(2, 0, 1)
+    w_e, v_e = pose.q_err[:, 0], pose.q_err[:, 1:]
+    sk = skew(np.concatenate([pose.t_hat, v_e]))
     skew_t, skew_v = sk[:n1], sk[n1:]
     w_eye = w_e[:, None, None] * _EYE
     j_cur = np.zeros((n1, 6, 6))
@@ -242,8 +284,8 @@ def _relative_forward(
     j_cur[:, :3, 3:] = sqrt_bt * skew_t
     j_cur[:, 3:, 3:] = sqrt_br * (-w_eye + skew_v)
     j_prev[:, :3, :3] = sqrt_bt * rot_cur_t
-    j_prev[:, 3:, 3:] = sqrt_br * np.einsum("nij,njk->nik", w_eye - skew_v, rot_hat)
-    return r, j_cur, j_prev
+    j_prev[:, 3:, 3:] = sqrt_br * np.einsum("nij,njk->nik", w_eye - skew_v, pose.rot_hat)
+    return j_cur, j_prev
 
 
 def _median_motion(r_old: np.ndarray, r_new: np.ndarray, w: np.ndarray) -> float:
@@ -274,6 +316,14 @@ def _segment_sum(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 _EYE = np.eye(3)
 _EYE.flags.writeable = False
 
+# the lower triangle of a 6x6 block, row by row, and for each of the 36
+# entries of the block, row-major, its place among those 21
+_TRIL = np.tril_indices(6)
+_MIRROR = np.zeros((6, 6), dtype=np.int64)
+_MIRROR[_TRIL] = _MIRROR.T[_TRIL] = np.arange(21)
+_MIRROR = _MIRROR.ravel()
+_TRIL[0].flags.writeable = _TRIL[1].flags.writeable = _MIRROR.flags.writeable = False
+
 
 @lru_cache(maxsize=64)
 def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
@@ -297,15 +347,6 @@ def _served(last_match: tuple | None, key: tuple, source: tuple) -> bool:
     """Whether a keyframe's last match was made at `key` with the objects of
     `source`, compared by identity (`==` on a skeleton would compare arrays)."""
     return last_match is not None and last_match[0] == key and all(map(operator.is_, last_match[2], source))
-
-
-class _Rows(NamedTuple):
-    """One pass's correspondences, stacked in `_image_forward`'s argument order."""
-
-    kf_idx: np.ndarray  # (m,) keyframe of each row
-    points3d: np.ndarray  # (m, 3)
-    matched: np.ndarray  # (m, 2)
-    weights: np.ndarray  # (m,) sqrt(beta_p) or sqrt(beta_line)
 
 
 class PoseGraph:
@@ -359,7 +400,8 @@ class PoseGraph:
         `quat_normalize`, as `Pose` normalises) and the graph's skeleton,
         subdivided model, camera and match config, compared by identity.
         The keyframes whose key changed are projected by one `project_model`
-        call and each is matched with its view; the others are served.  A
+        call on those normalised rows, and each is matched with its rows of
+        that view; the others are served.  A
         call that stops without a step on its last pass (`stalled`,
         `no_descent`, `solve_failure`, `rank_deficient`) leaves every
         keyframe at the pose of its last match, so the next call's first pass
@@ -372,12 +414,12 @@ class PoseGraph:
         keys = [(kf.frame, t[i].tobytes(), unit[i].tobytes()) for i, kf in enumerate(self.keyframes)]
         missed = [i for i, kf in enumerate(self.keyframes) if not _served(kf.last_match, keys[i], source)]
         if missed:
-            views = project_model(self.skeleton, self.subdivided, t[missed], q[missed], self.camera, self.match_cfg)
-            for i, view in zip(missed, views):
+            view = project_model(self.skeleton, self.subdivided, t[missed], unit[missed], self.camera, self.match_cfg)
+            for j, i in enumerate(missed):
                 kf = self.keyframes[i]
                 # through the module global, which tests and tracing wrap
                 matches = match_frame_arrays(
-                    self.skeleton, self.subdivided, view, self.camera, kf.frame, self.match_cfg
+                    self.skeleton, self.subdivided, (view, j), self.camera, kf.frame, self.match_cfg
                 )
                 kf.last_match = keys[i], matches, source
         found = [kf.last_match[1] for kf in self.keyframes]
@@ -397,37 +439,38 @@ class PoseGraph:
 
     # -- objective --------------------------------------------------------------
 
-    def _objective(self, t, q, rows: _Rows, meas_t, meas_q, with_system: bool = False):
-        """Objective at (t, q) on the correspondences `rows`.
+    def _residuals(self, pose: _PoseTerms, rows: _Rows) -> tuple[float, _ImageTerms]:
+        """The objective at `pose` on the correspondences `rows`: the cost, inf
+        if a row lies behind its camera, and the rows' `_ImageTerms`."""
+        img = _image_residuals(pose, rows, self.camera)
+        cost = float((img.r * img.r).sum()) + float((pose.r_rel * pose.r_rel).sum()) if img.ok.all() else np.inf
+        return cost, img
 
-        Returns the cost and the weighted image residuals (m, 2), and with
-        `with_system` also the Gauss-Newton system (h_diag, h_off, g) of those
-        residuals.  The cost is inf if a row lies behind its camera.
-        """
-        sqrt_bt, sqrt_br = np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot)
-        r_img, ok, jac = _image_forward(t, q, *rows, self.camera, with_system)
-        r_rel, j_cur, j_prev = _relative_forward(t, q, meas_t, meas_q, sqrt_bt, sqrt_br, with_system)
-        cost = float((r_img * r_img).sum()) + float((r_rel * r_rel).sum()) if ok.all() else np.inf
-        if not with_system:
-            return cost, r_img
-        n, m = t.shape[0], r_img.shape[0]
-        # each row's 6x6 block of J^T J and its 6 entries of J^T r (the terms
-        # of u, then of v, added as an einsum over them adds them), then all
-        # 42 summed per keyframe in one pass
-        j0, j1 = jac.transpose(1, 2, 0)
-        per_row = np.empty((7, 6, m))
-        np.multiply(j0[:, None], j0, out=per_row[:6])
-        per_row[:6] += j1[:, None] * j1
-        np.multiply(j0, r_img[:, 0], out=per_row[6])
-        per_row[6] += j1 * r_img[:, 1]
-        sums = _segment_sum(per_row.reshape(42, m), rows.kf_idx, n).reshape(7, 6, n)
-        h_diag, g = sums[:6].transpose(2, 0, 1), sums[6].T
+    def _system(self, pose: _PoseTerms, img: _ImageTerms, rows: _Rows):
+        """The Gauss-Newton system (h_diag, h_off, g) of the residuals `img`
+        of `rows` and the relative residuals at `pose`."""
+        n, m = pose.t.shape[0], img.r.shape[0]
+        # each row's lower triangle of its 6x6 block of J^T J and its 6
+        # entries of J^T r (the terms of u, then of v, added as an einsum over
+        # them adds them), all 27 summed per keyframe in one pass; the
+        # products commute exactly, so the mirrored upper triangle is the
+        # einsum's to the bit
+        jac = _image_jacobian(img, rows.weights, self.camera)
+        per_row = np.empty((27, m))
+        lower = jac.take(_TRIL[0], axis=1) * jac.take(_TRIL[1], axis=1)
+        np.add(lower[0], lower[1], out=per_row[:21])
+        np.multiply(jac[0], img.r[:, 0], out=per_row[21:])
+        per_row[21:] += jac[1] * img.r[:, 1]
+        sums = _segment_sum(per_row, rows.kf_idx, n)
+        h_diag, g = sums.take(_MIRROR, axis=0).T.reshape(n, 6, 6), sums[21:].T
+        j_cur, j_prev = _relative_jacobians(pose, np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot))
         h_diag[1:] += np.einsum("ikp,ikq->ipq", j_cur, j_cur)
         h_diag[:-1] += np.einsum("ikp,ikq->ipq", j_prev, j_prev)
         h_off = np.einsum("ikp,ikq->ipq", j_prev, j_cur)
+        r_rel = pose.r_rel
         g[1:] += np.einsum("ikp,ik->ip", j_cur, r_rel)
         g[:-1] += np.einsum("ikp,ik->ip", j_prev, r_rel)
-        return cost, r_img, (h_diag, h_off, g)
+        return h_diag, h_off, g
 
     # -- Gauss-Newton ----------------------------------------------------------
 
@@ -446,9 +489,13 @@ class PoseGraph:
         cfg = solver_cfg or SolverConfig()
         if not self.keyframes:
             raise ValueError("empty graph")
-        t = np.array([kf.estimate.t for kf in self.keyframes])
-        q = np.array([kf.estimate.q for kf in self.keyframes])
         meas_t, meas_q = self._measurement_arrays()
+        relative = (meas_t, quat_conjugate(meas_q), np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot))
+        pose = _pose_terms(
+            np.array([kf.estimate.t for kf in self.keyframes]),
+            np.array([kf.estimate.q for kf in self.keyframes]),
+            *relative,
+        )
         lam = DAMPING_FLOOR
         costs: list[float] = []  # initial cost, then one per accepted step
         termination = "max_iterations"
@@ -458,15 +505,15 @@ class PoseGraph:
         motion = np.inf  # median image motion (px) of the last accepted step
 
         for _ in range(cfg.max_iterations):
-            rows = self._match(t, q)
+            rows = self._match(pose.t, pose.q)
             n_corr = rows.kf_idx.size
             if n_corr == 0:
                 # only relative constraints remain: the global gauge is free
                 if not costs:
-                    costs.append(self._objective(t, q, rows, meas_t, meas_q)[0])
+                    costs.append(self._residuals(pose, rows)[0])
                 termination = "rank_deficient"
                 break
-            cost0, r0, (h_diag, h_off, g) = self._objective(t, q, rows, meas_t, meas_q, with_system=True)
+            cost0, img0 = self._residuals(pose, rows)
             if not costs:
                 costs.append(cost0)
             # the matcher's result depends only on its arguments (a kept
@@ -476,18 +523,18 @@ class PoseGraph:
                 termination = "stalled"
                 break
 
+            system = self._system(pose, img0, rows)
             accepted = False
             solved = False
             for _trial in range(14):
                 try:
-                    delta = self._solve_banded(h_diag, h_off, g, lam)
+                    delta = self._solve_banded(*system, lam)
                 except LinAlgError:
                     delta = None
                 if delta is not None and np.isfinite(delta).all():
                     solved = True
-                    t_new = t + delta[:, :3]
-                    q_new = quaternion_boxplus(q, delta[:, 3:])
-                    cost1, r1 = self._objective(t_new, q_new, rows, meas_t, meas_q)
+                    trial = _pose_terms(pose.t + delta[:, :3], quaternion_boxplus(pose.q, delta[:, 3:]), *relative)
+                    cost1, img1 = self._residuals(trial, rows)
                     if np.isfinite(cost1) and cost1 <= cost0:
                         accepted = True
                         break
@@ -496,11 +543,11 @@ class PoseGraph:
                 termination = "no_descent" if solved else "solve_failure"
                 break
 
-            t, q = t_new, q_new
+            pose = trial
             iterations += 1
             costs.append(cost1)
             prev_cost0 = cost0
-            motion = _median_motion(r0, r1, rows.weights)
+            motion = _median_motion(img0.r, img1.r, rows.weights)
             lam = max(lam / 3.0, DAMPING_FLOOR)
             step = delta.ravel()  # np.linalg.norm's own arithmetic
             if math.sqrt(step.dot(step)) < cfg.step_tolerance:
@@ -512,7 +559,7 @@ class PoseGraph:
 
         if iterations > 0:  # zero accepted steps leaves the estimates untouched
             for i, kf in enumerate(self.keyframes):
-                kf.estimate = Pose(t[i], q[i])
+                kf.estimate = Pose(pose.t[i], pose.q[i])
         return OptimizeReport(
             iterations=iterations,
             initial_cost=float(costs[0]),

@@ -16,6 +16,7 @@ from turbloc.geometry import (
     in_view,
     pinhole,
     quat_angle,
+    quat_conjugate,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
@@ -25,7 +26,7 @@ from turbloc.geometry import (
     relative_rows,
     world_to_camera,
 )
-from turbloc.posegraph import GraphWeights, _relative_forward
+from turbloc.posegraph import GraphWeights, _pose_terms
 import reference_posegraph
 
 IDENTITY = Pose(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
@@ -430,17 +431,22 @@ class TestRowForms:
         assert np.allclose(np.linalg.norm(q, axis=1), np.linalg.norm(qa, axis=1) * np.linalg.norm(qb, axis=1))
 
 
+def relative_residuals(t, q, meas_t, meas_q, sqrt_bt, sqrt_br):
+    """The pose graph's weighted relative-pose residuals (n-1, 6) at (t, q)."""
+    return _pose_terms(t, q, meas_t, quat_conjugate(meas_q), sqrt_bt, sqrt_br).r_rel
+
+
 class TestPoseResidual:
     """The relative-pose residual of the pose graph: the estimated offset
     relative_pose(current, previous) against the measured one.  Each call is
-    one row of `_relative_forward`, over the keyframes (previous, current)."""
+    one row of `_pose_terms`' residuals, over the keyframes (previous, current)."""
 
     def test_zero_for_equal(self):
         rng = np.random.default_rng(1)
         cur, prev = random_pose(rng), random_pose(rng)
         meas = relative_pose(cur, prev)
-        r, _, _ = _relative_forward(
-            np.stack([prev.t, cur.t]), np.stack([prev.q, cur.q]), meas.t[None], meas.q[None], 1.0, 1.0, False
+        r = relative_residuals(
+            np.stack([prev.t, cur.t]), np.stack([prev.q, cur.q]), meas.t[None], meas.q[None], 1.0, 1.0
         )
         assert np.allclose(r[0], 0.0, atol=1e-12)
 
@@ -448,14 +454,14 @@ class TestPoseResidual:
         # previous at x = 0.1; current and measurement are the identity
         t = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]])
         q = np.tile(IDENTITY.q, (2, 1))
-        r, _, _ = _relative_forward(t, q, np.zeros((1, 3)), q[:1], 1.0, 1.0, False)
+        r = relative_residuals(t, q, np.zeros((1, 3)), q[:1], 1.0, 1.0)
         assert np.allclose(r[0], [0.1, 0, 0, 0, 0, 0], atol=1e-15)
 
     def test_small_rotation_about_z(self):
         # quaternion-product oracle: 2*vec approximates axis-angle for small angles
         half = 0.005
         q = np.array([Pose([0, 0, 0], [np.cos(half), 0, 0, np.sin(half)]).q, IDENTITY.q])
-        r, _, _ = _relative_forward(np.zeros((2, 3)), q, np.zeros((1, 3)), q[1:], 1.0, 1.0, False)
+        r = relative_residuals(np.zeros((2, 3)), q, np.zeros((1, 3)), q[1:], 1.0, 1.0)
         r = r[0]
         assert np.allclose(r[:3], 0.0, atol=1e-15)
         assert np.allclose(r[3:], [0.0, 0.0, 2.0 * np.sin(half)], atol=1e-12)
@@ -474,8 +480,8 @@ class TestPoseResidual:
         meas = compose(relative_pose(cur, prev), error)
         rows = []
         for a, b in ((prev, cur), (compose(moved, prev), compose(moved, cur))):
-            r, _, _ = _relative_forward(
-                np.stack([a.t, b.t]), np.stack([a.q, b.q]), meas.t[None], meas.q[None], 1.0, 1.0, False
+            r = relative_residuals(
+                np.stack([a.t, b.t]), np.stack([a.q, b.q]), meas.t[None], meas.q[None], 1.0, 1.0
             )
             rows.append(r[0])
         assert np.allclose(rows[1], rows[0], atol=1e-9)
@@ -484,7 +490,7 @@ class TestPoseResidual:
         prev = Pose([0.2, 0.0, 0.0], quaternion_boxplus(IDENTITY.q, [0.0, 0.0, 0.01]))
         t = np.stack([prev.t, IDENTITY.t])
         q = np.stack([prev.q, IDENTITY.q])
-        r, _, _ = _relative_forward(t, q, np.zeros((1, 3)), IDENTITY.q[None], 10.0, 3.0, False)
+        r = relative_residuals(t, q, np.zeros((1, 3)), IDENTITY.q[None], 10.0, 3.0)
         assert np.isclose(r[0, 0], 2.0)
         assert np.isclose(r[0, 5], 3.0 * 2.0 * np.sin(0.005))
 

@@ -17,6 +17,7 @@ from turbloc.geometry import (
     look_at_pose,
     pinhole,
     quat_from_rotvec,
+    quat_normalize,
     world_to_camera,
 )
 from turbloc import matching, posegraph
@@ -766,13 +767,18 @@ def pose_stage_batch(skeleton):
     return np.array([p.t for p in poses]), np.array([p.q for p in poses]) * scale[:, None]
 
 
-def view_bytes(view):
-    return [(a.dtype, a.shape, a.tobytes()) for a in view if isinstance(a, np.ndarray)]
+def pose_rows(view, i):
+    """(dtype, shape, bytes) of pose i's rows of each array of a view."""
+    p, s = slice(*view.p_start[i : i + 2]), slice(*view.s_start[i : i + 2])
+    rows = [a[p] for a in (view.p_points, view.p_cls, view.p_uv, view.p_box, view.p_ends)]
+    rows += [a[s] for a in (view.s_points, view.s_cls, view.s_uv, view.s_perp, view.on_raster)]
+    rows += [view.corners[:, s], view.weights[:, s]]
+    return [(a.dtype, a.shape, a.tobytes()) for a in rows]
 
 
 class TestPoseStage:
-    """`project_model` projects many poses in one array pass; each view it
-    returns matches a frame exactly as a `Pose` would, to the bit."""
+    """`project_model` projects many poses in one array pass; each pose of the
+    view it returns matches a frame exactly as a `Pose` would, to the bit."""
 
     def test_batch_equals_one_pose_at_a_time(self, scene, monkeypatch):
         skeleton, subdivided, k, _, cfg = scene
@@ -786,22 +792,27 @@ class TestPoseStage:
             return distances(points, a, b)
 
         monkeypatch.setattr(matching, "_segment_distances", spy)
-        views = project_model(skeleton, subdivided, t, q, k, cfg)
+        # the pose stage takes unit rows, as `quat_normalize` gives them
+        with pytest.raises(ValueError):
+            project_model(skeleton, subdivided, t, q, k, cfg)
+        assert guarded == []
+        view = project_model(skeleton, subdivided, t, quat_normalize(q), k, cfg)
         # the guard's distances only for the guarded poses, in one call
         assert guarded == [(2,)]
         depth = world_to_camera(Pose(t[0], q[0]), skeleton.points)[:, 2]
         assert depth.min() <= EPS_DEPTH < depth.max()
-        assert views[4].p_points.shape == (0, 3)
-        assert len(views) == n and all(isinstance(v, ProjectedModel) for v in views)
-        for i, view in enumerate(views):
-            (single,) = project_model(skeleton, subdivided, t[i : i + 1], q[i : i + 1], k, cfg)
-            assert view_bytes(view) == view_bytes(single)
-            assert view.source == single.source == (skeleton, subdivided, k, cfg)
-            # the view projects its points as `Pose(t[i], q[i])` does, to the bit
+        assert isinstance(view, ProjectedModel) and len(view.p_start) == len(view.s_start) == n + 1
+        assert view.p_start[4] == view.p_start[5]  # no skeleton point in view
+        assert view.source == (skeleton, subdivided, k, cfg)
+        assert all(not a.flags.writeable for a in view if isinstance(a, np.ndarray))
+        for i in range(n):
             pose = Pose(t[i], q[i])
-            for points, uv in ((view.p_points, view.p_uv), (view.s_points, view.s_uv)):
+            single = project_model(skeleton, subdivided, pose.t[None], pose.q[None], k, cfg)
+            assert pose_rows(view, i) == pose_rows(single, 0)
+            # the view projects pose i's points as `Pose(t[i], q[i])` does, to the bit
+            p, s = slice(*view.p_start[i : i + 2]), slice(*view.s_start[i : i + 2])
+            for points, uv in ((view.p_points[p], view.p_uv[p]), (view.s_points[s], view.s_uv[s])):
                 assert pinhole(k, world_to_camera(pose, points)).tobytes() == uv.tobytes()
-            assert all(not a.flags.writeable for a in view if isinstance(a, np.ndarray))
 
         # one frame of each kind, and each pose's own view rendered from near it
         clean = render(skeleton, generate_orbit_trajectory(skeleton, 30.0, 12).poses[1], k)
@@ -813,11 +824,11 @@ class TestPoseStage:
         ]
         rng = np.random.default_rng(43)
         found = 0
-        for i, view in enumerate(views):
+        for i in range(n):
             pose = Pose(t[i], q[i])
             own = render(skeleton, perturbed(pose, rng, 0.2, 1.0 * DEG), k)
             for frame in frames + [own, degrade_measurements([own], 0.1, 5.0, seed=i)[0]]:
-                got = match_frame_arrays(skeleton, subdivided, view, k, frame, cfg)
+                got = match_frame_arrays(skeleton, subdivided, (view, i), k, frame, cfg)
                 want = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
                 assert same_matches(got, want)
                 for name in MATCH_FIELDS:
@@ -826,10 +837,25 @@ class TestPoseStage:
                 found += len(got)
         assert found > 0
 
-    def test_match_keys_equal_pose_normalisation(self, scene, computed):
-        # the row bytes that `_match` keys on, and the views it hands over,
-        # are those of `Pose(t[i], q[i])`
+    def test_match_keys_equal_pose_normalisation(self, scene, computed, monkeypatch):
+        # the row bytes that `_match` keys on, and the rows it projects, are
+        # those of `Pose(t[i], q[i])`, normalised once
         skeleton, subdivided, k, pose, cfg = scene
+        projected, normalised = [], []
+        project = posegraph.project_model
+
+        def counted_project(skeleton, subdivided, t, q, k, cfg):
+            projected.append(project(skeleton, subdivided, t, q, k, cfg))
+            return projected[-1]
+
+        def counted_normalise(q):
+            normalised.append(len(q))
+            return quat_normalize(q)
+
+        monkeypatch.setattr(posegraph, "project_model", counted_project)
+        for module in (matching, posegraph):
+            if hasattr(module, "quat_normalize"):
+                monkeypatch.setattr(module, "quat_normalize", counted_normalise)
         rng = np.random.default_rng(47)
         n = 400
         t = rng.normal(0.0, 30.0, (n, 3))
@@ -840,10 +866,26 @@ class TestPoseStage:
         for _ in range(n):
             graph.add_keyframe(pose, frame)
         graph._match(t, q)
-        assert len(computed) == n
+        assert len(computed) == n and len(projected) == 1
+        # one normalisation, over every row
+        assert normalised == [n]
         for i, kf in enumerate(graph.keyframes):
             want = Pose(t[i], q[i])
             assert kf.last_match[0][1:] == (want.t.tobytes(), want.q.tobytes())
+            single = project_model(skeleton, subdivided, want.t[None], want.q[None], k, cfg)
+            assert pose_rows(projected[0], i) == pose_rows(single, 0)
+
+    @pytest.mark.parametrize("row", [[2.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, np.nan]])
+    def test_rejects_a_row_that_is_not_normalised(self, scene, row):
+        # too long, the other hemisphere, NaN: `project_model` does not
+        # normalise, so it rejects what `quat_normalize` would have changed
+        skeleton, subdivided, k, pose, cfg = scene
+        t = np.array([pose.t, pose.t])
+        with pytest.raises(ValueError):
+            project_model(skeleton, subdivided, t, np.array([pose.q, row]), k, cfg)
+        if np.isfinite(row).all():
+            view = project_model(skeleton, subdivided, t, quat_normalize(np.array([pose.q, row])), k, cfg)
+            assert len(view.p_start) == 3
 
     @pytest.fixture
     def projections(self, monkeypatch):
@@ -910,9 +952,9 @@ class TestPoseStage:
     @pytest.mark.parametrize("change", ["skeleton", "subdivided", "camera", "cfg", "frame"])
     def test_a_view_for_other_arguments_raises(self, scene, change):
         skeleton, subdivided, k, pose, cfg = scene
-        (view,) = project_model(skeleton, subdivided, pose.t[None], pose.q[None], k, cfg)
+        view = project_model(skeleton, subdivided, pose.t[None], pose.q[None], k, cfg)
         frame = render(skeleton, pose, k)
-        args = dict(skeleton=skeleton, subdivided=subdivided, pose_estimate=view, k=k, frame=frame, cfg=cfg)
+        args = dict(skeleton=skeleton, subdivided=subdivided, pose_estimate=(view, 0), k=k, frame=frame, cfg=cfg)
         assert len(match_frame_arrays(**args)) > 0
         # an equal but distinct object, or a frame of another size
         name, value = {

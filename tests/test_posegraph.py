@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from turbloc.geometry import (
     look_at_pose,
     pinhole,
     quaternion_boxplus,
+    quat_conjugate,
     quat_normalize,
     quat_rotate,
     relative_pose,
@@ -30,8 +32,11 @@ from turbloc.posegraph import (
     OptimizeReport,
     PoseGraph,
     SolverConfig,
-    _image_forward,
-    _relative_forward,
+    _Rows,
+    _image_jacobian,
+    _image_residuals,
+    _pose_terms,
+    _relative_jacobians,
 )
 from turbloc.simulation import (
     NoiseSpec,
@@ -97,16 +102,23 @@ def outlier_on_second_call(monkeypatch):
         m = match_frame_arrays(*args)
         return with_outlier(m) if len(calls) == 2 else m
 
-    objective = PoseGraph._objective
+    match, residuals = PoseGraph._match, PoseGraph._residuals
+    fresh = [False]  # whether the next residual step is a pass's, on its fresh rows
 
-    def spy(self, *args, **kwargs):
-        out = objective(self, *args, **kwargs)
-        if len(out) == 3:  # a pass's system, not a trial step's cost
+    def matched(self, t, q):
+        fresh[0] = True
+        return match(self, t, q)
+
+    def spy(self, pose, rows):
+        out = residuals(self, pose, rows)
+        if fresh[0]:  # a pass's cost, not a trial step's
             cost0s.append(out[0])
+            fresh[0] = False
         return out
 
     monkeypatch.setattr(posegraph, "match_frame_arrays", matcher)
-    monkeypatch.setattr(PoseGraph, "_objective", spy)
+    monkeypatch.setattr(PoseGraph, "_match", matched)
+    monkeypatch.setattr(PoseGraph, "_residuals", spy)
     return calls, cost0s
 
 
@@ -219,6 +231,10 @@ class TestAddKeyframe:
         assert len(graph) == 1 and graph.optimize().termination != "rank_deficient"
 
 
+# the relative measurements and weights of a one-keyframe graph, which has none
+NO_MEASUREMENT = (np.zeros((0, 3)), np.zeros((0, 4)), 1.0, 1.0)
+
+
 class TestJacobians:
     """The analytic Jacobians of the residual blocks, each evaluated on one row."""
 
@@ -251,11 +267,10 @@ class TestJacobians:
 
             def fn(delta, pose=pose, point=point, matched=matched, w=w):
                 p = perturbed(pose, delta)
-                r, ok, jac = _image_forward(
-                    p.t[None], p.q[None], np.zeros(1, np.int64), point[None], matched[None], np.array([w]), k, True
-                )
-                assert ok[0]
-                return r[0], jac[0]
+                rows = _Rows(np.zeros(1, np.int64), point[None], matched[None], np.array([w]))
+                img = _image_residuals(_pose_terms(p.t[None], p.q[None], *NO_MEASUREMENT), rows, k)
+                assert img.ok[0]
+                return img.r[0], _image_jacobian(img, rows.weights, k)[:, :, 0]
 
             worst = max(worst, self.fd_check(fn, 6))
         assert worst < 1e-4
@@ -274,13 +289,22 @@ class TestJacobians:
 
             def fn(delta, cur=cur, prev=prev, meas=meas, sbt=sbt, sbr=sbr):
                 c, p = perturbed(cur, delta[:6]), perturbed(prev, delta[6:])
-                r, j_cur, j_prev = _relative_forward(
-                    np.stack([p.t, c.t]), np.stack([p.q, c.q]), meas.t[None], meas.q[None], sbt, sbr, True
+                pose = _pose_terms(
+                    np.stack([p.t, c.t]), np.stack([p.q, c.q]), meas.t[None], quat_conjugate(meas.q[None]), sbt, sbr
                 )
-                return r[0], np.concatenate([j_cur[0], j_prev[0]], axis=1)
+                j_cur, j_prev = _relative_jacobians(pose, sbt, sbr)
+                return pose.r_rel[0], np.concatenate([j_cur[0], j_prev[0]], axis=1)
 
             worst = max(worst, self.fd_check(fn, 12))
         assert worst < 1e-4
+
+
+def pose_terms(graph, t, q):
+    """`_pose_terms` at (t, q) with the graph's measurements and weights, as
+    `optimize` computes them."""
+    meas_t, meas_q = graph._measurement_arrays()
+    w = graph.weights
+    return _pose_terms(t, q, meas_t, quat_conjugate(meas_q), np.sqrt(w.beta_t), np.sqrt(w.beta_rot))
 
 
 def total_cost(graph):
@@ -288,7 +312,7 @@ def total_cost(graph):
     there: the initial cost `optimize` reports."""
     t = np.array([kf.estimate.t for kf in graph.keyframes])
     q = np.array([kf.estimate.q for kf in graph.keyframes])
-    return graph._objective(t, q, graph._match(t, q), *graph._measurement_arrays())[0]
+    return graph._residuals(pose_terms(graph, t, q), graph._match(t, q))[0]
 
 
 class TestTotalCost:
@@ -346,15 +370,17 @@ class TestTotalCost:
         graph, _ = truth_graph(scene, [0.4, 0.7], weights=GraphWeights(beta_line=0.0))
         t = np.array([kf.estimate.t for kf in graph.keyframes])
         q = np.array([kf.estimate.q for kf in graph.keyframes])
-        meas_t, meas_q = graph._measurement_arrays()
         rows = graph._match(t, q)
-        assert np.isfinite(graph._objective(t, q, rows, meas_t, meas_q)[0])
+        assert np.isfinite(graph._residuals(pose_terms(graph, t, q), rows)[0])
         t_step = t.copy()
         t_step[1] += 30.5 * quat_rotate(q[1], np.array([0.0, 0.0, 1.0]))
         depth = world_to_camera(Pose(t_step[1], q[1]), rows.points3d[rows.kf_idx == 1])[:, 2]
         assert 0 < np.sum(depth <= EPS_DEPTH) < depth.size
-        assert graph._objective(t_step, q, rows, meas_t, meas_q)[0] == np.inf
-        assert graph._objective(t_step, q, rows, meas_t, meas_q, with_system=True)[0] == np.inf
+        pose = pose_terms(graph, t_step, q)
+        cost, img = graph._residuals(pose, rows)
+        assert cost == np.inf and not img.ok.all()
+        # the rows behind the camera do not make the system step fail
+        assert all(np.isfinite(a).all() for a in graph._system(pose, img, rows))
 
 
 class TestOptimize:
@@ -585,6 +611,52 @@ class TestOptimize:
         assert mixed == np.median(np.linalg.norm(r_new[1:] - r_old[1:], axis=1) / [2.0, 0.5])
         assert report.termination in ("step_tolerance", "cost_tolerance")
 
+    def test_only_a_pass_that_goes_on_builds_its_system(self, scene, monkeypatch):
+        # a stalled pass stops on its residuals alone: the system is built
+        # once per pass that reaches a solve, that is once per accepted step
+        # and once more for a call that ends without a step
+        skeleton, _, k, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 4)
+        frames = degrade_measurements(simulate_measurements(truth, skeleton, k), 0.1, 5.0, seed=7)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        built, per_call = [], []
+        system, optimize = PoseGraph._system, PoseGraph.optimize
+
+        def counted_system(self, *args):
+            built.append(len(self))
+            return system(self, *args)
+
+        def counted_optimize(self, *args):
+            before = len(built)
+            report = optimize(self, *args)
+            per_call.append((report, len(built) - before))
+            return report
+
+        monkeypatch.setattr(PoseGraph, "_system", counted_system)
+        monkeypatch.setattr(PoseGraph, "optimize", counted_optimize)
+        build_and_optimize(noisy, frames, skeleton, k, GraphWeights(), cfg, SolverConfig())
+        assert len(per_call) == 4 and "stalled" in [report.termination for report, _ in per_call]
+        for report, systems in per_call:
+            assert systems == report.iterations + (report.termination in ("no_descent", "solve_failure"))
+
+    def test_pose_terms_computed_once_per_pose(self, scene, monkeypatch):
+        # the relative rows and rotation matrices are computed for the
+        # initial estimates and for each trial pose; an accepted trial's are
+        # reused by the next pass, not computed again
+        graph, _ = truth_graph(scene, [0.2, 0.5, 0.8], perturb={1: DELTA, 2: -DELTA})
+        calls = {"relative_rows": 0, "quat_to_matrix": 0, "quaternion_boxplus": 0}
+        for name in calls:
+
+            def counted(*args, name=name, fn=getattr(posegraph, name)):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(posegraph, name, counted)
+        report = graph.optimize(SolverConfig())
+        assert report.iterations >= 2
+        trials = calls["quaternion_boxplus"]
+        assert calls["relative_rows"] == calls["quat_to_matrix"] == 1 + trials
+
     def test_clean_incremental_flight_never_reaches_the_cap(self, scene):
         skeleton, _, k, cfg = scene
         truth = generate_orbit_trajectory(skeleton, 30.0, 12)
@@ -627,9 +699,16 @@ class TestFlightMatchesReference:
             return graph.estimates(), [asdict(r) for r in reports]
 
         estimates, reports = fly()
-        monkeypatch.setattr(posegraph, "match_frame_arrays", reference_match_frame_arrays)
-        # the reference matcher projects each pose itself, so the pose stage hands it `Pose`s
-        monkeypatch.setattr(posegraph, "project_model", lambda skeleton, subdivided, t, q, *_: list(map(Pose, t, q)))
+        # the reference matcher projects each pose itself, so the pose stage
+        # hands it the rows, which it reads as they are (a `Pose` would
+        # normalise them again)
+        monkeypatch.setattr(posegraph, "project_model", lambda skeleton, subdivided, t, q, *_: (t, q))
+
+        def reference(skeleton, subdivided, pose, *args):
+            (t, q), i = pose
+            return reference_match_frame_arrays(skeleton, subdivided, SimpleNamespace(t=t[i], q=q[i]), *args)
+
+        monkeypatch.setattr(posegraph, "match_frame_arrays", reference)
         want_estimates, want_reports = fly()
         assert reports == want_reports
         assert sum(r["iterations"] for r in reports) > 5
@@ -666,7 +745,9 @@ def assert_pass_matches_reference(graph, t, q):
     reference_posegraph's: every output equal to the bit."""
     meas_t, meas_q = graph._measurement_arrays()
     rows = graph._match(t, q)
-    cost0, r0, system = graph._objective(t, q, rows, meas_t, meas_q, with_system=True)
+    pose = pose_terms(graph, t, q)
+    cost0, img0 = graph._residuals(pose, rows)
+    r0, system = img0.r, graph._system(pose, img0, rows)
     want_cost0, want_r0, want_system = reference_posegraph.objective(graph, t, q, rows, meas_t, meas_q, True)
     assert same_bits(cost0, want_cost0) and same_bits(r0, want_r0)
     for got, want in zip(system, want_system):  # h_diag, h_off, g
@@ -676,7 +757,8 @@ def assert_pass_matches_reference(graph, t, q):
         assert same_bits(delta, reference_posegraph.solve_banded(*want_system, damping))
         q_new = quaternion_boxplus(q, delta[:, 3:])
         assert same_bits(q_new, reference_posegraph.quaternion_boxplus(q, delta[:, 3:]))
-        cost1, r1 = graph._objective(t + delta[:, :3], q_new, rows, meas_t, meas_q)
+        cost1, img1 = graph._residuals(pose_terms(graph, t + delta[:, :3], q_new), rows)
+        r1 = img1.r
         want_cost1, want_r1 = reference_posegraph.objective(graph, t + delta[:, :3], q_new, rows, meas_t, meas_q)
         assert same_bits(cost1, want_cost1) and same_bits(r1, want_r1)
         motion = posegraph._median_motion(r0, r1, rows.weights)
@@ -710,12 +792,13 @@ class TestGraphSideMatchesReference:
         meas_t, meas_q = graph._measurement_arrays()
         rows = graph._match(t, q)
         t[1] += 30.5 * quat_rotate(q[1], np.array([0.0, 0.0, 1.0]))
+        pose = pose_terms(graph, t, q)
+        cost, img = graph._residuals(pose, rows)
         for with_system in (False, True):
-            got = graph._objective(t, q, rows, meas_t, meas_q, with_system)
             want = reference_posegraph.objective(graph, t, q, rows, meas_t, meas_q, with_system)
-            assert got[0] == want[0] == np.inf
-            assert same_bits(got[1], want[1])
-        for got, want in zip(got[2], want[2]):
+            assert cost == want[0] == np.inf
+            assert same_bits(img.r, want[1])
+        for got, want in zip(graph._system(pose, img, rows), want[2]):
             assert same_bits(got, want)
 
     def test_zero_line_weight(self, scene):
@@ -755,16 +838,24 @@ class TestFlightGraphSideMatchesReference:
         estimates, reports = fly()
         reference_calls = []
 
-        def reference_objective(*args, **kwargs):
-            reference_calls.append(kwargs.get("with_system", False))
-            return reference_posegraph.objective(*args, **kwargs)
+        # the reference objective in place of both steps: optimize reads the
+        # cost and the residuals r of the first and hands its result to the second
+        def reference_residuals(self, pose, rows):
+            reference_calls.append("residuals")
+            cost, r = reference_posegraph.objective(self, pose.t, pose.q, rows, *self._measurement_arrays())
+            return cost, SimpleNamespace(r=r)
 
-        monkeypatch.setattr(PoseGraph, "_objective", reference_objective)
+        def reference_system(self, pose, img, rows):
+            reference_calls.append("system")
+            return reference_posegraph.objective(self, pose.t, pose.q, rows, *self._measurement_arrays(), True)[2]
+
+        monkeypatch.setattr(PoseGraph, "_residuals", reference_residuals)
+        monkeypatch.setattr(PoseGraph, "_system", reference_system)
         monkeypatch.setattr(PoseGraph, "_solve_banded", staticmethod(reference_posegraph.solve_banded))
         monkeypatch.setattr(posegraph, "_median_motion", reference_posegraph.median_motion)
         monkeypatch.setattr(posegraph, "quaternion_boxplus", reference_posegraph.quaternion_boxplus)
         want_estimates, want_reports = fly()
-        assert any(reference_calls) and not all(reference_calls)
+        assert 0 < reference_calls.count("system") < reference_calls.count("residuals")
         assert reports == want_reports
         assert sum(r["iterations"] for r in reports) > 50
         for got, want in zip(estimates, want_estimates):
