@@ -37,23 +37,6 @@ EPS_DEPTH = 1e-6
 # quaternion algebra (all functions broadcast over leading axes)
 # ---------------------------------------------------------------------------
 
-def _components(x) -> np.ndarray:
-    """x as a float array with its last axis moved first, so unpacking it
-    yields the components: numpy scalars for a single vector, whose
-    arithmetic is several times cheaper than that of 0-d arrays."""
-    x = np.asarray(x, dtype=float)
-    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
-
-
-def _stack_last(parts) -> np.ndarray:
-    """np.stack(parts, axis=-1) for parts of one shape, without its cost
-    for scalars."""
-    out = np.empty(np.shape(parts[0]) + (len(parts),))
-    for i, part in enumerate(parts):
-        out[..., i] = part
-    return out
-
-
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Unit quaternion with non-negative scalar part; a zero or non-finite q
     (squares that overflow included) raises ValueError."""
@@ -68,18 +51,24 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return np.negative(q, out=q, where=q[..., :1] < 0.0)
 
 
+# cyclic shifts of (x, y, z): component i of a x b is
+# a[_NEXT][i] * b[_PREV][i] - a[_PREV][i] * b[_NEXT][i]
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b."""
-    aw, ax, ay, az = _components(a)
-    bw, bx, by, bz = _components(b)
-    # w = aw bw - av.bv, v = aw bv + bw av + av x bv, written out per component
-    # in the order np.sum / np.cross evaluate them, so results are bit-identical
-    return _stack_last((
-        aw * bw - (ax * bx + ay * by + az * bz),
-        aw * bx + bw * ax + (ay * bz - az * by),
-        aw * by + bw * ay + (az * bx - ax * bz),
-        aw * bz + bw * az + (ax * by - ay * bx),
-    ))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    aw, av = a[..., :1], a[..., 1:]
+    bw, bv = b[..., :1], b[..., 1:]
+    # w = aw bw - av.bv and v = aw bv + bw av + av x bv, rounded as np.sum
+    # and np.cross round them: the dot product summed (x + y) + z, the cross
+    # product on rolled components
+    dot = av * bv
+    w = aw * bw - ((dot[..., :1] + dot[..., 1:2]) + dot[..., 2:])
+    cross = av.take(_NEXT, axis=-1) * bv.take(_PREV, axis=-1) - av.take(_PREV, axis=-1) * bv.take(_NEXT, axis=-1)
+    return np.concatenate([w, aw * bv + bw * av + cross], axis=-1)
 
 
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
@@ -89,12 +78,6 @@ _CONJUGATE.flags.writeable = False
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     """Conjugate; equals the inverse for unit quaternions."""
     return np.asarray(q, dtype=float) * _CONJUGATE
-
-
-# cyclic shifts of (x, y, z): component i of a x b is
-# a[_NEXT][i] * b[_PREV][i] - a[_PREV][i] * b[_NEXT][i]
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:

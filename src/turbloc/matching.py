@@ -12,72 +12,21 @@ smallest perpendicular offset, negative side first.
 
 Point searches land on pixel centres; a log-quadratic fit around the
 winning pixel then recovers the continuous peak, which is exact for the
-analytically rendered Gaussians.
+analytically rendered Gaussians (`heatmap.PixelList.peaks`).
 
-Matching runs in two stages, with no loop over points, lines or line pairs:
-
-- the pose stage, `project_model`, does everything that depends on the
-  pose and not on the frame, for many poses in one array pass.  One
-  `world_to_camera` and one `pinhole` over (poses, rows, 3) project the 6
-  skeleton points, the subdivided points and the clipped line ends, in that
-  row order.  Whether a point is behind the camera is decided there:
-  `pinhole` projects it to NaN, which `in_view` rejects, and
-  `clip_segments_to_front` clips the lines.  Then, over the rows of every
-  pose at once: each visible point's search window; the lines' normals and
-  the parallel-line guard, one (lines, lines) near-parallel mask per pose
-  and, only for the poses where some line has a near-parallel same-class
-  partner, one (lines, samples) point-to-segment distance matrix; and, for
-  the kept samples in line order, the k_line search positions across each,
-  in tie-break order, with their bilinear corners, weights and on-raster
-  mask.  Unseen samples are never computed on: their positions are NaN.  It
-  returns one read-only `ProjectedModel` for all the poses, flat arrays with
-  each pose's row ranges, which lives for one pass.  It projects q as given:
-  the pose graph normalises each row once, for its key, and hands those
-  rows over; a row that is not normalised is rejected;
-- the frame stage, `match_frame_arrays` given pose i of such a view, reads
-  that pose's rows by offset and does the rest.
-  Point search: only a pixel above lambda_point can win a window, so each
-  frame keeps a sorted list of its point-channel pixels above the threshold
-  (NaN pixels included, so that NaN in a window still means "not found"),
-  built on the first match and cached on the frame.  The listed pixels of a
-  window's rows are one contiguous run of that list, found by two binary
-  searches; the box, disk, maximum and tie-break tests run on those runs,
-  padded to an (n_points, longest run) array.  The gain rests on the
-  heatmaps being sparse (BENCH_pixel_list.json measures the share of listed
-  pixels); a window's work is bounded by the listed pixels of its rows, so
-  a dense frame costs a few times the dense box scan, not more.  Peak
-  refinement is a gather from `PixelList.peaks`: a peak depends only on the
-  frame's point channels and the winning pixel, never on the pose, so the
-  list refines the peak around every listed pixel once, when it is built.
-  Line search is one gather of every sample's four corners from the
-  flattened line-channel stack, the weighted sum and one `argmax` per
-  sample, whose first maximum wins.
-
-Given a `Pose`, `match_frame_arrays` runs the pose stage on one row itself,
-so a single match and a batched one compute the same bits; a caller with
-many poses projects them together, because the pose stage's fixed cost is
-shared by its rows.
+Matching runs in two array passes, with no loop over points, lines or line
+pairs: the pose stage, `project_model`, projects many poses at once into a
+`ProjectedModel`, and the frame stage, `match_frame_arrays`, matches one
+frame at one pose of it (points by `_search_windows`); their docstrings give
+each stage's rows.  At a few dozen rows per pose most of a pass's cost is
+numpy's per-call dispatch (BENCH_pose_stage.json), hence one pose stage for
+many poses, and array methods rather than the Python functions wrapping them.
 
 The matcher keeps no state of its own: a call reads its arguments, builds
 the frame's pixel list if the frame has none for lambda_point yet, and
-computes.  Building the list, peaks included, is the one cost that the first
-match of a frame pays (BENCH_stateless_matcher.json times it).  Repeated
-calls at one pose are the caller's to avoid: `PoseGraph._match` keeps each
-keyframe's last match.
-
-Each stage is a fixed number of array passes over a few dozen rows per pose.
-At that size most of a pass's cost is numpy's per-call dispatch, not
-arithmetic, which is why the pose stage runs once for all poses of a pass,
-and why the passes call array methods and ufuncs (`nonzero`, `searchsorted`,
-`argsort`, `argmin`, `argmax`, `any`, `repeat`) rather than the
-Python-level functions that wrap them (`np.flatnonzero`, `np.searchsorted`,
-...), and a point-to-segment distance adds its two squares itself rather
-than reducing over a length-2 axis.  BENCH_pose_stage.json times each stage
-(`stages`) and the flights.
-
-The topology is fixed, so the same-class pair mask is a module constant
-derived from `turbine.LINES`; the ordered offsets and the guard's sine
-depend only on the MatchConfig and are cached on it.
+computes.  Building the list is the one cost that the first match of a
+frame pays (BENCH_stateless_matcher.json).  Repeated calls at one pose are
+the caller's to avoid: `PoseGraph._match` keeps each keyframe's last match.
 
 Tie-breaks and outputs are unchanged from the per-feature loop these passes
 replaced, to the last bit, and the frame stage keeps that loop's order of
@@ -308,6 +257,13 @@ class ProjectedModel(NamedTuple):
     on_raster: np.ndarray  # (s, k_line)
 
 
+class _Poses(NamedTuple):
+    """Poses as rows, for `world_to_camera`, which reads only t and q."""
+
+    t: np.ndarray  # (n, 1, 3)
+    q: np.ndarray  # (n, 1, 4)
+
+
 def project_model(
     skeleton: TurbineSkeleton,
     subdivided: SubdividedModel,
@@ -332,28 +288,17 @@ def project_model(
     # a NaN row fails the comparison too
     if not ((np.abs(np.vecdot(q, q) - 1.0) <= 1e-12).all() and (q[:, 0] >= 0.0).all()):
         raise ValueError("q must be unit quaternions with a non-negative scalar part")
-    return _project(skeleton, subdivided, t, q, k, cfg)
-
-
-class _Poses(NamedTuple):
-    """Poses as rows, for `world_to_camera`, which reads only t and q."""
-
-    t: np.ndarray  # (n, 1, 3)
-    q: np.ndarray  # (n, 1, 4)
-
-
-def _project(skeleton, subdivided, t, q, k, cfg) -> ProjectedModel:
-    """`project_model` on rows already checked and normalised."""
     n = t.shape[0]
     n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
 
-    # projection: skeleton points, subdivided points, then clipped line ends
+    # projection of every pose at once: skeleton points, subdivided points,
+    # then clipped line ends
     cam = world_to_camera(_Poses(t[:, None], q[:, None]), np.concatenate([skeleton.points, subdivided.points]))
     ends_a, ends_b, projected = clip_segments_to_front(cam[:, LINES[:, 0]], cam[:, LINES[:, 1]])
     uv = pinhole(k, np.concatenate([cam, ends_a, ends_b], axis=1))
     seen = in_view(k, uv)  # false behind the camera, where uv is nan
     uv_sub = uv[:, n_pts : n_pts + n_sub]
-    a2, b2 = uv[:, n_pts + n_sub :].reshape(n, 2, -1, 2).transpose(1, 0, 2, 3)
+    a2, b2 = uv[:, n_pts + n_sub :].reshape(n, 2, len(LINES), 2).transpose(1, 0, 2, 3)
 
     # point windows of every visible skeleton point, pose by pose
     p_pose, p_idx = seen[:, :n_pts].nonzero()
@@ -362,7 +307,8 @@ def _project(skeleton, subdivided, t, q, k, cfg) -> ProjectedModel:
     p_box, p_ends = _point_windows(k.height, k.width, p_cls, p_uv, cfg)
 
     # parallel-line guard: drop samples whose search would run along another
-    # same-class line projecting nearly parallel within search range
+    # same-class line projecting nearly parallel within search range; the
+    # distances only for the poses that have such a pair
     perp, direction, usable = _perpendiculars(a2, b2)
     usable &= projected
     cross = direction[:, :, None, 0] * direction[:, None, :, 1] - direction[:, :, None, 1] * direction[:, None, :, 0]
@@ -417,6 +363,8 @@ def _search_windows(
     rows form one run of the list, from (y0, x0) to (y1, x1).  Returns
     (winning pixel centres (n, 2), found (n,), the winners' positions in the
     list (n,)); a row that is not found has an arbitrary centre and position.
+    A window's work is bounded by the listed pixels of its rows, so the gain
+    over a dense box scan rests on sparse heatmaps (BENCH_pixel_list.json).
     """
     n = predicted.shape[0]
     r = cfg.r_point
@@ -472,9 +420,8 @@ class FrameMatches:
     """Array view of one frame's correspondences, ready for stacking.
 
     The arrays passed in are made read-only in place, not copied:
-    `match_frame_arrays` builds them fresh, by indexing and concatenation,
-    so none shares memory with the pass's `ProjectedModel`, which is freed
-    when the pass ends; and the pose graph hands one object to every
+    `match_frame_arrays` builds them fresh, so none shares memory with the
+    pass's `ProjectedModel`; and the pose graph hands one object to every
     pass at the same pose, so no reader may change what a later one reads.
     """
 
@@ -510,20 +457,20 @@ def match_frame_arrays(
     """Establish all point and line correspondences for one frame.
 
     `pose_estimate` is a `Pose`, which this call projects, or a pair (view,
-    i): pose i of a view that `project_model` built for the same skeleton,
-    subdivided model, camera and config (the same objects; another raises
-    ValueError).  Rows list point matches in skeleton order, then
-    line-sample matches grouped by skeleton line, each group in subdivided
-    order.  Every call computes its result from its arguments alone and
-    assigns nothing; the frame's first match builds the frame's pixel list
-    (module docstring).
+    i): pose i, an int, of a view that `project_model` built for the same
+    skeleton, subdivided model, camera and config (the same objects); another
+    view or an index outside it raises ValueError.  Rows list point matches
+    in skeleton order, then line-sample matches grouped by skeleton line,
+    each group in subdivided order.
     """
     if isinstance(pose_estimate, Pose):
-        view, i = _project(skeleton, subdivided, pose_estimate.t[None], pose_estimate.q[None], k, cfg), 0
+        view, i = project_model(skeleton, subdivided, pose_estimate.t[None], pose_estimate.q[None], k, cfg), 0
     else:
         view, i = pose_estimate
         if not all(map(operator.is_, view.source, (skeleton, subdivided, k, cfg))):
             raise ValueError("the view was projected for another skeleton, subdivided model, camera or config")
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < len(view.p_start) - 1:
+            raise ValueError(f"pose index {i!r} is not one of the view's {len(view.p_start) - 1} poses")
     if (frame.width, frame.height) != (k.width, k.height):
         raise ValueError(f"frame is {frame.width}x{frame.height}, the camera {k.width}x{k.height}")
     p = slice(view.p_start[i], view.p_start[i + 1])

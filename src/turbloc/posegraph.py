@@ -37,21 +37,13 @@ image residuals afresh.  No correspondence outlives its iteration, so
 `optimize` depends only on the keyframes' estimates, measurements and
 frames.
 
-A pass's time splits into matching and the graph side.  Matching is one
-`project_model` call over the keyframes not at their last matched pose (the
-pose stage, for all of them in one array pass), then one
-`match_frame_arrays` call per such keyframe with its rows of that view (the
-frame stage); it is most of the time of `optimize` (BENCH_pose_stage.json,
-BENCH_pass_cost.json).  The graph side is the three steps above,
-`_solve_banded`, `quaternion_boxplus` and `_median_motion`, written for few
-numpy calls.  The graph side keeps the rounding of its first form, einsums
-over dense Jacobians, to the bit, because the flights are chaotic in
-round-off: where explicit products replace an einsum, they sum its terms in
-the einsum's order (sequentially, in index order; `matmul` rounds
-differently).  Only the sign of an exact zero Jacobian entry can differ, and
-the sums of H and g, which start at +0, do not see it.  The image rows' part
-of H is summed on the lower triangle of each block only and mirrored: the
-products commute exactly, so the mirror equals the einsum's upper triangle.
+Matching is most of a pass's time (BENCH_pose_stage.json,
+BENCH_pass_cost.json).  The rest of a pass keeps the rounding of its first
+form, einsums over dense Jacobians, to the bit, because the flights are
+chaotic in round-off: explicit products sum an einsum's terms in its order
+(sequentially, in index order; `matmul` rounds differently).  Only the sign
+of an exact zero Jacobian entry can differ, and the sums of H and g, which
+start at +0, do not see it.
 
 `OptimizeReport.termination` says why `optimize` stopped:
 
@@ -295,14 +287,9 @@ def _median_motion(r_old: np.ndarray, r_new: np.ndarray, w: np.ndarray) -> float
     if not live.any():
         return np.inf
     dx, dy = (r_new - r_old).compress(live, axis=0).T
-    # np.median of np.linalg.norm, by their own arithmetic
-    motion = np.sqrt(dx * dx + dy * dy) / w.compress(live)
-    h = motion.size // 2
-    if motion.size % 2:
-        motion.partition(h)
-        return float(motion[h])
-    motion.partition((h - 1, h))
-    return float((motion[h - 1] + motion[h]) / 2.0)
+    # the reference's np.median of np.linalg.norm(axis=1), the norm's two
+    # squares added by hand: numpy reduces a length-2 axis slowly
+    return float(np.median(np.sqrt(dx * dx + dy * dy) / w.compress(live)))
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:

@@ -184,12 +184,10 @@ def evaluate(optimized: Trajectory, truth: Trajectory) -> ErrorReport:
         raise ValueError("trajectory lengths differ")
     if not np.array_equal(optimized.timestamps, truth.timestamps):
         raise ValueError("trajectory timestamps differ")
-    t_err = np.array(
-        [float(np.linalg.norm(a.t - b.t)) for a, b in zip(optimized.poses, truth.poses)]
-    )
-    r_err = np.array(
-        [float(geodesic_angle(a.q, b.q)) for a, b in zip(optimized.poses, truth.poses)]
-    )
+    d = np.array([p.t for p in optimized.poses]) - np.array([p.t for p in truth.poses])
+    # vecdot rounds like the 1-D np.linalg.norm of each difference
+    t_err = np.sqrt(np.vecdot(d, d))
+    r_err = geodesic_angle(np.array([p.q for p in optimized.poses]), np.array([p.q for p in truth.poses]))
     return ErrorReport(t_err, r_err, float(t_err.mean()), float(r_err.mean()))
 
 

@@ -3,10 +3,12 @@
 
     python3 tests/flight_digest.py
 
-Prints two SHA-256 digests: one over the `dataclasses.asdict` form of every
-`OptimizeReport` and the final estimates' bytes of the flights below, and
-one of the CSV of a 2x2 `run_sweep`.  Two trees whose digests are equal fly
-those flights to the same bits.  The script imports turbloc from the `src/`
+Prints three SHA-256 digests: one over the `dataclasses.asdict` form of
+every `OptimizeReport` and the final estimates' bytes of the flights below,
+one of the CSV of a 2x2 `run_sweep`, and one over the `dataclasses.asdict`
+form of each flight's `evaluate(estimates, truth)`, its arrays as bytes (the
+CSV rounds errors to 9 digits).  Two trees whose digests are equal fly those
+flights to the same bits.  The script imports turbloc from the `src/`
 beside it; pytest does not collect it (its name does not start with test_).
 
 The scene is the baseline one: a 10 m tower with 5 m blades, a 256x256
@@ -38,8 +40,10 @@ from turbloc.matching import MatchConfig  # noqa: E402
 from turbloc.posegraph import GraphWeights, PoseGraph, SolverConfig  # noqa: E402
 from turbloc.simulation import (  # noqa: E402
     NoiseSpec,
+    Trajectory,
     build_and_optimize,
     degrade_measurements,
+    evaluate,
     generate_orbit_trajectory,
     inject_noise,
     run_sweep,
@@ -77,8 +81,14 @@ def flights():
     yield "clean batch", batch, 48, False, 123
 
 
+def error_bytes(report):
+    """The `dataclasses.asdict` form of an `ErrorReport`, its arrays as bytes:
+    the repr of an array rounds."""
+    return repr({k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in asdict(report).items()}).encode()
+
+
 def main():
-    digest = hashlib.sha256()
+    digest, errors = hashlib.sha256(), hashlib.sha256()
     for name, fly, n, degraded, seed in flights():
         start = time.perf_counter()
         truth = generate_orbit_trajectory(SKELETON, 30.0, n)
@@ -91,11 +101,13 @@ def main():
             digest.update(repr(asdict(report)).encode())
         for pose in graph.estimates():
             digest.update(pose.t.tobytes() + pose.q.tobytes())
+        errors.update(error_bytes(evaluate(Trajectory(truth.timestamps, tuple(graph.estimates())), truth)))
         print(f"{name}, {n} keyframes, seed {seed}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     truth = generate_orbit_trajectory(SKELETON, 30.0, 24)
     csv = run_sweep(truth, SKELETON, CAMERA, [0.03, 0.08], [2.0 * DEG, 6.0 * DEG], seed=9).to_csv()
     print(f"flights {digest.hexdigest()}")
     print(f"sweep   {hashlib.sha256(csv.encode()).hexdigest()}")
+    print(f"errors  {errors.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -968,6 +968,29 @@ class TestPoseStage:
         with pytest.raises(ValueError):
             match_frame_arrays(**args)
 
+    @pytest.mark.parametrize("index", [-1, -2, 3, True, False, 1.0, np.float64(0.0), None])
+    def test_an_index_outside_the_view_raises(self, scene, index):
+        # a negative index would slice another pose's rows or none, a bool
+        # would act as 0 or 1, and a float would fail inside the slicing
+        skeleton, subdivided, k, pose, cfg = scene
+        poses = generate_orbit_trajectory(skeleton, 30.0, 12).poses[:3]
+        t, q = np.array([p.t for p in poses]), np.array([p.q for p in poses])
+        view = project_model(skeleton, subdivided, t, q, k, cfg)
+        frame = render(skeleton, poses[2], k)
+        for i in (0, 2, np.int64(2)):
+            want = match_frame_arrays(skeleton, subdivided, poses[int(i)], k, frame, cfg)
+            assert same_matches(match_frame_arrays(skeleton, subdivided, (view, i), k, frame, cfg), want)
+        with pytest.raises(ValueError):
+            match_frame_arrays(skeleton, subdivided, (view, index), k, frame, cfg)
+
+    def test_no_poses_give_an_empty_view(self, scene):
+        skeleton, subdivided, k, _, cfg = scene
+        view = project_model(skeleton, subdivided, np.zeros((0, 3)), np.zeros((0, 4)), k, cfg)
+        assert view.p_start == view.s_start == (0,)
+        assert all(a.size == 0 for a in view if isinstance(a, np.ndarray))
+        with pytest.raises(ValueError):
+            match_frame_arrays(skeleton, subdivided, (view, 0), k, blank_frame(k.width, k.height), cfg)
+
 
 class TestKernelsMatchReference:
     """Round-off traps of the array kernels, checked on raw values rather than

@@ -264,6 +264,24 @@ class TestEvaluate:
         assert np.allclose(report.rotation_errors, expected_r, atol=1e-9)
         assert np.isclose(report.mean_translation_error, np.mean(expected_t))
 
+    def test_rows_equal_per_pose_errors_to_the_bit(self, skeleton):
+        # the row form against `np.linalg.norm` and `geodesic_angle` pose by pose
+        rng = np.random.default_rng(29)
+        for n in [2, 3] + list(rng.integers(2, 60, 40)):
+            t = rng.normal(0.0, 30.0, (2, n, 3)) * 10.0 ** rng.uniform(-6.0, 2.0, (2, n, 1))
+            q = rng.normal(0.0, 1.0, (2, n, 4))
+            est, truth = (
+                Trajectory(np.arange(n, dtype=float), tuple(Pose(*row) for row in zip(t[j], q[j]))) for j in (0, 1)
+            )
+            report = evaluate(est, truth)
+            want_t = np.array([np.linalg.norm(a.t - b.t) for a, b in zip(est.poses, truth.poses)])
+            want_r = np.array([geodesic_angle(a.q, b.q) for a, b in zip(est.poses, truth.poses)])
+            assert report.translation_errors.tobytes() == want_t.tobytes()
+            assert report.rotation_errors.tobytes() == want_r.tobytes()
+            assert report.mean_translation_error == want_t.mean()
+            assert report.mean_rotation_error == want_r.mean()
+            assert type(report.mean_translation_error) is type(report.mean_rotation_error) is float
+
     def test_mismatch_rejected(self, skeleton):
         a = generate_orbit_trajectory(skeleton, 30.0, 5)
         b = generate_orbit_trajectory(skeleton, 30.0, 6)
