@@ -18,8 +18,13 @@ Conventions used throughout the package:
 - "Behind the camera" means a camera-frame depth of at most ``EPS_DEPTH``,
   and it is decided in two places only: `pinhole` projects such a point to
   NaN, which `in_view` rejects, and `clip_segments_to_front` moves a
-  segment's end onto the near plane.  The pose graph's residuals keep their
-  own projection, because their Jacobians need its intermediate terms.
+  segment's end onto the near plane.
+- The package projects in two places.  `heatmap.project_skeleton` chains
+  `world_to_camera`, `clip_segments_to_front`, `pinhole` and `in_view` for
+  `render` and the pose stage of matching; nothing else in the package
+  calls them.  The pose graph's residuals (`posegraph._image_residuals`)
+  keep their own projection, because their Jacobians need its
+  intermediate terms.
 """
 
 from __future__ import annotations

@@ -5,8 +5,13 @@ A frame holds 3 line channels (tower, hub, blade) and 4 point channels
 Rendering evaluates the Gaussian analytically from the distance to the
 projected feature (truncated at 3 sigma) instead of drawing then blurring,
 so peaks and ridges sit exactly at the sub-pixel projection.  Overlapping
-features in one channel combine by per-pixel maximum, and every channel is
-renormalized to peak 1 afterwards.
+features in one channel combine by per-pixel maximum, taken as the smallest
+exponent over a channel's features (rows of arrays) and painted with one
+exp per pixel: exp of a negated, scaled exponent is monotone, so the two
+are equal to the bit.  Every channel is renormalized to peak 1 afterwards.
+
+`project_skeleton` projects the skeleton, and any points after it, for
+many poses at once; `render` and the pose stage of matching both use it.
 
 The same renderer produces training-label-style output and the simulated
 network measurements (both sigma=5).
@@ -63,8 +68,8 @@ def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarra
     A separable log-quadratic fit around each (rounded) pixel gives the
     continuous peak, which is exact for an isolated Gaussian.  A row falls
     back to the pixel centre at the image border or when its 3x3
-    neighbourhood holds a value that is not positive, and an axis keeps the
-    centre when its fit is not concave.  The offset never exceeds half a
+    neighbourhood holds a value that is not positive or not finite, and an
+    axis keeps the centre when its fit is not concave.  The offset never exceeds half a
     pixel per axis.
     """
     n = pixels.shape[0]
@@ -76,7 +81,8 @@ def _refine_peaks(channels: np.ndarray, class_ids: np.ndarray, pixels: np.ndarra
     # keeps a border pixel's gather on the stack, and border pixels are not used
     around = np.array([-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1])
     patch = channels.reshape(-1).take(around[:, None] + (class_ids * (h * w) + y * w + x), mode="clip")
-    usable = (x >= 1) & (x <= w - 2) & (y >= 1) & (y <= h - 2) & (patch.min(axis=0) > 0.0)
+    usable = (x >= 1) & (x <= w - 2) & (y >= 1) & (y <= h - 2)
+    usable &= (patch.min(axis=0) > 0.0) & (patch.max(axis=0) < np.inf)
     # values through the peak: ([x, y], [minus, centre, plus], n)
     tri = patch[_PEAK_CROSS].reshape(2, 3, n).astype(float)
     lp = np.log(np.where(usable, tri, 1.0))
@@ -157,77 +163,79 @@ class HeatmapFrame:
         return pixels
 
 
-def _window(a, b, sigma: float, origin: tuple, shape: tuple) -> tuple[int, int, int, int]:
-    """Pixel box (x0, x1, y0, y1) within the truncation radius of the 2D
-    segment a-b (a point when a equals b), clipped to the `shape` pixels from
-    row, column `origin` on; empty when x0 > x1 or y0 > y1."""
-    r = TRUNCATION_SIGMAS * sigma
-    (oy, ox), (h, w) = origin, shape
-    return (
-        max(int(np.ceil(min(a[0], b[0]) - r)), ox),
-        min(int(np.floor(max(a[0], b[0]) + r)), ox + w - 1),
-        max(int(np.ceil(min(a[1], b[1]) - r)), oy),
-        min(int(np.floor(max(a[1], b[1]) + r)), oy + h - 1),
-    )
+class _Poses(NamedTuple):
+    """Poses as rows, for `world_to_camera`, which reads only t and q."""
+
+    t: np.ndarray  # (n, 1, 3)
+    q: np.ndarray  # (n, 1, 4)
 
 
-def _paint_gaussian_segment(canvas: np.ndarray, origin: tuple, a: np.ndarray, b: np.ndarray, sigma: float) -> None:
-    """Max-compose a Gaussian ridge along the 2D sub-pixel segment a-b.
+def project_skeleton(k: CameraIntrinsics, t: np.ndarray, q: np.ndarray, points: np.ndarray) -> tuple:
+    """World points (m, 3), the skeleton's 6 first, seen from each pose
+    (t[i], q[i]) of rows t (n, 3) and unit quaternions q (n, 4), in one
+    array pass.
 
-    `canvas` holds the image pixels from row, column `origin` on; a, b and
-    the pixel grid stay in image coordinates.  A segment shorter than 1e-9 px
-    is painted as the point a, with its profile anchored so the pixel nearest
-    a reads exactly 1.0: same-class peaks then tie exactly inside overlapping
-    search windows, which the matcher resolves by distance to the prediction.
+    Returns the pixels (n, m, 2), NaN behind the camera; whether each lies
+    in view (n, m); the pixels a2 and b2 (n, 5, 2) of each skeleton line's
+    ends, clipped to the front of the camera; and whether any part of each
+    line lies in front (n, 5).  The one projection that `render` and the
+    pose stage of matching share.
     """
-    ab = b - a
-    denom = float(ab @ ab)
-    point = denom < 1e-18
-    x0, x1, y0, y1 = _window(a, a if point else b, sigma, origin, canvas.shape)
-    if x0 > x1 or y0 > y1:
-        return
-    xs = np.arange(x0, x1 + 1, dtype=float)
-    ys = np.arange(y0, y1 + 1, dtype=float)
-    px = np.broadcast_to(xs[None, :], (ys.size, xs.size))
-    py = np.broadcast_to(ys[:, None], (ys.size, xs.size))
-    if point:
-        cx, cy = a[0], a[1]
-        d2_min = (np.rint(a[1]) - a[1]) ** 2 + (np.rint(a[0]) - a[0]) ** 2
-    else:
-        t = ((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom
-        np.clip(t, 0.0, 1.0, out=t)
-        cx, cy = a[0] + t * ab[0], a[1] + t * ab[1]
-        d2_min = 0.0
-    dx = px - cx
-    dy = py - cy
-    d2 = dx * dx + dy * dy
-    vals = np.exp(-(d2 - d2_min) / (2.0 * sigma * sigma))
-    r = TRUNCATION_SIGMAS * sigma
-    vals[d2 > r * r] = 0.0
-    oy, ox = origin
-    window = canvas[y0 - oy : y1 - oy + 1, x0 - ox : x1 - ox + 1]
-    np.maximum(window, vals, out=window)
+    m = points.shape[0]
+    cam = world_to_camera(_Poses(t[:, None], q[:, None]), points)
+    ends_a, ends_b, in_front = clip_segments_to_front(cam[:, LINES[:, 0]], cam[:, LINES[:, 1]])
+    uv = pinhole(k, np.concatenate([cam, ends_a, ends_b], axis=1))
+    return uv[:, :m], in_view(k, uv[:, :m]), uv[:, m : m + len(LINES)], uv[:, m + len(LINES) :], in_front
 
 
-def _render_stack(channels: list, k: CameraIntrinsics, sigma: float) -> np.ndarray:
-    """(len(channels), H, W) float32 stack; channels[c] lists the (a, b)
-    segments of channel c, a point feature being the segment (uv, uv).
+def _render_stack(features: list, k: CameraIntrinsics, sigma: float) -> np.ndarray:
+    """(len(features), H, W) float32 stack; features[c] is a pair (a, b) of
+    (f, 2) arrays, the ends of channel c's segments, a point feature being
+    the segment (uv, uv).
 
-    Each channel is painted in float64 only inside the box that holds its
-    features' windows (clipped to the raster), normalised to peak 1 there,
-    and stored into a zeroed float32 plane.
+    Each feature's exponent, (d2 - d2_min) within its truncation radius and
+    inf beyond, is written in float64 into the box that holds the features'
+    windows (clipped to the raster), keeping the per-pixel minimum; one exp
+    paints the box, which is normalised to peak 1 and stored into a zeroed
+    float32 plane.  Negation, division by 2 sigma^2 and exp are monotone, so
+    the exp of the smallest exponent is the per-pixel maximum of the
+    features' Gaussians, and exp(-inf) their truncation's 0.  A segment
+    shorter than 1e-9 px is painted as the point a, with d2_min anchoring
+    its profile so the pixel nearest a reads exactly 1.0: same-class peaks
+    then tie exactly inside overlapping search windows, which the matcher
+    resolves by distance to the prediction.
     """
-    stack = np.zeros((len(channels), k.height, k.width), dtype=np.float32)
-    for c, features in enumerate(channels):
-        boxes = [_window(a, b, sigma, (0, 0), (k.height, k.width)) for a, b in features]
-        boxes = [box for box in boxes if box[0] <= box[1] and box[2] <= box[3]]
-        if not boxes:
+    r = TRUNCATION_SIGMAS * sigma
+    stack = np.zeros((len(features), k.height, k.width), dtype=np.float32)
+    for c, (a, b) in enumerate(features):
+        # each feature's window, pixels (x, y) from lo to hi within its
+        # truncation radius, clipped to the raster: empty where lo > hi, as
+        # is the box of a channel without features
+        lo = np.clip(np.ceil(np.minimum(a, b) - r), 0, (k.width, k.height)).astype(np.int64)
+        hi = np.clip(np.floor(np.maximum(a, b) + r), -1, (k.width - 1, k.height - 1)).astype(np.int64)
+        (x0, y0), (x1, y1) = lo.min(axis=0, initial=k.width + k.height), hi.max(axis=0, initial=-1)
+        if x0 > x1 or y0 > y1:
             continue
-        x0, y0 = min(box[0] for box in boxes), min(box[2] for box in boxes)
-        x1, y1 = max(box[1] for box in boxes), max(box[3] for box in boxes)
-        canvas = np.zeros((y1 - y0 + 1, x1 - x0 + 1))
-        for a, b in features:
-            _paint_gaussian_segment(canvas, (y0, x0), a, b, sigma)
+        best = np.full((y1 - y0 + 1, x1 - x0 + 1), np.inf)
+        for fa, fb, (fx0, fy0), (fx1, fy1) in zip(a, b, lo.tolist(), hi.tolist()):
+            if fx0 > fx1 or fy0 > fy1:
+                continue
+            xs = np.arange(fx0, fx1 + 1, dtype=float)[None, :]
+            ys = np.arange(fy0, fy1 + 1, dtype=float)[:, None]
+            ab = fb - fa
+            denom = float(ab @ ab)
+            if denom < 1e-18:
+                cx, cy = fa
+                d2_min = (np.rint(fa[1]) - fa[1]) ** 2 + (np.rint(fa[0]) - fa[0]) ** 2
+            else:
+                t = np.clip(((xs - fa[0]) * ab[0] + (ys - fa[1]) * ab[1]) / denom, 0.0, 1.0)
+                cx, cy = fa[0] + t * ab[0], fa[1] + t * ab[1]
+                d2_min = 0.0
+            dx, dy = xs - cx, ys - cy
+            d2 = dx * dx + dy * dy
+            window = best[fy0 - y0 : fy1 - y0 + 1, fx0 - x0 : fx1 - x0 + 1]
+            np.minimum(window, np.where(d2 <= r * r, d2 - d2_min, np.inf), out=window)
+        canvas = np.exp(-best / (2.0 * sigma * sigma))
         m = canvas.max()
         if m > 0.0:
             canvas /= m
@@ -244,21 +252,15 @@ def render(
     """Render the skeleton seen from `pose` into a heatmap frame.
 
     Each channel is painted and normalised inside the box that holds its
-    features; the rest of the plane is 0.
+    features; the rest of the plane is 0.  sigma must be finite and large
+    enough that the pixel nearest a feature, up to sqrt(0.5) px away, lies
+    within the truncation radius: sigma >= sqrt(0.5) / 3, about 0.2357.
     """
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError("sigma must be finite and positive")
-    cam = world_to_camera(pose, skeleton.points)
-    uv = pinhole(k, cam)
-    points = [[] for _ in range(N_POINT_CHANNELS)]
-    for idx in np.flatnonzero(in_view(k, uv)):
-        points[POINT_CLASSES[idx]].append((uv[idx], uv[idx]))
-
-    ends_a, ends_b, in_front = clip_segments_to_front(cam[LINES[:, 0]], cam[LINES[:, 1]])
-    a2, b2 = pinhole(k, ends_a), pinhole(k, ends_b)
-    lines = [[] for _ in range(N_LINE_CHANNELS)]
-    for i in np.flatnonzero(in_front):
-        lines[LINES[i, 2]].append((a2[i], b2[i]))
+    if not (np.isfinite(sigma) and TRUNCATION_SIGMAS * sigma >= np.sqrt(0.5)):
+        raise ValueError(f"sigma must be finite and at least sqrt(0.5) / {TRUNCATION_SIGMAS:g} px")
+    (uv,), (seen,), (a2,), (b2,), (in_front,) = project_skeleton(k, pose.t[None], pose.q[None], skeleton.points)
+    points = [(uv[mask], uv[mask]) for mask in seen & (POINT_CLASSES == np.arange(N_POINT_CHANNELS)[:, None])]
+    lines = [(a2[mask], b2[mask]) for mask in in_front & (LINES[:, 2] == np.arange(N_LINE_CHANNELS)[:, None])]
     return HeatmapFrame(_render_stack(lines, k, sigma), _render_stack(points, k, sigma))
 
 

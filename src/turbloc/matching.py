@@ -50,15 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    clip_segments_to_front,
-    in_view,
-    pinhole,
-    world_to_camera,
-)
-from .heatmap import HeatmapFrame, PixelList
+from .geometry import CameraIntrinsics, Pose
+from .heatmap import HeatmapFrame, PixelList, project_skeleton
 from .turbine import LINES, POINT_CLASSES, SubdividedModel, TurbineSkeleton
 
 
@@ -257,13 +250,6 @@ class ProjectedModel(NamedTuple):
     on_raster: np.ndarray  # (s, k_line)
 
 
-class _Poses(NamedTuple):
-    """Poses as rows, for `world_to_camera`, which reads only t and q."""
-
-    t: np.ndarray  # (n, 1, 3)
-    q: np.ndarray  # (n, 1, 4)
-
-
 def project_model(
     skeleton: TurbineSkeleton,
     subdivided: SubdividedModel,
@@ -278,7 +264,8 @@ def project_model(
     non-negative scalar part, as `quat_normalize` returns them; q is
     projected as given, not normalised again, and a row that is not unit
     (to 1e-12 in its squared norm) raises ValueError.  Returns the view of
-    all n poses, for `match_frame_arrays`.
+    all n poses, for `match_frame_arrays`, projected by
+    `heatmap.project_skeleton` as `render` projects.
     """
     t, q = np.asarray(t, dtype=float), np.asarray(q, dtype=float)
     if t.ndim != 2 or t.shape[1] != 3 or q.shape != (t.shape[0], 4):
@@ -288,17 +275,11 @@ def project_model(
     # a NaN row fails the comparison too
     if not ((np.abs(np.vecdot(q, q) - 1.0) <= 1e-12).all() and (q[:, 0] >= 0.0).all()):
         raise ValueError("q must be unit quaternions with a non-negative scalar part")
-    n = t.shape[0]
-    n_pts, n_sub = skeleton.points.shape[0], subdivided.points.shape[0]
+    n, n_pts = t.shape[0], skeleton.points.shape[0]
 
-    # projection of every pose at once: skeleton points, subdivided points,
-    # then clipped line ends
-    cam = world_to_camera(_Poses(t[:, None], q[:, None]), np.concatenate([skeleton.points, subdivided.points]))
-    ends_a, ends_b, projected = clip_segments_to_front(cam[:, LINES[:, 0]], cam[:, LINES[:, 1]])
-    uv = pinhole(k, np.concatenate([cam, ends_a, ends_b], axis=1))
-    seen = in_view(k, uv)  # false behind the camera, where uv is nan
-    uv_sub = uv[:, n_pts : n_pts + n_sub]
-    a2, b2 = uv[:, n_pts + n_sub :].reshape(n, 2, len(LINES), 2).transpose(1, 0, 2, 3)
+    # projection of every pose at once: skeleton points, then subdivided points
+    uv, seen, a2, b2, projected = project_skeleton(k, t, q, np.concatenate([skeleton.points, subdivided.points]))
+    uv_sub = uv[:, n_pts:]
 
     # point windows of every visible skeleton point, pose by pose
     p_pose, p_idx = seen[:, :n_pts].nonzero()
@@ -314,7 +295,7 @@ def project_model(
     cross = direction[:, :, None, 0] * direction[:, None, :, 1] - direction[:, :, None, 1] * direction[:, None, :, 0]
     near_parallel = _SAME_CLASS_PAIRS & usable[:, :, None] & usable[:, None, :] & ~(np.abs(cross) >= cfg._sin_guard)
     lid = subdivided.line_ids
-    keep = seen[:, n_pts : n_pts + n_sub] & usable[:, lid]
+    keep = seen[:, n_pts:] & usable[:, lid]
     guarded = near_parallel.any(axis=(1, 2)).nonzero()[0]
     if guarded.size:
         close = _segment_distances(uv_sub[guarded], a2[guarded], b2[guarded]) <= cfg.a_line
@@ -392,10 +373,13 @@ def _search_windows(
 
 def _interpolate(channels: np.ndarray, corners: np.ndarray, weights: np.ndarray, on_raster: np.ndarray) -> np.ndarray:
     """Bilinear values of `channels` at the positions `_bilinear_corners`
-    describes, -inf off the raster."""
+    describes, -inf off the raster.  A position is NaN where a corner is NaN,
+    where an infinite corner has weight 0, or where its corners hold both
+    +inf and -inf; `_best_samples` leaves a row with a NaN sample unmatched."""
     fx, fy, gx, gy = weights
     c = channels.reshape(-1).take(corners)
-    vals = c[0] * gx * gy + c[1] * fx * gy + c[2] * gx * fy + c[3] * fx * fy
+    with np.errstate(invalid="ignore"):
+        vals = c[0] * gx * gy + c[1] * fx * gy + c[2] * gx * fy + c[3] * fx * fy
     return np.where(on_raster, vals, -np.inf)
 
 
@@ -407,7 +391,7 @@ def _best_samples(
 
     Each row's match is its best sample, ties going to the first in
     tie-break order; found is false when no sample on the raster exceeds
-    lambda_line.  Returns (matched (m, 2), found (m,)).
+    lambda_line or one is NaN.  Returns (matched (m, 2), found (m,)).
     """
     # the samples run in tie-break order, so argmax's first maximum wins
     j = values.argmax(axis=1)

@@ -3,12 +3,14 @@
 
     python3 tests/flight_digest.py
 
-Prints three SHA-256 digests: one over the `dataclasses.asdict` form of
+Prints four SHA-256 digests: one over the `dataclasses.asdict` form of
 every `OptimizeReport` and the final estimates' bytes of the flights below,
-one of the CSV of a 2x2 `run_sweep`, and one over the `dataclasses.asdict`
-form of each flight's `evaluate(estimates, truth)`, its arrays as bytes (the
-CSV rounds errors to 9 digits).  Two trees whose digests are equal fly those
-flights to the same bits.  The script imports turbloc from the `src/`
+one of the CSV of a 2x2 `run_sweep`, one over the `dataclasses.asdict` form
+of each flight's `evaluate(estimates, truth)`, its arrays as bytes (the CSV
+rounds errors to 9 digits), and one over the line, then point, channel
+bytes of `render` at every pose of the frame orbits below.  Two trees whose
+digests are equal fly those flights and render those frames to the same
+bits.  The script imports turbloc from the `src/`
 beside it; pytest does not collect it (its name does not start with test_).
 
 The scene is the baseline one: a 10 m tower with 5 m blades, a 256x256
@@ -21,7 +23,10 @@ camera with f=200 on an orbit of radius 30 m, GPS/IMU noise of 0.08 m and
 - 24 keyframes, noise seed 123: a degraded incremental flight;
 - 48 keyframes, noise seed 123: a clean batch flight;
 - the sweep: the 24-keyframe orbit at sigma_t {0.03, 0.08} m and sigma_r
-  {2, 6} deg, root seed 9.
+  {2, 6} deg, root seed 9;
+- the frames: the flights' 12-, 24- and 48-keyframe orbits of radius 30 m
+  and 24-pose orbits of radius 6, 8 and 12 m, each rendered at sigma 2, 5
+  and 8 px; the close orbits run features off the image.
 """
 
 import hashlib
@@ -36,6 +41,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from turbloc.geometry import CameraIntrinsics  # noqa: E402
+from turbloc.heatmap import render  # noqa: E402
 from turbloc.matching import MatchConfig  # noqa: E402
 from turbloc.posegraph import GraphWeights, PoseGraph, SolverConfig  # noqa: E402
 from turbloc.simulation import (  # noqa: E402
@@ -87,6 +93,12 @@ def error_bytes(report):
     return repr({k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in asdict(report).items()}).encode()
 
 
+def frame_orbits():
+    """(radius, poses) of each orbit whose renders the frames line digests."""
+    yield from ((30.0, n) for n in (12, 24, 48))
+    yield from ((radius, 24) for radius in (6.0, 8.0, 12.0))
+
+
 def main():
     digest, errors = hashlib.sha256(), hashlib.sha256()
     for name, fly, n, degraded, seed in flights():
@@ -108,6 +120,13 @@ def main():
     print(f"flights {digest.hexdigest()}")
     print(f"sweep   {hashlib.sha256(csv.encode()).hexdigest()}")
     print(f"errors  {errors.hexdigest()}")
+    frames = hashlib.sha256()
+    for radius, n in frame_orbits():
+        for pose in generate_orbit_trajectory(SKELETON, radius, n).poses:
+            for sigma in (2.0, 5.0, 8.0):
+                frame = render(SKELETON, pose, CAMERA, sigma)
+                frames.update(frame.line_channels.tobytes() + frame.point_channels.tobytes())
+    print(f"frames  {frames.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from turbloc.heatmap import (
     render,
     write_frame,
 )
-from turbloc.turbine import LineClass, PointClass, TurbineParams, build_skeleton
+from turbloc.simulation import generate_orbit_trajectory
+from turbloc.turbine import POINT_CLASSES, LineClass, PointClass, TurbineParams, build_skeleton
 
 DEG = math.pi / 180.0
 
@@ -131,6 +132,24 @@ class TestRender:
         k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
         with pytest.raises(ValueError):
             render(skeleton, face_on_pose(skeleton), k, sigma=0.0)
+
+    # 3 sigma below sqrt(0.5) px, the farthest a feature's nearest pixel lies
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e-3, 0.2357])
+    def test_rejects_sigma_too_small_for_the_nearest_pixel(self, skeleton, sigma):
+        k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
+        with pytest.raises(ValueError, match="sigma"):
+            render(skeleton, face_on_pose(skeleton), k, sigma=sigma)
+
+    def test_smallest_sigma_peaks_every_point_at_one(self, skeleton):
+        k = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
+        sigma = 0.2358  # just above sqrt(0.5) / 3
+        for pose in generate_orbit_trajectory(skeleton, 30.0, 6).poses:
+            frame = render(skeleton, pose, k, sigma=sigma)
+            uv = pinhole(k, world_to_camera(pose, skeleton.points))
+            seen = in_view(k, uv)
+            assert seen.sum() >= 4
+            x, y = np.rint(uv[seen]).astype(int).T
+            assert (frame.point_channels[POINT_CLASSES[seen], y, x] == 1.0).all()
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_nonfinite_sigma(self, skeleton, sigma):

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import dataclasses
 
@@ -311,6 +312,47 @@ class TestMatchFrame:
         assert m.n_lines == cfg.s_tower + cfg.s_hub + 3 * cfg.s_blade
         assert len(m) == m.n_points + m.n_lines
         assert np.all(np.linalg.norm(predictions(k, pose, m) - m.matched, axis=1) <= 1.0)
+
+    def test_infinite_pixels(self, scene):
+        """+inf and -inf pixels in both kinds of channel match without a
+        warning and as the reference matches them.  A point whose window
+        holds +inf matches at the centre of its nearest +inf pixel; a line
+        sample that reads an infinite corner at weight 0 is NaN, which
+        leaves its row unmatched."""
+        skeleton, subdivided, _, _, cfg = scene
+        # face-on with the blade centre on a pixel: the tower and the upright
+        # blade search along whole pixel columns, so a corner weighs 0
+        k = CameraIntrinsics(200.0, 200.0, 128.0, 128.0, 256, 256)
+        centre = skeleton.point("blade_centre")
+        pose = look_at_pose(centre + np.array([30.0, 0.0, 0.0]), centre)
+        clean = render(skeleton, pose, k)
+        uv = np.rint(pinhole(k, world_to_camera(pose, skeleton.points))).astype(int)
+        points, lines = clean.point_channels.copy(), clean.line_channels.copy()
+        points[0, uv[0, 1] - 4, uv[0, 0] - 6 : uv[0, 0] + 7] = np.inf  # along a row by the tower base
+        points[3, uv[3, 1] - 5 : uv[3, 1] + 6, uv[3, 0] + 3] = np.inf  # along a column by a tip
+        points[1, uv[1, 1] + 1, uv[1, 0] - 1] = -np.inf  # beside the tower top's peak
+        lines[LineClass.BLADE] = np.inf
+        lines[LineClass.TOWER, uv[1, 1] : (uv[0, 1] + uv[1, 1]) // 2, uv[0, 0] + 3] = -np.inf  # the tower's upper half
+        frame = HeatmapFrame(lines, points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        with np.errstate(invalid="ignore"):
+            want = reference_match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+        for name in MATCH_FIELDS:
+            assert np.array_equal(getattr(m, name), getattr(want, name)), name
+        point = m.kinds == int(CorrespondenceKind.POINT)
+        held = 0
+        for predicted, cls, matched in zip(predictions(k, pose, m)[point], m.class_ids[point], m.matched[point]):
+            ys, xs = np.nonzero(np.isposinf(points[cls]))  # row-major
+            d2 = (xs - predicted[0]) ** 2 + (ys - predicted[1]) ** 2
+            if np.any(d2 <= cfg.r_point**2):
+                held += 1
+                j = np.argmin(d2)  # the first of the nearest, as the point search breaks ties
+                assert matched.tolist() == [xs[j], ys[j]]
+        assert held >= 2 and m.n_points == 6
+        clean_lines = match_frame_arrays(skeleton, subdivided, pose, k, clean, cfg).n_lines
+        assert 0 < m.n_lines < clean_lines
 
     def test_all_zero_frame_empty(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
@@ -890,21 +932,21 @@ class TestPoseStage:
     @pytest.fixture
     def projections(self, monkeypatch):
         """Rows (t bytes) of each `project_model` call and the number of
-        `world_to_camera` calls in matching, as they happen."""
+        `project_skeleton` calls in matching, as they happen."""
         rows, projected = [], [0]
-        project, to_camera = matching.project_model, matching.world_to_camera
+        project, project_skeleton = matching.project_model, matching.project_skeleton
 
         def counted_project(skeleton, subdivided, t, q, k, cfg):
             rows.append(t.tobytes())
             return project(skeleton, subdivided, t, q, k, cfg)
 
-        def counted_to_camera(*args):
+        def counted_project_skeleton(*args):
             projected[0] += 1
-            return to_camera(*args)
+            return project_skeleton(*args)
 
         for module in (matching, posegraph):
             monkeypatch.setattr(module, "project_model", counted_project)
-        monkeypatch.setattr(matching, "world_to_camera", counted_to_camera)
+        monkeypatch.setattr(matching, "project_skeleton", counted_project_skeleton)
         return rows, projected
 
     def test_one_projection_per_pass(self, scene, computed, projections):
@@ -928,7 +970,7 @@ class TestPoseStage:
     def test_one_projection_per_pass_of_a_flight(self, scene, computed, projections, monkeypatch):
         skeleton, subdivided, k, _, cfg = scene
         rows, projected = projections
-        passes = []  # (keyframes, matcher calls, world_to_camera calls) per pass
+        passes = []  # (keyframes, matcher calls, project_skeleton calls) per pass
         match = PoseGraph._match
 
         def per_pass(self, t, q):

@@ -14,7 +14,7 @@ import pytest
 import reference_simulation
 import turbloc.heatmap
 import turbloc.simulation
-from turbloc.geometry import CameraIntrinsics, Pose, look_at_pose, pinhole, world_to_camera
+from turbloc.geometry import CameraIntrinsics, Pose, in_view, look_at_pose, pinhole, world_to_camera
 from turbloc.heatmap import HeatmapFrame, render, write_frame
 from turbloc.simulation import (
     NoiseSpec,
@@ -25,7 +25,7 @@ from turbloc.simulation import (
     run_sweep,
 )
 from turbloc.posegraph import SolverConfig
-from turbloc.turbine import LINES, TurbineParams, build_skeleton
+from turbloc.turbine import LINES, POINT_CLASSES, PointClass, TurbineParams, build_skeleton
 
 DEG = math.pi / 180.0
 K256 = CameraIntrinsics(200.0, 200.0, 127.5, 127.5, 256, 256)
@@ -81,7 +81,7 @@ class TestInjectNoise:
 
 
 def views(skeleton):
-    """(camera, pose) pairs: orbit, clipped, behind-camera, point-like and blank views."""
+    """(camera, pose) pairs: orbit, close-range, clipped, behind-camera, point-like and blank views."""
     centre = skeleton.point("blade_centre")
     tip = skeleton.points[4]
     rng = np.random.default_rng(5)
@@ -100,6 +100,8 @@ def views(skeleton):
         # looking away
         (K256, look_at_pose(centre + np.array([30.0, 0.0, 0.0]), centre + np.array([60.0, 0.0, 0.0]))),
     ]
+    # close range, the rotor edge-on on every second pose: two tips nearly meet
+    out += [(K40, pose) for pose in generate_orbit_trajectory(skeleton, 12.0, 4).poses]
     out += [(K40, pose) for pose in generate_orbit_trajectory(skeleton, 30.0, 4).poses]
     out += [(K40, look_at_pose(centre + np.array([12.0, 0.0, 0.0]), centre))]
     for _ in range(6):
@@ -121,6 +123,19 @@ class TestRender:
             off = (uv < -0.5) | (uv >= np.array([k.width, k.height]) - 0.5)
             clipped += np.any(off)
         assert point_like >= 2 and clipped >= 3 and behind >= 2
+
+    def test_views_cover_overlapping_features(self, skeleton):
+        """A channel's maximum differs from its features' own Gaussians only
+        where two of them lie within each other's 3 sigma radius.  The blade
+        lines always meet at the hub; at least 3 views bring two blade tips
+        within 3 sigma of each other at sigma 2, the smaller of `test_frames`'."""
+        near_tips = 0
+        for k, pose in views(skeleton):
+            uv = pinhole(k, world_to_camera(pose, skeleton.points))
+            tips = uv[(POINT_CLASSES == PointClass.BLADE_TIP) & in_view(k, uv)]
+            gaps = np.sqrt(((tips[:, None] - tips[None]) ** 2).sum(axis=-1))[np.triu_indices(len(tips), 1)]
+            near_tips += np.any(gaps <= 3.0 * 2.0)
+        assert near_tips >= 3
 
     @pytest.mark.parametrize("sigma", [2.0, 5.0])
     def test_frames(self, skeleton, sigma):
