@@ -16,9 +16,10 @@ Conventions used throughout the package:
   the top-left pixel; a pixel is in view iff ``-0.5 <= u < width - 0.5``
   (same for v).
 - "Behind the camera" means a camera-frame depth of at most ``EPS_DEPTH``,
-  and it is decided in two places only: `pinhole` projects such a point to
-  NaN, which `in_view` rejects, and `clip_segments_to_front` moves a
-  segment's end onto the near plane.
+  and it is decided in three places only: `pinhole` projects such a point
+  to NaN, which `in_view` rejects, `clip_segments_to_front` moves a
+  segment's end onto the near plane, and `posegraph._image_residuals` marks
+  such a row not ok, which makes the graph's cost inf.
 - The package projects in two places.  `heatmap.project_skeleton` chains
   `world_to_camera`, `clip_segments_to_front`, `pinhole` and `in_view` for
   `render` and the pose stage of matching; nothing else in the package

@@ -42,7 +42,6 @@ match only compares, casts and sums such values, where -0.0 acts as +0.0.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -228,7 +227,8 @@ class ProjectedModel(NamedTuple):
     point rows p_start[i]:p_start[i + 1] and the sample rows
     s_start[i]:s_start[i + 1] (axis 1 of corners and weights).  Built for one
     skeleton, subdivided model, camera and config (`source`), and valid with
-    those only.  Every array is read-only."""
+    those only: the same skeleton and subdivided model, an equal camera and
+    config.  Every array is read-only."""
 
     source: tuple  # (skeleton, subdivided, camera, config) it was projected for
     p_start: tuple  # (n + 1,) ints: first point row of each pose, then the row count
@@ -442,16 +442,17 @@ def match_frame_arrays(
 
     `pose_estimate` is a `Pose`, which this call projects, or a pair (view,
     i): pose i, an int, of a view that `project_model` built for the same
-    skeleton, subdivided model, camera and config (the same objects); another
-    view or an index outside it raises ValueError.  Rows list point matches
-    in skeleton order, then line-sample matches grouped by skeleton line,
-    each group in subdivided order.
+    skeleton and subdivided model (the same objects) and an equal camera and
+    config (compared by value, as a match depends only on their values);
+    another view or an index outside it raises ValueError.  Rows list point
+    matches in skeleton order, then line-sample matches grouped by skeleton
+    line, each group in subdivided order.
     """
     if isinstance(pose_estimate, Pose):
         view, i = project_model(skeleton, subdivided, pose_estimate.t[None], pose_estimate.q[None], k, cfg), 0
     else:
         view, i = pose_estimate
-        if not all(map(operator.is_, view.source, (skeleton, subdivided, k, cfg))):
+        if view.source != (skeleton, subdivided, k, cfg):
             raise ValueError("the view was projected for another skeleton, subdivided model, camera or config")
         if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 0 <= i < len(view.p_start) - 1:
             raise ValueError(f"pose index {i!r} is not one of the view's {len(view.p_start) - 1} poses")

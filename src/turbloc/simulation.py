@@ -41,7 +41,7 @@ from .turbine import TurbineSkeleton, subdivide
 NORMAL_TERMINATIONS = ("step_tolerance", "cost_tolerance", "stalled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     timestamps: np.ndarray  # (n,), seconds, strictly increasing
     poses: tuple[Pose, ...]
@@ -83,7 +83,7 @@ class NoiseSpec:
         _check_seed(self.seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class ErrorReport:
     translation_errors: np.ndarray  # (n,), meters
     rotation_errors: np.ndarray  # (n,), radians (geodesic angle)
@@ -216,7 +216,7 @@ def build_and_optimize(
 # noise sweep (Fig. 5-style grid)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SweepCell:
     sigma_t: float
     sigma_r: float  # radians

@@ -49,7 +49,7 @@ LINES = np.array(
 LINES.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TurbineParams:
     """Shape of the turbine; assumed known before localization starts."""
 
@@ -82,7 +82,7 @@ class TurbineParams:
                     raise ValueError("blade azimuths must be pairwise distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TurbineSkeleton:
     """The 6 points of one turbine, rows of `points` ordered as POINT_LABELS."""
 
@@ -100,7 +100,7 @@ class TurbineSkeleton:
         return self.points[POINT_LABELS.index(label)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubdividedModel:
     """Line points sampled at regular intervals, endpoints included.
 
@@ -124,9 +124,6 @@ class SubdividedModel:
         ids.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "line_ids", ids)
-
-    def __len__(self):
-        return self.points.shape[0]
 
 
 def build_skeleton(params: TurbineParams) -> TurbineSkeleton:

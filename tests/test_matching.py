@@ -748,7 +748,8 @@ class TestMatchMemo:
     @pytest.mark.parametrize("change", ["match_cfg", "subdivided", "skeleton", "camera"])
     def test_a_reassigned_graph_attribute_matches_anew(self, scene, computed, change):
         # the graph's skeleton, subdivided model, camera and config are in
-        # the key, by identity: after one is reassigned, every keyframe is
+        # the key, the skeleton and subdivided model by identity, the camera
+        # and config by value: after one is reassigned, every keyframe is
         # matched again, as a fresh graph with the new objects matches it
         skeleton, subdivided, k, _, cfg = scene
         poses = generate_orbit_trajectory(skeleton, 30.0, 4).poses
@@ -778,6 +779,33 @@ class TestMatchMemo:
         for kf in graph.keyframes:
             fresh.add_keyframe(kf.measured_pose, kf.frame)
         assert [a.tobytes() for a in rows] == [a.tobytes() for a in fresh._match(t, q)]
+
+    @pytest.mark.parametrize("change, served", [("match_cfg", True), ("camera", True), ("subdivided", False)])
+    def test_an_equal_graph_attribute(self, scene, computed, change, served):
+        # an equal camera or config assigned to the graph is the same key, so
+        # the next pass at the same estimates is served; an equal but
+        # distinct subdivided model is another key
+        skeleton, subdivided, k, _, cfg = scene
+        poses = generate_orbit_trajectory(skeleton, 30.0, 4).poses
+        graph = PoseGraph(skeleton, subdivided, k, match_cfg=cfg)
+        for p in poses:
+            graph.add_keyframe(p, render(skeleton, p, k))
+        t = np.array([p.t for p in poses]) + (0.2, -0.1, 0.1)
+        q = np.array([p.q for p in poses])
+        first = graph._match(t, q)
+        assert len(computed) == 4
+        value = {
+            "match_cfg": MatchConfig(),
+            "camera": dataclasses.replace(graph.camera),
+            "subdivided": subdivide(skeleton, cfg.s_tower, cfg.s_hub, cfg.s_blade),
+        }[change]
+        old = getattr(graph, change)
+        assert value is not old
+        assert all(np.array_equal(getattr(value, f.name), getattr(old, f.name)) for f in dataclasses.fields(value))
+        setattr(graph, change, value)
+        rows = graph._match(t, q)
+        assert len(computed) == (4 if served else 8)
+        assert [a.tobytes() for a in rows] == [a.tobytes() for a in first]
 
     def test_results_are_frozen(self, scene):
         skeleton, subdivided, k, pose, cfg = scene
@@ -913,7 +941,7 @@ class TestPoseStage:
         assert normalised == [n]
         for i, kf in enumerate(graph.keyframes):
             want = Pose(t[i], q[i])
-            assert kf.last_match[0][1:] == (want.t.tobytes(), want.q.tobytes())
+            assert kf.last_match[0][1:3] == (want.t.tobytes(), want.q.tobytes())
             single = project_model(skeleton, subdivided, want.t[None], want.q[None], k, cfg)
             assert pose_rows(projected[0], i) == pose_rows(single, 0)
 
@@ -998,17 +1026,37 @@ class TestPoseStage:
         frame = render(skeleton, pose, k)
         args = dict(skeleton=skeleton, subdivided=subdivided, pose_estimate=(view, 0), k=k, frame=frame, cfg=cfg)
         assert len(match_frame_arrays(**args)) > 0
-        # an equal but distinct object, or a frame of another size
+        # an equal but distinct skeleton or subdivided model, a camera or
+        # config of other values, or a frame of another size
         name, value = {
             "skeleton": ("skeleton", TurbineSkeleton(skeleton.points)),
             "subdivided": ("subdivided", subdivide(skeleton, cfg.s_tower, cfg.s_hub, cfg.s_blade)),
-            "camera": ("k", dataclasses.replace(k)),
-            "cfg": ("cfg", MatchConfig()),
+            "camera": ("k", dataclasses.replace(k, fx=k.fx + 1.0)),
+            "cfg": ("cfg", MatchConfig(k_line=21)),
             "frame": ("frame", blank_frame(k.width + 1, k.height)),
         }[change]
         args[name] = value
         with pytest.raises(ValueError):
             match_frame_arrays(**args)
+
+    @pytest.mark.parametrize("change", ["camera", "cfg"])
+    def test_a_view_for_an_equal_camera_or_config_matches_to_the_bit(self, scene, change):
+        # the camera and config compare by value: a match depends only on
+        # their values, so an equal one is accepted and changes no bit
+        skeleton, subdivided, k, pose, cfg = scene
+        view = project_model(skeleton, subdivided, pose.t[None], pose.q[None], k, cfg)
+        rng = np.random.default_rng(53)
+        frame = degrade_measurements([render(skeleton, perturbed(pose, rng, 0.2, 1.0 * DEG), k)], 0.1, 5.0, seed=3)[0]
+        args = dict(skeleton=skeleton, subdivided=subdivided, pose_estimate=(view, 0), k=k, frame=frame, cfg=cfg)
+        want = match_frame_arrays(**args)
+        name, value = {"camera": ("k", dataclasses.replace(k)), "cfg": ("cfg", MatchConfig())}[change]
+        assert value is not args[name] and value == args[name]
+        args[name] = value
+        got = match_frame_arrays(**args)
+        assert want.n_points > 0 and want.n_lines > 0
+        for name in MATCH_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("index", [-1, -2, 3, True, False, 1.0, np.float64(0.0), None])
     def test_an_index_outside_the_view_raises(self, scene, index):

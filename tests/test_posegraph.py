@@ -496,7 +496,9 @@ class TestOptimize:
             return match_frame_arrays(*args)
 
         monkeypatch.setattr(posegraph, "match_frame_arrays", counted)
-        cfg = SolverConfig(max_iterations=4, cost_tolerance=1e-300, step_tolerance=1e-300)
+        monkeypatch.setattr(posegraph, "COST_TOLERANCE", 1e-300)
+        monkeypatch.setattr(posegraph, "STEP_TOLERANCE", 1e-300)
+        cfg = SolverConfig(max_iterations=4)
         report = graph.optimize(cfg)
         assert report.termination == "max_iterations"
         frames = [kf.frame for kf in graph.keyframes]
@@ -678,6 +680,54 @@ class TestOptimize:
         d = asdict(report)
         assert set(d) >= {"iterations", "initial_cost", "final_cost", "termination", "costs"}
         assert isinstance(report, OptimizeReport)
+
+    def test_report_bookkeeping_for_every_termination(self, scene, monkeypatch):
+        # the levers of the tests above: a clean incremental flight steps to
+        # the tolerances and stalls, one pass caps a perturbed graph, blank
+        # frames match nothing, and a solve that raises or steps 1e3 fails
+        skeleton, subdivided, k, cfg = scene
+        rows = []  # row count of each `_match` call
+        match = PoseGraph._match
+
+        def counted(self, t, q):
+            out = match(self, t, q)
+            rows.append(out.kf_idx.size)
+            return out
+
+        monkeypatch.setattr(PoseGraph, "_match", counted)
+        seen = []  # (report, rows of the call's last pass)
+
+        def optimize(graph, solver_cfg=None):
+            seen.append((graph.optimize(solver_cfg or SolverConfig()), rows[-1]))
+
+        truth = generate_orbit_trajectory(skeleton, 30.0, 4)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        graph = PoseGraph(skeleton, subdivided, k, GraphWeights(), cfg)
+        for pose, frame in zip(noisy.poses, simulate_measurements(truth, skeleton, k)):
+            graph.add_keyframe(pose, frame)
+            optimize(graph)
+        optimize(truth_graph(scene, [0.3], perturb={0: DELTA})[0], SolverConfig(max_iterations=1))
+        optimize(truth_graph(scene, [0.2, 0.5], blank={0, 1})[0])
+
+        def singular(*args, **kwargs):
+            raise LinAlgError("not positive definite")
+
+        with monkeypatch.context() as m:
+            m.setattr(posegraph, "solveh_banded", singular)
+            optimize(truth_graph(scene, [0.2, 0.5], perturb={1: DELTA})[0])
+        with monkeypatch.context() as m:
+            m.setattr(PoseGraph, "_solve_banded", staticmethod(lambda h_diag, *_: np.full((len(h_diag), 6), 1e3)))
+            optimize(truth_graph(scene, [0.2, 0.5], perturb={1: DELTA})[0])
+        labels = {report.termination for report, _ in seen}
+        assert labels == {
+            "step_tolerance", "cost_tolerance", "stalled", "max_iterations", "no_descent", "solve_failure",
+            "rank_deficient",
+        }
+        for report, last_rows in seen:
+            assert report.iterations == len(report.costs) - 1
+            assert report.initial_cost == report.costs[0] and report.final_cost == report.costs[-1]
+            assert report.n_correspondences == last_rows
+            assert (last_rows == 0) == (report.termination == "rank_deficient")
 
 
 class TestFlightMatchesReference:
@@ -882,10 +932,6 @@ class TestConfigValidation:
         "kwargs",
         [
             dict(max_iterations=0),
-            dict(cost_tolerance=0.0),
-            dict(step_tolerance=-1e-9),
-            dict(cost_tolerance=math.nan),
-            dict(step_tolerance=math.inf),
             dict(max_iterations=math.nan),
             dict(max_iterations=2.5),
             dict(max_iterations=30.0),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from turbloc.posegraph import GraphWeights, SolverConfig
 from turbloc.simulation import (
     ErrorReport,
     NoiseSpec,
+    SweepCell,
     SweepReport,
     Trajectory,
     build_and_optimize,
@@ -455,3 +457,36 @@ class TestTrajectoryType:
 
     def test_noise_spec_accepts_numpy_seed(self):
         assert NoiseSpec(0.1, 0.1, seed=np.uint64(2**63)).seed == 2**63
+
+
+def error_report():
+    return ErrorReport(np.zeros(3), np.ones(3), 0.0, 1.0)
+
+
+def turbine_params():
+    return TurbineParams(np.zeros(3), 0.0, 10.0, 1.0, 5.0, np.array([90.0, 210.0, 330.0]) * DEG)
+
+
+# a fresh instance of each class that holds arrays, equal field for field to
+# any other the same factory builds
+ARRAY_HOLDERS = {
+    "TurbineParams": turbine_params,
+    "TurbineSkeleton": lambda: build_skeleton(turbine_params()),
+    "SubdividedModel": lambda: subdivide(build_skeleton(turbine_params()), 10, 3, 8),
+    "Trajectory": lambda: Trajectory(np.arange(2.0), (IDENTITY, IDENTITY)),
+    "ErrorReport": error_report,
+    "SweepCell": lambda: SweepCell(0.1, 0.2, error_report(), error_report(), 3, "ok"),
+}
+
+
+class TestArrayHoldersCompareByIdentity:
+    @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+    def test_equal_arrays_compare_unequal_without_raising(self, name):
+        # `==` on their arrays would raise, so an instance equals itself only
+        a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+        assert type(a).__name__ == name
+        assert (a == b) is False and (a != b) is True and (a == a) is True
+        assert hash(a) == hash(a)
+        assert a in [b, a] and b not in [a]
+        assert {a: 1, b: 2}[a] == 1
+        assert asdict(a).keys() == asdict(b).keys()

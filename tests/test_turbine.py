@@ -133,7 +133,7 @@ class TestSubdivide:
     def test_counts(self):
         sk = build_skeleton(make_params())
         sub = subdivide(sk, 5, 3, 10)
-        assert len(sub) == 5 + 3 + 30
+        assert len(sub.points) == 5 + 3 + 30
 
     def test_blade_sample_spacing(self):
         # linear-interpolation oracle: k/(s-1) * blade_length from the centre
