@@ -932,6 +932,10 @@ class TestConfigValidation:
         "kwargs",
         [
             dict(max_iterations=0),
+            dict(max_iterations=-1),
+            dict(max_iterations=math.inf),
+            dict(max_iterations="30"),
+            dict(max_iterations=None),
             dict(max_iterations=math.nan),
             dict(max_iterations=2.5),
             dict(max_iterations=30.0),
