@@ -58,6 +58,12 @@ from .turbine import LINES, POINT_CLASSES, SubdividedModel, TurbineSkeleton
 _SAME_CLASS_PAIRS = (LINES[:, None, 2] == LINES[None, :, 2]) & ~np.eye(len(LINES), dtype=bool)
 _SAME_CLASS_PAIRS.flags.writeable = False
 
+# the parallel guard's bound on |cross|, the sine of 50 degrees: skip line
+# samples when another same-class model line projects nearly parallel within
+# search range, where the perpendicular search cannot tell the ridges apart
+# (foreshortened views of the rotor)
+_SIN_GUARD = np.sin(np.radians(50.0))
+
 # (-y, x) = (y, x) * _QUARTER_TURN turns a 2-vector a quarter turn
 _QUARTER_TURN = np.array([-1.0, 1.0])
 _QUARTER_TURN.flags.writeable = False
@@ -85,10 +91,6 @@ class MatchConfig:
     s_tower: int = 10
     s_hub: int = 3
     s_blade: int = 8
-    # skip line samples when another same-class model line projects nearly
-    # parallel within search range: the perpendicular search cannot tell the
-    # ridges apart there (foreshortened views of the rotor)
-    parallel_guard_deg: float = 50.0
 
     def __post_init__(self):
         counts = (self.k_line, self.s_tower, self.s_hub, self.s_blade)
@@ -106,8 +108,6 @@ class MatchConfig:
                 raise ValueError("thresholds must lie in (0, 1)")
         if min(self.s_tower, self.s_hub, self.s_blade) < 2:
             raise ValueError("subdivision counts must be at least 2")
-        if not (0.0 <= self.parallel_guard_deg < 90.0):
-            raise ValueError("parallel_guard_deg must lie in [0, 90)")
 
     def line_offsets(self) -> np.ndarray:
         """Signed sample offsets spanning [-a_line/2, +a_line/2], centre at 0."""
@@ -124,11 +124,6 @@ class MatchConfig:
         ordered = offsets[np.argsort(np.abs(offsets) + 0.25 * spacing * (offsets > 0), kind="stable")]
         ordered.flags.writeable = False
         return ordered
-
-    @cached_property
-    def _sin_guard(self) -> float:
-        """Sine of parallel_guard_deg, the parallel guard's bound on |cross|."""
-        return np.sin(np.radians(self.parallel_guard_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +288,7 @@ def project_model(
     perp, direction, usable = _perpendiculars(a2, b2)
     usable &= projected
     cross = direction[:, :, None, 0] * direction[:, None, :, 1] - direction[:, :, None, 1] * direction[:, None, :, 0]
-    near_parallel = _SAME_CLASS_PAIRS & usable[:, :, None] & usable[:, None, :] & ~(np.abs(cross) >= cfg._sin_guard)
+    near_parallel = _SAME_CLASS_PAIRS & usable[:, :, None] & usable[:, None, :] & ~(np.abs(cross) >= _SIN_GUARD)
     lid = subdivided.line_ids
     keep = seen[:, n_pts:] & usable[:, lid]
     guarded = near_parallel.any(axis=(1, 2)).nonzero()[0]

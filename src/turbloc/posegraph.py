@@ -134,7 +134,6 @@ class SolverConfig:
 class Keyframe:
     id: int
     measured_pose: Pose  # GPS/IMU absolute estimate, only used via the relative offset
-    relative_measurement: Pose | None  # previous pose in this one's frame; None iff id == 0
     frame: HeatmapFrame
     estimate: Pose
     # ((frame, t bytes, q bytes, skeleton, subdivided, camera, config),
@@ -324,7 +323,11 @@ def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int,
 
 
 class PoseGraph:
-    """Single-writer pose graph over keyframes of one flight."""
+    """Single-writer pose graph over keyframes of one flight.
+
+    The GPS/IMU relative measurements are rows meas_t (n - 1, 3) and meas_q
+    (n - 1, 4): row i is keyframe i in keyframe i+1's frame, the measured
+    poses' `relative_pose`, appended by `add_keyframe`."""
 
     def __init__(
         self,
@@ -340,6 +343,7 @@ class PoseGraph:
         self.weights = weights or GraphWeights()
         self.match_cfg = match_cfg or MatchConfig()
         self.keyframes: list[Keyframe] = []
+        self.meas_t, self.meas_q = np.empty((0, 3)), np.empty((0, 4))
 
     def __len__(self):
         return len(self.keyframes)
@@ -351,14 +355,13 @@ class PoseGraph:
                 f"frame is {frame.width}x{frame.height}, the camera {self.camera.width}x{self.camera.height}"
             )
         kf_id = len(self.keyframes)
-        if kf_id == 0:
-            kf = Keyframe(0, measured_pose, None, frame, measured_pose)
-        else:
+        estimate = measured_pose
+        if kf_id:
             prev = self.keyframes[-1]
             rel = relative_pose(measured_pose, prev.measured_pose)
             estimate = compose(prev.estimate, rel.inverse())
-            kf = Keyframe(kf_id, measured_pose, rel, frame, estimate)
-        self.keyframes.append(kf)
+            self.meas_t, self.meas_q = np.vstack([self.meas_t, rel.t]), np.vstack([self.meas_q, rel.q])
+        self.keyframes.append(Keyframe(kf_id, measured_pose, frame, estimate))
         return kf_id
 
     def estimates(self) -> list[Pose]:
@@ -419,10 +422,6 @@ class PoseGraph:
             ),
         )
 
-    def _measurement_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        rels = [kf.relative_measurement for kf in self.keyframes[1:]]
-        return np.array([r.t for r in rels]).reshape(-1, 3), np.array([r.q for r in rels]).reshape(-1, 4)
-
     # -- objective --------------------------------------------------------------
 
     def _residuals(self, pose: _PoseTerms, rows: _Rows) -> tuple[float, _ImageTerms]:
@@ -475,8 +474,8 @@ class PoseGraph:
         cfg = solver_cfg or SolverConfig()
         if not self.keyframes:
             raise ValueError("empty graph")
-        meas_t, meas_q = self._measurement_arrays()
-        relative = (meas_t, quat_conjugate(meas_q), np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot))
+        sqrt_w = np.sqrt(self.weights.beta_t), np.sqrt(self.weights.beta_rot)
+        relative = (self.meas_t, quat_conjugate(self.meas_q), *sqrt_w)
         pose = _pose_terms(
             np.array([kf.estimate.t for kf in self.keyframes]),
             np.array([kf.estimate.q for kf in self.keyframes]),

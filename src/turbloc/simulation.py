@@ -163,7 +163,9 @@ def degrade_measurements(
             if jitter_px > 0.0:
                 shifted = np.empty_like(chans)
                 for c in range(chans.shape[0]):
-                    dx, dy = np.rint(rng.normal(0.0, jitter_px, 2)).astype(int)
+                    # int of a finite float is exact at any size, and np.roll
+                    # reduces the shift modulo the channel's size
+                    dx, dy = map(int, np.rint(rng.normal(0.0, jitter_px, 2)))
                     shifted[c] = np.roll(chans[c], (dy, dx), axis=(0, 1))
                 chans = shifted
             if pixel_sigma > 0.0:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Line counts of the package's modules: all lines and code lines.
+"""Line counts of the package's modules, and its settable config values.
 
     python3 tests/code_lines.py
 
@@ -7,17 +7,27 @@ For each module of `src/turbloc` it prints the `wc -l` count and the code
 lines, then the totals.  A code line holds a token outside docstrings and
 comments (found with `ast` and `tokenize`); blank lines, comment lines and
 docstring lines do not count, and a multi-line token counts every line it
-spans.  pytest does not collect this script (its name does not start with
-test_).
+spans.  It then prints the init fields of the three config classes, per
+class and in total: the values a caller can set.  The script imports
+turbloc from the `src/` beside it; pytest does not collect it (its name
+does not start with test_).
 """
 
 import ast
+import dataclasses
 import io
 import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "turbloc"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "turbloc"
+sys.path.insert(0, str(SRC))
+
+from turbloc.matching import MatchConfig  # noqa: E402
+from turbloc.posegraph import GraphWeights, SolverConfig  # noqa: E402
+
+CONFIGS = (GraphWeights, SolverConfig, MatchConfig)
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
@@ -51,6 +61,13 @@ def main() -> int:
         total_code += code
         print(f"{path.name:16s} {wc:6,d} {code:6,d}")
     print(f"{'total':16s} {total_wc:6,d} {total_code:6,d}")
+    print()
+    total_fields = 0
+    for cls in CONFIGS:
+        names = [f.name for f in dataclasses.fields(cls) if f.init]
+        total_fields += len(names)
+        print(f"{cls.__name__:16s} {len(names):6d}  {' '.join(names)}")
+    print(f"{'settable total':16s} {total_fields:6d}")
     return 0
 
 

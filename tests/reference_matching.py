@@ -9,6 +9,7 @@ the library.
 
 import numpy as np
 
+import turbloc.matching
 from turbloc.geometry import EPS_DEPTH, clip_segments_to_front, pinhole, world_to_camera
 from turbloc.matching import CorrespondenceKind, FrameMatches
 from turbloc.turbine import LINES, POINT_CLASSES
@@ -181,7 +182,7 @@ def reference_match_frame_arrays(skeleton, subdivided, pose_estimate, k, frame, 
         if in_front[0]:
             projected_lines[line_id] = (pinhole(k, a[0]), pinhole(k, b[0]))
 
-    sin_guard = np.sin(np.radians(cfg.parallel_guard_deg))
+    sin_guard = turbloc.matching._SIN_GUARD
     for line_id, (_, _, line_class) in enumerate(LINES):
         if line_id not in projected_lines:
             continue

@@ -298,6 +298,28 @@ class TestSameClassPairs:
             _SAME_CLASS_PAIRS[2, 3] = False
 
 
+class TestParallelGuard:
+    def test_guard_drops_every_blade_sample_of_half_the_orbit(self, scene, monkeypatch):
+        # the baseline orbit matched at its true poses: the guard drops all
+        # 24 blade samples of 6 of the 12 views, and setting matching._SIN_GUARD
+        # to 0 turns it off
+        skeleton, subdivided, k, _, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 12)
+        frames = [render(skeleton, pose, k) for pose in truth.poses]
+
+        def blade_rows():
+            rows = []
+            for pose, frame in zip(truth.poses, frames):
+                m = match_frame_arrays(skeleton, subdivided, pose, k, frame, cfg)
+                rows.append(int(np.sum((m.kinds == CorrespondenceKind.LINE) & (m.class_ids == LineClass.BLADE))))
+            return rows
+
+        guarded = {2, 3, 4, 8, 9, 10}
+        assert blade_rows() == [0 if i in guarded else 24 for i in range(12)]
+        monkeypatch.setattr(matching, "_SIN_GUARD", 0.0)
+        assert blade_rows() == [24] * 12
+
+
 def predictions(k, pose, m):
     """Where the matched model points `m.points3d` project at `pose`."""
     return pinhole(k, world_to_camera(pose, m.points3d))
@@ -425,11 +447,21 @@ class TestMatchFrame:
 
 
 MATCH_FIELDS = ("points3d", "matched", "kinds", "class_ids")
+# (config, the parallel guard's bound on |cross|); a bound of 0 turns the guard off
 REFERENCE_CONFIGS = [
-    MatchConfig(),
-    MatchConfig(r_point=24.0, a_line=16.0, k_line=9, s_tower=4, s_hub=2, s_blade=5),
-    MatchConfig(parallel_guard_deg=0.0),
+    (MatchConfig(), matching._SIN_GUARD),
+    (MatchConfig(r_point=24.0, a_line=16.0, k_line=9, s_tower=4, s_hub=2, s_blade=5), matching._SIN_GUARD),
+    (MatchConfig(), 0.0),
 ]
+
+
+@pytest.fixture
+def cfg(request, monkeypatch):
+    """The config of a `REFERENCE_CONFIGS` case, with `matching._SIN_GUARD`,
+    which the library and the reference both read, set to the case's bound."""
+    config, sin_guard = request.param
+    monkeypatch.setattr(matching, "_SIN_GUARD", sin_guard)
+    return config
 
 
 def perturbed(pose, rng, sigma_t, sigma_r):
@@ -450,7 +482,7 @@ def check_reference(skeleton, pose, k, frame, cfg):
 class TestMatchesReference:
     """match_frame_arrays reproduces the per-feature loop bit for bit."""
 
-    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, indirect=True)
     def test_orbit_clean_and_degraded(self, scene, cfg):
         skeleton, _, k, _, _ = scene
         truth = generate_orbit_trajectory(skeleton, 30.0, 8)
@@ -468,7 +500,7 @@ class TestMatchesReference:
                     n_lines += want.n_lines
         assert n_points > 0 and n_lines > 0
 
-    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, indirect=True)
     def test_points_behind_camera(self, scene, cfg):
         # looking down at the tower base from below the tower top: the top, the
         # hub and parts of the blades are behind, so the tower line is clipped
@@ -483,7 +515,7 @@ class TestMatchesReference:
             lines += check_reference(skeleton, estimate, k, frame, cfg).n_lines
         assert lines > 0
 
-    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, indirect=True)
     def test_points_near_image_border(self, scene, cfg):
         # principal points near the corners put the turbine against the border
         skeleton, _, _, pose, _ = scene
@@ -498,7 +530,7 @@ class TestMatchesReference:
                 near_border += np.sum(np.min(np.hstack([pred, 255.0 - pred]), axis=1) < cfg.r_point)
         assert near_border > 0
 
-    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, indirect=True)
     def test_camera_smaller_than_point_window(self, scene, cfg):
         skeleton, _, _, pose, _ = scene
         k = CameraIntrinsics(50.0, 50.0, 19.5, 14.5, 40, 30)
@@ -510,7 +542,7 @@ class TestMatchesReference:
             found += len(check_reference(skeleton, estimate, k, frame, cfg))
         assert found > 0
 
-    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, indirect=True)
     def test_all_zero_frame(self, scene, cfg):
         skeleton, _, k, pose, _ = scene
         assert len(check_reference(skeleton, pose, k, blank_frame(k.width, k.height), cfg)) == 0
@@ -532,10 +564,11 @@ class TestPixelListCache:
     """The frame's cached list of point pixels above lambda_point: NaN pixels,
     thresholds and frame lifetimes, each against the reference matcher."""
 
-    def test_nan_pixels(self, scene):
+    def test_nan_pixels(self, scene, monkeypatch):
         skeleton, _, k, pose, _ = scene
         nan_frame = with_nan_pixels(skeleton, pose, k, render(skeleton, pose, k))
-        for config in REFERENCE_CONFIGS:
+        for config, sin_guard in REFERENCE_CONFIGS:
+            monkeypatch.setattr(matching, "_SIN_GUARD", sin_guard)
             m = check_reference(skeleton, pose, k, nan_frame, config)
             assert set(m.class_ids[m.kinds == int(CorrespondenceKind.POINT)].tolist()) == {1, 2, 3}
             assert 0 < m.n_lines < 37

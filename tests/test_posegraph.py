@@ -166,7 +166,7 @@ class TestAddKeyframe:
         pose = orbit_pose(skeleton, 0.3)
         graph.add_keyframe(pose, blank_frame(k.width, k.height))
         kf = graph.keyframes[0]
-        assert kf.relative_measurement is None
+        assert graph.meas_t.shape == (0, 3) and graph.meas_q.shape == (0, 4)
         assert np.array_equal(kf.estimate.t, pose.t)
         assert np.array_equal(kf.estimate.q, pose.q)
 
@@ -177,9 +177,8 @@ class TestAddKeyframe:
         frame = blank_frame(k.width, k.height)
         graph.add_keyframe(pose, frame)
         graph.add_keyframe(pose, frame)
-        rel = graph.keyframes[1].relative_measurement
-        assert np.allclose(rel.t, 0.0, atol=1e-12)
-        assert geodesic_angle(rel.q, np.array([1.0, 0, 0, 0])) < 1e-12
+        assert np.allclose(graph.meas_t[0], 0.0, atol=1e-12)
+        assert geodesic_angle(graph.meas_q[0], np.array([1.0, 0, 0, 0])) < 1e-12
 
     def test_chain_measurements_compose(self, scene):
         # composition oracle over a 5-keyframe chain
@@ -192,9 +191,9 @@ class TestAddKeyframe:
             q = quat_normalize(rng.standard_normal(4))
             poses.append(Pose(10 * rng.standard_normal(3), q))
             graph.add_keyframe(poses[-1], frame)
-        acc = graph.keyframes[-1].relative_measurement
-        for kf in reversed(graph.keyframes[1:-1]):
-            acc = compose(acc, kf.relative_measurement)
+        acc = Pose(graph.meas_t[-1], graph.meas_q[-1])
+        for t, q in zip(graph.meas_t[-2::-1], graph.meas_q[-2::-1]):
+            acc = compose(acc, Pose(t, q))
         expected = relative_pose(poses[-1], poses[0])
         assert np.linalg.norm(acc.t - expected.t) < 1e-9
         assert geodesic_angle(acc.q, expected.q) < 1e-9
@@ -210,11 +209,27 @@ class TestAddKeyframe:
         moved = perturbed(a, np.array([0.5, 0, 0, 0, 0, 0.01]))
         graph.keyframes[0].estimate = moved
         graph.add_keyframe(b, frame)
-        rel = graph.keyframes[1].relative_measurement
+        rel = relative_pose(b, a)
+        assert graph.meas_t[0].tobytes() == rel.t.tobytes() and graph.meas_q[0].tobytes() == rel.q.tobytes()
         expected = compose(moved, rel.inverse())
         got = graph.keyframes[1].estimate
         assert np.linalg.norm(got.t - expected.t) < 1e-12
         assert geodesic_angle(got.q, expected.q) < 1e-12
+
+    def test_measurement_rows_survive_optimize(self, scene):
+        # adds interleaved with optimize calls: each row stays the bytes of
+        # its two measured poses' relative pose
+        skeleton, subdivided, k, cfg = scene
+        truth = generate_orbit_trajectory(skeleton, 30.0, 5)
+        noisy = inject_noise(truth, NoiseSpec(0.08, 6.0 * DEG, seed=123))
+        graph = PoseGraph(skeleton, subdivided, k, GraphWeights(), cfg)
+        for pose, frame in zip(noisy.poses, simulate_measurements(truth, skeleton, k)):
+            graph.add_keyframe(pose, frame)
+            assert graph.meas_t.shape == (len(graph) - 1, 3) and graph.meas_q.shape == (len(graph) - 1, 4)
+            for i, (cur, prev) in enumerate(zip(noisy.poses[1 : len(graph)], noisy.poses)):
+                rel = relative_pose(cur, prev)
+                assert graph.meas_t[i].tobytes() == rel.t.tobytes() and graph.meas_q[i].tobytes() == rel.q.tobytes()
+            assert graph.optimize().iterations > 0
 
     def test_rejects_frame_of_another_size(self, scene):
         # a frame of another size than the camera's would match nothing, and
@@ -302,9 +317,8 @@ class TestJacobians:
 def pose_terms(graph, t, q):
     """`_pose_terms` at (t, q) with the graph's measurements and weights, as
     `optimize` computes them."""
-    meas_t, meas_q = graph._measurement_arrays()
     w = graph.weights
-    return _pose_terms(t, q, meas_t, quat_conjugate(meas_q), np.sqrt(w.beta_t), np.sqrt(w.beta_rot))
+    return _pose_terms(t, q, graph.meas_t, quat_conjugate(graph.meas_q), np.sqrt(w.beta_t), np.sqrt(w.beta_rot))
 
 
 def total_cost(graph):
@@ -419,7 +433,7 @@ class TestOptimize:
         report = graph.optimize(SolverConfig(max_iterations=50))
         est0 = graph.keyframes[0].estimate
         est1 = graph.keyframes[1].estimate
-        rel = graph.keyframes[1].relative_measurement
+        rel = Pose(graph.meas_t[0], graph.meas_q[0])
         expected = compose(est0, rel.inverse())
         assert np.linalg.norm(est1.t - expected.t) < 1e-6
         assert geodesic_angle(est1.q, expected.q) < 1e-6
@@ -793,7 +807,7 @@ def orbit_graphs(scene):
 def assert_pass_matches_reference(graph, t, q):
     """One Gauss-Newton pass at (t, q) with the library's graph side and with
     reference_posegraph's: every output equal to the bit."""
-    meas_t, meas_q = graph._measurement_arrays()
+    meas_t, meas_q = graph.meas_t, graph.meas_q
     rows = graph._match(t, q)
     pose = pose_terms(graph, t, q)
     cost0, img0 = graph._residuals(pose, rows)
@@ -839,7 +853,7 @@ class TestGraphSideMatchesReference:
         graph, _ = truth_graph(scene, [0.4, 0.7], weights=GraphWeights(beta_line=0.0))
         t = np.array([kf.estimate.t for kf in graph.keyframes])
         q = np.array([kf.estimate.q for kf in graph.keyframes])
-        meas_t, meas_q = graph._measurement_arrays()
+        meas_t, meas_q = graph.meas_t, graph.meas_q
         rows = graph._match(t, q)
         t[1] += 30.5 * quat_rotate(q[1], np.array([0.0, 0.0, 1.0]))
         pose = pose_terms(graph, t, q)
@@ -892,12 +906,12 @@ class TestFlightGraphSideMatchesReference:
         # cost and the residuals r of the first and hands its result to the second
         def reference_residuals(self, pose, rows):
             reference_calls.append("residuals")
-            cost, r = reference_posegraph.objective(self, pose.t, pose.q, rows, *self._measurement_arrays())
+            cost, r = reference_posegraph.objective(self, pose.t, pose.q, rows, self.meas_t, self.meas_q)
             return cost, SimpleNamespace(r=r)
 
         def reference_system(self, pose, img, rows):
             reference_calls.append("system")
-            return reference_posegraph.objective(self, pose.t, pose.q, rows, *self._measurement_arrays(), True)[2]
+            return reference_posegraph.objective(self, pose.t, pose.q, rows, self.meas_t, self.meas_q, True)[2]
 
         monkeypatch.setattr(PoseGraph, "_residuals", reference_residuals)
         monkeypatch.setattr(PoseGraph, "_system", reference_system)

@@ -227,6 +227,17 @@ class TestSimulateMeasurements:
         assert noisy[0].point_channels.max() <= 1.0
         assert noisy[0].point_channels.min() >= 0.0
 
+    @pytest.mark.parametrize("jitter_px", [1e19, 1e300])
+    def test_degrade_huge_jitter_rolls_each_channel(self, skeleton, camera, jitter_px):
+        # draws of 2**63 px and more overflowed an int64 cast; a roll by any
+        # shift permutes the channel's pixels
+        truth = generate_orbit_trajectory(skeleton, 30.0, 2)
+        frames = simulate_measurements(truth, skeleton, camera)
+        for frame, out in zip(frames, degrade_measurements(frames, 0.0, jitter_px, seed=1)):
+            for name in ("line_channels", "point_channels"):
+                for got, want in zip(getattr(out, name), getattr(frame, name)):
+                    assert np.array_equal(np.sort(got, axis=None), np.sort(want, axis=None))
+
 
 class TestEvaluate:
     def test_identical_zero(self, skeleton):
