@@ -100,8 +100,11 @@ def pixels_above(channels: np.ndarray, threshold: float) -> PixelList:
     reads it, so the list costs in proportion to the pixels above the
     threshold: few on rendered and degraded frames (BENCH_pixel_list.json
     counts them), every pixel on a dense stack (BENCH_stateless_matcher.json
-    times both).
+    times both).  A NaN threshold raises ValueError: every pixel would be
+    listed, and no cache lookup would ever find the list again.
     """
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     _, h, w = channels.shape
     index = np.flatnonzero(~(channels <= threshold))
     class_ids, flat = np.divmod(index, h * w)
@@ -118,11 +121,13 @@ def pixels_above(channels: np.ndarray, threshold: float) -> PixelList:
 class HeatmapFrame:
     """One keyframe's image measurements: line and point channel stacks.
 
-    The channels are read-only float32 copies of the arrays passed in, so
+    The channels are read-only float32 stacks that only the frame holds, so
     what is derived from them and cached on the frame cannot go stale,
-    through the frame or through the caller's arrays.  Every constructor
-    copies, `render` its fresh stacks and `read_frame` its view of the
-    file's bytes too.  One cache lives on the frame: `point_pixels_above`'s
+    through the frame or through the caller's arrays.  The public
+    constructor copies the arrays passed in, and so does `read_frame` with
+    its view of the file's bytes.  `render` and `degrade_measurements` hand
+    their fresh float32 stacks over through `_take`, which keeps them
+    without a copy.  One cache lives on the frame: `point_pixels_above`'s
     read-only pixel lists, one per threshold.
     """
 
@@ -131,8 +136,20 @@ class HeatmapFrame:
     _point_pixels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        lines = np.array(self.line_channels, dtype=np.float32)
-        points = np.array(self.point_channels, dtype=np.float32)
+        self._hold(np.array(self.line_channels, dtype=np.float32), np.array(self.point_channels, dtype=np.float32))
+
+    @classmethod
+    def _take(cls, lines: np.ndarray, points: np.ndarray) -> HeatmapFrame:
+        """A frame that keeps float32 (C, H, W) stacks without copying them:
+        for fresh stacks that nothing else references, handed over by their
+        only owner."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "_point_pixels", {})
+        frame._hold(lines, points)
+        return frame
+
+    def _hold(self, lines: np.ndarray, points: np.ndarray) -> None:
+        """Check float32 stacks, mark them read-only and keep them."""
         if lines.ndim != 3 or lines.shape[0] != N_LINE_CHANNELS:
             raise ValueError("expected 3 line channels")
         if points.ndim != 3 or points.shape[0] != N_POINT_CHANNELS:
@@ -261,7 +278,7 @@ def render(
     (uv,), (seen,), (a2,), (b2,), (in_front,) = project_skeleton(k, pose.t[None], pose.q[None], skeleton.points)
     points = [(uv[mask], uv[mask]) for mask in seen & (POINT_CLASSES == np.arange(N_POINT_CHANNELS)[:, None])]
     lines = [(a2[mask], b2[mask]) for mask in in_front & (LINES[:, 2] == np.arange(N_LINE_CHANNELS)[:, None])]
-    return HeatmapFrame(_render_stack(lines, k, sigma), _render_stack(points, k, sigma))
+    return HeatmapFrame._take(_render_stack(lines, k, sigma), _render_stack(points, k, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -148,30 +148,52 @@ def degrade_measurements(
 ) -> list[HeatmapFrame]:
     """Optional measurement degradation: additive pixel noise and per-channel
     integer peak jitter.  Off by default; simulated measurements are error
-    free unless explicitly requested."""
+    free unless explicitly requested.
+
+    Each channel is rolled by its rounded (dx, dy) jitter pair (modulo the
+    channel's size), gets N(0, pixel_sigma^2) noise added per pixel in
+    float64, and is clipped to [0, 1] and rounded to float32.
+
+    The stream: one PCG64 stream, `default_rng(SeedSequence(seed))`, serves
+    the frames in order.  For each frame it serves the line stack and then
+    the point stack; each stack first takes every channel's (dx, dy) jitter
+    pair, then its pixel noise channel after channel, in row-major order.
+    A magnitude of 0 draws nothing.
+    """
     _check_seed(seed)
     if not all(np.isfinite(v) and v >= 0.0 for v in (pixel_sigma, jitter_px)):
         raise ValueError("pixel_sigma and jitter_px must be finite and non-negative")
     if pixel_sigma == 0.0 and jitter_px == 0.0:
         return list(frames)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    buf = np.empty((0, 0))
     out = []
     for frame in frames:
+        if buf.shape != (frame.height, frame.width):
+            buf = np.empty((frame.height, frame.width))
+        h, w = buf.shape
         stacks = []
         for stack in (frame.line_channels, frame.point_channels):
-            chans = stack.astype(np.float64)
+            # every channel's jitter pair before any noise; int of a finite
+            # float is exact at any size, and the shift is taken modulo the
+            # channel's size
+            shifts = [(0, 0)] * len(stack)
             if jitter_px > 0.0:
-                shifted = np.empty_like(chans)
-                for c in range(chans.shape[0]):
-                    # int of a finite float is exact at any size, and np.roll
-                    # reduces the shift modulo the channel's size
-                    dx, dy = map(int, np.rint(rng.normal(0.0, jitter_px, 2)))
-                    shifted[c] = np.roll(chans[c], (dy, dx), axis=(0, 1))
-                chans = shifted
-            if pixel_sigma > 0.0:
-                chans = chans + rng.normal(0.0, pixel_sigma, chans.shape)
-            stacks.append(np.clip(chans, 0.0, 1.0))
-        out.append(HeatmapFrame(stacks[0], stacks[1]))
+                shifts = [tuple(map(int, np.rint(rng.normal(0.0, jitter_px, 2)))) for _ in stack]
+            degraded = np.empty(stack.shape, dtype=np.float32)
+            for chan, (dx, dy), dst in zip(stack, shifts, degraded):
+                # np.roll(chan, (dy, dx), axis=(0, 1)) as four block copies
+                sy, sx = dy % h, dx % w
+                buf[sy:, sx:] = chan[: h - sy, : w - sx]
+                buf[sy:, :sx] = chan[: h - sy, w - sx :]
+                buf[:sy, sx:] = chan[h - sy :, : w - sx]
+                buf[:sy, :sx] = chan[h - sy :, w - sx :]
+                if pixel_sigma > 0.0:
+                    buf += rng.normal(0.0, pixel_sigma, buf.shape)
+                np.clip(buf, 0.0, 1.0, out=buf)
+                dst[...] = buf
+            stacks.append(degraded)
+        out.append(HeatmapFrame._take(*stacks))
     return out
 
 

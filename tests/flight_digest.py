@@ -3,14 +3,15 @@
 
     python3 tests/flight_digest.py
 
-Prints four SHA-256 digests: one over the `dataclasses.asdict` form of
+Prints five SHA-256 digests: one over the `dataclasses.asdict` form of
 every `OptimizeReport` and the final estimates' bytes of the flights below,
 one of the CSV of a 2x2 `run_sweep`, one over the `dataclasses.asdict` form
 of each flight's `evaluate(estimates, truth)`, its arrays as bytes (the CSV
-rounds errors to 9 digits), and one over the line, then point, channel
-bytes of `render` at every pose of the frame orbits below.  Two trees whose
-digests are equal fly those flights and render those frames to the same
-bits.  The script imports turbloc from the `src/`
+rounds errors to 9 digits), one over the line, then point, channel
+bytes of `render` at every pose of the frame orbits below, and one over the
+same bytes of `degrade_measurements` of the degraded frames below.  Two
+trees whose digests are equal fly those flights, and render and degrade
+those frames, to the same bits.  The script imports turbloc from the `src/`
 beside it; pytest does not collect it (its name does not start with test_).
 
 The scene is the baseline one: a 10 m tower with 5 m blades, a 256x256
@@ -26,7 +27,10 @@ camera with f=200 on an orbit of radius 30 m, GPS/IMU noise of 0.08 m and
   {2, 6} deg, root seed 9;
 - the frames: the flights' 12-, 24- and 48-keyframe orbits of radius 30 m
   and 24-pose orbits of radius 6, 8 and 12 m, each rendered at sigma 2, 5
-  and 8 px; the close orbits run features off the image.
+  and 8 px; the close orbits run features off the image;
+- the degraded frames: the 12-keyframe orbit of radius 30 m and the 24-pose
+  orbit of radius 6 m rendered at sigma 5, each degraded at (pixel sigma,
+  jitter px) (0, 5), (0.1, 0), (0.1, 5) and (0.05, 40) with seeds 7 and 8.
 """
 
 import hashlib
@@ -127,6 +131,14 @@ def main():
                 frame = render(SKELETON, pose, CAMERA, sigma)
                 frames.update(frame.line_channels.tobytes() + frame.point_channels.tobytes())
     print(f"frames  {frames.hexdigest()}")
+    clean = [render(SKELETON, pose, CAMERA) for radius, n in ((30.0, 12), (6.0, 24))
+             for pose in generate_orbit_trajectory(SKELETON, radius, n).poses]
+    degraded = hashlib.sha256()
+    for pixel_sigma, jitter_px in ((0.0, 5.0), (0.1, 0.0), (0.1, 5.0), (0.05, 40.0)):
+        for seed in (7, 8):
+            for frame in degrade_measurements(clean, pixel_sigma, jitter_px, seed):
+                degraded.update(frame.line_channels.tobytes() + frame.point_channels.tobytes())
+    print(f"degraded {degraded.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -606,6 +606,18 @@ class TestPixelListCache:
         assert len(check_reference(skeleton, pose, k, frame, cfg)) == 0
         assert len(check_reference(skeleton, pose, k, HeatmapFrame(lines, points), cfg)) > 0
 
+    def test_nan_threshold_raises_and_caches_nothing(self, scene):
+        # NaN != NaN, so a NaN key would miss on every call and store a new
+        # list of every pixel each time
+        skeleton, _, k, pose, _ = scene
+        frame = render(skeleton, pose, k)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NaN"):
+                frame.point_pixels_above(math.nan)
+        assert frame._point_pixels == {}
+        with pytest.raises(ValueError, match="NaN"):
+            pixels_above(frame.point_channels, np.float32("nan"))
+
     def test_channels_read_only(self, scene):
         skeleton, _, k, pose, _ = scene
         frame = render(skeleton, pose, k)

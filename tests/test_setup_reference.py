@@ -144,7 +144,7 @@ class TestRender:
 
 
 class TestDegrade:
-    @pytest.mark.parametrize("pixel_sigma, jitter_px", [(0.0, 5.0), (0.1, 0.0), (0.1, 5.0), (0.05, 40.0)])
+    @pytest.mark.parametrize("pixel_sigma, jitter_px", [(0.0, 5.0), (0.1, 0.0), (0.1, 5.0), (0.05, 40.0), (1e308, 3.0)])
     def test_frames(self, skeleton, pixel_sigma, jitter_px):
         vs = views(skeleton)
         frames = [render(skeleton, pose, k) for k, pose in vs[:8] + vs[-8:-5]]  # 256x256 and 40x30

@@ -16,7 +16,7 @@ from turbloc.geometry import (
     relative_pose,
     world_to_camera,
 )
-from turbloc.heatmap import render
+from turbloc.heatmap import HeatmapFrame, render
 from turbloc.matching import MatchConfig, match_frame_arrays
 from turbloc.posegraph import GraphWeights, SolverConfig
 from turbloc.simulation import (
@@ -237,6 +237,40 @@ class TestSimulateMeasurements:
             for name in ("line_channels", "point_channels"):
                 for got, want in zip(getattr(out, name), getattr(frame, name)):
                     assert np.array_equal(np.sort(got, axis=None), np.sort(want, axis=None))
+
+
+class TestOutputsOwnTheirMemory:
+    """`render` and `degrade_measurements` hand over stacks without a copy:
+    each output stack must still be its frame's alone and read-only."""
+
+    @staticmethod
+    def stacks(frames):
+        return [stack for frame in frames for stack in (frame.line_channels, frame.point_channels)]
+
+    def assert_owned(self, outputs, inputs):
+        out = self.stacks(outputs)
+        for i, stack in enumerate(out):
+            assert not any(np.shares_memory(stack, other) for other in out[i + 1 :] + inputs)
+            for channel in stack:
+                with pytest.raises(ValueError, match="read-only"):
+                    channel[0, 0] = 0.5
+
+    def test_render(self, skeleton, camera):
+        small = CameraIntrinsics(30.0, 30.0, 19.5, 14.5, 40, 30)
+        poses = generate_orbit_trajectory(skeleton, 30.0, 3).poses
+        self.assert_owned([render(skeleton, pose, k) for pose in poses for k in (camera, small)], [])
+
+    @pytest.mark.parametrize("pixel_sigma, jitter_px", [(0.0, 5.0), (0.1, 0.0), (0.1, 5.0)])
+    def test_degrade(self, skeleton, camera, pixel_sigma, jitter_px):
+        small = CameraIntrinsics(30.0, 30.0, 19.5, 14.5, 40, 30)
+        poses = generate_orbit_trajectory(skeleton, 30.0, 3).poses
+        frames = [render(skeleton, pose, k) for pose in poses for k in (camera, small)]
+        raw = np.random.default_rng(3).random((7, 9, 11), dtype=np.float32)
+        frames.append(HeatmapFrame(raw[:3], raw[3:]))
+        inputs = self.stacks(frames) + [raw]
+        before = [stack.tobytes() for stack in inputs]
+        self.assert_owned(degrade_measurements(frames, pixel_sigma, jitter_px, seed=7), inputs)
+        assert [stack.tobytes() for stack in inputs] == before
 
 
 class TestEvaluate:
